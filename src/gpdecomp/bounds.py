@@ -16,19 +16,13 @@ part.  The least d with coefficient < 1 is 147 (uniformity 295).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Tuple
+from math import comb, factorial, prod
+from typing import Callable, Dict, Optional, Tuple
 
-from .constructions import (
-    ClassLayout,
-    Signature,
-    _is_pair_plus_one_shape,
-    _is_two_plus_three_shape,
-    enumerate_signatures,
-)
+from .constructions import ClassLayout, FamilyTally, theorem1_routes
 
 DENSITY_RATIO = Fraction(14, 15)
 DEFAULT_PRECISION = 40
@@ -156,10 +150,6 @@ def threshold_d(limit: int = 1000) -> int:
     raise RuntimeError(f"no threshold found up to d={limit}")
 
 
-def _baseline_count(n: int, r: int) -> int:
-    return comb(n - (r + 1) // 2, r // 2)
-
-
 def predicted_family_tallies(
     n: int,
     k: int,
@@ -167,40 +157,18 @@ def predicted_family_tallies(
     block_count_fn: Callable[[int], int] = lambda n: (n - 1) ** 2,
 ) -> Dict[str, int]:
     """Exact per-family piece counts the class-split construction produces
-    with the baseline sub-decompositions and the given block provider size."""
-    r = 2 * d + 1
+    with the baseline sub-decompositions and the given block provider size.
+
+    Walks the construction's own routes and multiplies closed-form factor
+    sizes: block_count_fn(n) per class pair and the baseline count
+    C(n - ceil(s/2), floor(s/2)) per (class, size) factor."""
     g = block_count_fn(n)
-    layout = ClassLayout(k=k, n=n)
-    sigs = enumerate_signatures(layout, r)
-
-    paired = 0
-    subsets = {
-        tuple(c for c, s in sig.assignments if s == 2)
-        for sig in sigs
-        if _is_pair_plus_one_shape(sig)
-    }
-    for _ in subsets:
-        paired += g ** (d // 2) * ((n - 1) if d % 2 else 1)
-
-    two_three = 0
-    generic = 0
-    for sig in sigs:
-        if _is_pair_plus_one_shape(sig):
-            continue
-        if _is_two_plus_three_shape(sig):
-            twos = len(sig.assignments) - 1
-            cnt = g ** (twos // 2) * ((n - 1) if twos % 2 else 1) * (n - 2)
-            two_three += cnt
-        else:
-            prod = 1
-            for _, s in sig.assignments:
-                prod *= _baseline_count(n, s)
-            generic += prod
-    return {
-        "paired_two_classes": paired,
-        "two_plus_three": two_three,
-        "generic": generic,
-    }
+    tallies = asdict(FamilyTally())
+    for route in theorem1_routes(ClassLayout(k=k, n=n), 2 * d + 1):
+        tallies[route.family] += g ** len(route.pairs) * prod(
+            comb(n - (s + 1) // 2, s // 2) for _, s in route.singles
+        )
+    return tallies
 
 
 def predicted_theorem1_count(

@@ -91,7 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             dec = parse_decomposition(fh.read())
     except OSError as exc:
         return _fail(str(exc), EXIT_PARSE)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"parse error: {exc}", EXIT_PARSE)
     report = verify_decomposition(dec)
     if args.porcelain:
@@ -108,11 +108,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    budget = SearchBudget(
-        max_nodes=args.max_nodes,
-        wall_clock_s=args.max_seconds,
-    )
     try:
+        budget = SearchBudget(max_nodes=args.max_nodes, wall_clock_s=args.max_seconds)
         result = solve_exact(args.n, args.r, budget, allow_large=args.allow_large)
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
@@ -160,6 +157,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             lo, hi = (int(x) for x in args.scan_range.split(":"))
         except ValueError:
             return _fail("scan-range must look like 140:160", EXIT_BAD_ARGS)
+        if not 1 <= lo <= hi:
+            return _fail("scan-range needs 1 <= LO <= HI", EXIT_BAD_ARGS)
         td = bounds_mod.threshold_d()
         for d in range(lo, hi + 1):
             coef = bounds_mod.base_coefficient(d)

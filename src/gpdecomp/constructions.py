@@ -19,9 +19,9 @@ blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from itertools import chain, combinations, product
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .blocks import BlockDecomposition, block_to_four_parts, construct_trivial_blocks
 from .core import Decomposition, GroundSet, RPartiteGraph, canonicalize
@@ -45,9 +45,6 @@ class ClassLayout:
     def total(self) -> int:
         return self.k * self.n
 
-    def class_range(self, i: int) -> range:
-        return range(i * self.n, (i + 1) * self.n)
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -64,10 +61,6 @@ class Signature:
         items = tuple(sorted((c, s) for c, s in mapping.items() if s > 0))
         return Signature(items)
 
-    @property
-    def total(self) -> int:
-        return sum(s for _, s in self.assignments)
-
     def sizes(self) -> List[int]:
         return sorted(s for _, s in self.assignments)
 
@@ -79,10 +72,6 @@ class FamilyTally:
     paired_two_classes: int = 0  # all-2s profiles via blocks + complement part
     two_plus_three: int = 0  # 2+...+2+3 profiles
     generic: int = 0  # every other profile
-
-    @property
-    def total(self) -> int:
-        return self.paired_two_classes + self.two_plus_three + self.generic
 
 
 def construct_baseline(n: int, r: int) -> Decomposition:
@@ -154,111 +143,94 @@ def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
     return out
 
 
-def _shifted_pieces(dec: Decomposition, offset: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    return [
-        tuple(tuple(v + offset for v in part) for part in p.parts) for p in dec.pieces
-    ]
+@dataclass(frozen=True, order=True)
+class Route:
+    """How the class-split construction covers one intersection profile.
 
-
-def _embedding(layout: ClassLayout, cls: int) -> Dict[int, int]:
-    return {v: cls * layout.n + v for v in range(layout.n)}
-
-
-def _paired_two_family(
-    layout: ClassLayout,
-    two_classes: Sequence[int],
-    sub_provider: SubProvider,
-    block_provider: BlockProvider,
-) -> List[RPartiteGraph]:
-    """Pieces covering all edges meeting each chosen class in exactly 2
-    vertices plus one extra vertex anywhere outside the chosen classes.
-
-    Classes are paired in ascending order and each pair is expanded through
-    the block decomposition; an odd leftover class uses the star pieces.  The
-    final part is the complement of the chosen classes, which realizes every
-    placement of the extra vertex at once.  Vacuous (no pieces) when the
-    complement is empty.
+    The pieces are the product of one factor list per entry of ``pairs`` (the
+    block decomposition embedded on that class pair) and of ``singles``
+    (``sub_provider(n, size)`` shifted onto that class), each combination
+    extended by the ``complement`` part when it is nonempty.  ``family`` names
+    the :class:`FamilyTally` field the pieces count towards.  The field order
+    makes routes of one family sort by their classes.
     """
-    n = layout.n
-    chosen = sorted(two_classes)
-    d = len(chosen)
-    comp = tuple(
-        v
-        for v in range(layout.total)
-        if not any(v in layout.class_range(c) for c in chosen)
-    )
-    if not comp:
-        return []
-    factor_lists: List[List[Tuple[Tuple[int, ...], ...]]] = []
-    bd = block_provider(n)
-    for idx in range(0, d - 1, 2):
-        ci, cj = chosen[idx], chosen[idx + 1]
-        emb_i, emb_j = _embedding(layout, ci), _embedding(layout, cj)
-        factor_lists.append(
-            [block_to_four_parts(blk, emb_i, emb_j) for blk in bd.blocks]
-        )
-    if d % 2 == 1:
-        leftover = chosen[-1]
-        factor_lists.append(
-            _shifted_pieces(sub_provider(n, 2), leftover * layout.n)
-        )
-    pieces = []
-    for combo in product(*factor_lists):
-        parts = [part for group in combo for part in group]
-        parts.append(comp)
-        pieces.append(canonicalize(parts, n=layout.total))
-    return pieces
+
+    family: str
+    pairs: Tuple[Tuple[int, int], ...]
+    singles: Tuple[Tuple[int, int], ...]
+    complement: Tuple[int, ...] = ()
 
 
-def _two_plus_three_family(
+def route_signature(layout: ClassLayout, sig: Signature) -> Optional[Route]:
+    """The route whose pieces partition the edges with the given profile.
+
+    Dispatches on the profile shape:
+
+    * all sizes 2, or sizes 1,2,...,2: the 2-classes are paired in ascending
+      order through blocks and an odd leftover 2-class uses the star pieces.
+      The complement of the 2-classes is one more part, which realizes every
+      placement of the extra vertex at once, so every placement of the 1
+      shares this route.  None (vacuous) when the complement is empty.
+    * sizes 2,...,2,3: the same pairing times a 3-class decomposition.
+    * anything else: plain product of per-class decompositions.
+    """
+    if not sig.assignments:
+        raise ValueError("empty signature")
+    if any(s > layout.n for _, s in sig.assignments):
+        raise ValueError("intersection size exceeds class size")
+    twos = [c for c, s in sig.assignments if s == 2]
+    rest = tuple((c, s) for c, s in sig.assignments if s != 2)
+    rest_sizes = [s for _, s in rest]
+    pairs = tuple(zip(twos[::2], twos[1::2]))
+    leftover = ((twos[-1], 2),) if len(twos) % 2 else ()
+    if rest_sizes in ([], [1]):
+        comp = tuple(v for v in range(layout.total) if v // layout.n not in twos)
+        return Route("paired_two_classes", pairs, leftover, comp) if comp else None
+    if rest_sizes == [3]:
+        return Route("two_plus_three", pairs, leftover + rest)
+    return Route("generic", (), sig.assignments)
+
+
+def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
+    """Routes of the class-split construction for odd r, in output order: the
+    paired routes sorted by their 2-classes, each once, then every other
+    profile in :func:`enumerate_signatures` order."""
+    routes = [
+        rt for rt in (route_signature(layout, sig) for sig in enumerate_signatures(layout, r))
+        if rt is not None
+    ]
+    paired = sorted({rt for rt in routes if rt.family == "paired_two_classes"})
+    return paired + [rt for rt in routes if rt.family != "paired_two_classes"]
+
+
+def _route_pieces(
     layout: ClassLayout,
-    two_classes: Sequence[int],
-    three_class: int,
+    routes: Sequence[Route],
     sub_provider: SubProvider,
     block_provider: BlockProvider,
-) -> List[RPartiteGraph]:
-    """Pieces for the profile with 2s on ``two_classes`` and a 3 on
-    ``three_class``: pair the 2-classes through blocks, decompose a leftover
-    2-class with stars and the 3-class with a K_n^(3) decomposition, and take
-    products."""
+) -> Iterator[List[RPartiteGraph]]:
+    """The pieces of each route, in route order.
+
+    ``block_provider`` is called at most once and ``sub_provider`` once per
+    size; each factor list is built once per class pair or (class, size)."""
     n = layout.n
-    twos = sorted(two_classes)
-    factor_lists: List[List[Tuple[Tuple[int, ...], ...]]] = []
-    if len(twos) >= 2:
-        bd = block_provider(n)
-        for idx in range(0, len(twos) - 1, 2):
-            ci, cj = twos[idx], twos[idx + 1]
-            factor_lists.append(
-                [
-                    block_to_four_parts(blk, _embedding(layout, ci), _embedding(layout, cj))
-                    for blk in bd.blocks
-                ]
-            )
-    if len(twos) % 2 == 1:
-        factor_lists.append(_shifted_pieces(sub_provider(n, 2), twos[-1] * layout.n))
-    factor_lists.append(_shifted_pieces(sub_provider(n, 3), three_class * layout.n))
-    pieces = []
-    for combo in product(*factor_lists):
-        parts = [part for group in combo for part in group]
-        pieces.append(canonicalize(parts, n=layout.total))
-    return pieces
-
-
-def _generic_family(
-    layout: ClassLayout,
-    sig: Signature,
-    sub_provider: SubProvider,
-) -> List[RPartiteGraph]:
-    """Product of per-class decompositions for an arbitrary profile."""
-    factor_lists = [
-        _shifted_pieces(sub_provider(layout.n, size), cls * layout.n)
-        for cls, size in sig.assignments
-    ]
-    pieces = []
-    for combo in product(*factor_lists):
-        parts = [part for group in combo for part in group]
-        pieces.append(canonicalize(parts, n=layout.total))
-    return pieces
+    blocks = block_provider(n).blocks if any(rt.pairs for rt in routes) else ()
+    subs = {s: sub_provider(n, s) for s in sorted({s for rt in routes for _, s in rt.singles})}
+    embed = [{v: c * n + v for v in range(n)} for c in range(layout.k)]
+    pair_factors = {
+        (ci, cj): [block_to_four_parts(b, embed[ci], embed[cj]) for b in blocks]
+        for ci, cj in {p for rt in routes for p in rt.pairs}
+    }
+    single_factors = {
+        (c, s): [tuple(tuple(v + c * n for v in part) for part in p.parts) for p in subs[s].pieces]
+        for c, s in {cs for rt in routes for cs in rt.singles}
+    }
+    for rt in routes:
+        factors = [pair_factors[p] for p in rt.pairs] + [single_factors[cs] for cs in rt.singles]
+        tail = (rt.complement,) if rt.complement else ()
+        yield [
+            canonicalize(chain(*combo, tail), n=layout.total) for combo in product(*factors)
+        ]
 
 
 def decompose_signature(
@@ -267,45 +239,14 @@ def decompose_signature(
     sub_provider: SubProvider = construct_baseline,
     block_provider: BlockProvider = construct_trivial_blocks,
 ) -> List[RPartiteGraph]:
-    """Pieces partitioning the edges with the given intersection profile.
-
-    Dispatches on the profile shape:
-
-    * all sizes 2 (the driver passes the d 2-classes of a 2+...+2+1 profile
-      with the lone 1 omitted): paired-class blocks plus a complement part.
-      The output then covers every placement of the extra vertex, so the
-      driver calls this once per set of 2-classes.
-    * sizes 1,2,...,2: same as above (the 1-class is subsumed by the
-      complement part).
-    * sizes 2,...,2,3: blocks on the 2-classes times a 3-class decomposition.
-    * anything else: plain product of per-class decompositions.
-    """
-    sizes = sig.sizes()
-    if not sizes:
-        raise ValueError("empty signature")
-    if any(s > layout.n for s in sizes):
-        raise ValueError("intersection size exceeds class size")
-    if all(s == 2 for s in sizes):
-        classes = [c for c, _ in sig.assignments]
-        return _paired_two_family(layout, classes, sub_provider, block_provider)
-    if sizes[0] == 1 and all(s == 2 for s in sizes[1:]):
-        classes = [c for c, s in sig.assignments if s == 2]
-        return _paired_two_family(layout, classes, sub_provider, block_provider)
-    if sizes[-1] == 3 and all(s == 2 for s in sizes[:-1]):
-        twos = [c for c, s in sig.assignments if s == 2]
-        three = next(c for c, s in sig.assignments if s == 3)
-        return _two_plus_three_family(layout, twos, three, sub_provider, block_provider)
-    return _generic_family(layout, sig, sub_provider)
-
-
-def _is_pair_plus_one_shape(sig: Signature) -> bool:
-    sizes = sig.sizes()
-    return len(sizes) >= 2 and sizes[0] == 1 and all(s == 2 for s in sizes[1:])
-
-
-def _is_two_plus_three_shape(sig: Signature) -> bool:
-    sizes = sig.sizes()
-    return sizes[-1] == 3 and all(s == 2 for s in sizes[:-1])
+    """Pieces partitioning the edges with the given intersection profile,
+    built along :func:`route_signature`.  An all-2s profile (the d 2-classes
+    of a 2+...+2+1 profile with the lone 1 omitted) covers every placement of
+    the extra vertex."""
+    route = route_signature(layout, sig)
+    if route is None:
+        return []
+    return next(_route_pieces(layout, [route], sub_provider, block_provider))
 
 
 def construct_theorem1_detailed(
@@ -324,37 +265,14 @@ def construct_theorem1_detailed(
     layout = ClassLayout(k=k, n=n)
     if r > layout.total:
         raise ValueError("r exceeds k*n")
-    sigs = enumerate_signatures(layout, r)
-    tally = FamilyTally()
+    routes = theorem1_routes(layout, r)
+    counts = asdict(FamilyTally())
     pieces: List[RPartiteGraph] = []
-
-    # The 2+...+2+1 profiles are covered once per set of 2-classes, not once
-    # per placement of the 1 (the complement part handles all placements).
-    pair_subsets = sorted(
-        {
-            tuple(c for c, s in sig.assignments if s == 2)
-            for sig in sigs
-            if _is_pair_plus_one_shape(sig)
-        }
-    )
-    for subset in pair_subsets:
-        got = _paired_two_family(layout, subset, sub_provider, block_provider)
+    for rt, got in zip(routes, _route_pieces(layout, routes, sub_provider, block_provider)):
+        counts[rt.family] += len(got)
         pieces.extend(got)
-        tally.paired_two_classes += len(got)
-
-    for sig in sigs:
-        if _is_pair_plus_one_shape(sig):
-            continue
-        if _is_two_plus_three_shape(sig):
-            got = decompose_signature(layout, sig, sub_provider, block_provider)
-            tally.two_plus_three += len(got)
-        else:
-            got = _generic_family(layout, sig, sub_provider)
-            tally.generic += len(got)
-        pieces.extend(got)
-
     dec = Decomposition(GroundSet(layout.total, r), tuple(pieces))
-    return dec, tally
+    return dec, FamilyTally(**counts)
 
 
 def construct_theorem1(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 Edge = Tuple[int, ...]
 
@@ -53,9 +53,6 @@ class RPartiteGraph:
     @property
     def edge_count(self) -> int:
         return math.prod(len(p) for p in self.parts)
-
-    def vertices(self) -> frozenset:
-        return frozenset(v for p in self.parts for v in p)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,3 @@ def all_edges(n: int, r: int) -> Iterator[Edge]:
     from itertools import combinations
 
     return combinations(range(n), r)
-
-
-def piece_from_sequence(parts: Sequence[Sequence[int]], n: int | None = None) -> RPartiteGraph:
-    return canonicalize(parts, n=n)

@@ -149,3 +149,37 @@ def test_construct_porcelain(tmp_path, capsys):
                           "--n", "6", "--r", "4", "--out", str(out), "--porcelain")
     assert code == 0
     assert stdout.strip() == "pieces=6"
+
+
+def test_exact_rejects_nonpositive_node_budget(capsys):
+    code, _, err = run(capsys, "exact", "--n", "5", "--r", "2", "--max-nodes", "0")
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_exact_rejects_negative_time_budget(capsys):
+    code, _, err = run(capsys, "exact", "--n", "5", "--r", "2", "--max-seconds", "-1")
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_verify_non_utf8_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.gpd"
+    bad.write_bytes(b"GPD 1\nn 2 r 1 pieces 1\n0,1 \xff\n")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert "parse error" in err
+
+
+def test_bounds_scan_rejects_d_below_one(capsys):
+    code, stdout, err = run(capsys, "bounds", "--scan-range", "0:1")
+    assert code == 3
+    assert err.startswith("error:")
+    assert stdout == ""
+
+
+def test_bounds_scan_rejects_reversed_range(capsys):
+    code, stdout, err = run(capsys, "bounds", "--scan-range", "5:2")
+    assert code == 3
+    assert err.startswith("error:")
+    assert stdout == ""

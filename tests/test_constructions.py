@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import asdict
 from itertools import combinations, product
 from math import comb, prod
 
@@ -15,6 +17,9 @@ from gpdecomp import (
     construct_trivial_blocks,
     decompose_signature,
     enumerate_signatures,
+    predicted_family_tallies,
+    serialize_decomposition,
+    verify_blocks,
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
@@ -202,14 +207,55 @@ def test_theorem1_accepts_substituted_block_provider():
         BipartiteGraph((2,), (3,)),
     ]
     bd = BlockDecomposition(4, tuple(Block(a, b) for a, b in product(bip, bip)))
-    from gpdecomp import verify_blocks
-
     assert verify_blocks(bd).valid
     swapped = construct_theorem1(4, 3, 5, block_provider=lambda n: bd)
     assert verify_decomposition(swapped).valid
     # equal-size provider: piece count must not increase
     default = construct_theorem1(4, 3, 5)
     assert swapped.piece_count <= default.piece_count
+
+
+def split_trivial_blocks(n):
+    """A valid (n-1)^2 + 1 block decomposition: the first trivial block with
+    the second side of its first bipartite graph cut in two."""
+    bd = construct_trivial_blocks(n)
+    head = bd.blocks[0]
+    a, b = head.first.side_a, head.first.side_b
+    halves = (
+        Block(BipartiteGraph(a, b[:1]), head.second),
+        Block(BipartiteGraph(a, b[1:]), head.second),
+    )
+    return BlockDecomposition(n, halves + bd.blocks[1:])
+
+
+@pytest.mark.parametrize("n,k,r", [(3, 3, 5), (4, 3, 5), (3, 4, 7), (3, 5, 9)])
+def test_theorem1_tally_follows_block_count(n, k, r):
+    bd = split_trivial_blocks(n)
+    assert len(bd.blocks) == (n - 1) ** 2 + 1
+    assert verify_blocks(bd).valid
+    dec, tally = construct_theorem1_detailed(n, k, r, block_provider=lambda m: bd)
+    assert verify_decomposition(dec).valid
+    d = (r - 1) // 2
+    predicted = predicted_family_tallies(n, k, d, block_count_fn=lambda m: (m - 1) ** 2 + 1)
+    assert asdict(tally) == predicted
+    assert predicted != predicted_family_tallies(n, k, d)
+
+
+# SHA-256 of the serialized output, which pins piece order as well as content.
+THEOREM1_GOLDEN = {
+    (3, 3, 5): "3d617d5da88eed1af5cf2d7d3359b99e364b9591d2f80632032c83357adb8d8f",
+    (4, 3, 5): "82c18f00ae15642251066f658830e1ac8243bd2978226c35d590be153c74eae0",
+    (3, 4, 7): "a94ca3f40e1058ad2a648603b4564618f3b266facb9fc38f7b1fc0b04b952a38",
+    (2, 5, 9): "fc4d6219178e3ed3a49c050789c57c039d0c40862a596644375df00b168a711e",
+    (5, 3, 3): "daa82c1c95bef5a33a61f296beb93af1778b10fee4633879821986b591e060fb",
+    (4, 4, 7): "cb7e4e8bc80a3ec14991585aa934d90f953bf2256c0a8b00d31c6e4f570f0051",
+}
+
+
+@pytest.mark.parametrize("n,k,r", sorted(THEOREM1_GOLDEN))
+def test_theorem1_golden_output(n, k, r):
+    text = serialize_decomposition(construct_theorem1(n, k, r))
+    assert hashlib.sha256(text.encode()).hexdigest() == THEOREM1_GOLDEN[(n, k, r)]
 
 
 # -- even from odd ------------------------------------------------------
