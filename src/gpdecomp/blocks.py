@@ -15,11 +15,12 @@ construction; :func:`construct_trivial_blocks` is the default with
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain, combinations, product
+from typing import List, Mapping, Optional, Tuple
 
-from .core import binomial
+from .core import RPartiteGraph, binomial, edge_masks, edge_of_mask
 
 
 @dataclass(frozen=True)
@@ -109,34 +110,58 @@ def block_to_four_parts(
     )
 
 
+def _as_piece(b: Block, n: int) -> RPartiteGraph:
+    """The block as a four-part piece on 2n vertices, class two shifted up by
+    n, keeping only vertices in 0..n-1: its edges are the in-universe pairs
+    of the block, each the union of an edge of class one and one of class
+    two.  The piece is not canonical; only the edge kernel reads it."""
+    return RPartiteGraph((
+        tuple(v for v in b.first.side_a if 0 <= v < n),
+        tuple(v for v in b.first.side_b if 0 <= v < n),
+        tuple(v + n for v in b.second.side_a if 0 <= v < n),
+        tuple(v + n for v in b.second.side_b if 0 <= v < n),
+    ))
+
+
 def verify_blocks(bd: BlockDecomposition) -> BlockReport:
-    """Exhaustively check that every ordered pair of 2-sets is covered once."""
+    """Exhaustively check that every ordered pair of 2-sets is covered once.
+
+    On failure the witness is the first pair in lexicographic order covered
+    other than once; when every pair is covered once, it is the smallest
+    pair reaching outside 0..n-1."""
     n = bd.n
-    counts: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = {}
-    for blk in bd.blocks:
-        for e1 in blk.first.edges():
-            for e2 in blk.second.edges():
-                counts[(e1, e2)] = counts.get((e1, e2), 0) + 1
     total = binomial(n, 2) ** 2
-    all_pairs = list(product(combinations(range(n), 2), repeat=2))
-    for pair in all_pairs:
-        m = counts.get(pair, 0)
-        if m != 1:
-            return BlockReport(
-                valid=False,
-                block_count=len(bd.blocks),
-                pair_count=total,
-                witness=pair,
-                witness_multiplicity=m,
-            )
-    # A block outside 0..n-1 would create a pair not in the universe.
-    if len(counts) != total:
-        extra = sorted(set(counts) - set(all_pairs))[0]
-        return BlockReport(
-            valid=False,
-            block_count=len(bd.blocks),
-            pair_count=total,
-            witness=extra,
-            witness_multiplicity=counts[extra],
-        )
-    return BlockReport(valid=True, block_count=len(bd.blocks), pair_count=total)
+    stray = [blk for blk in bd.blocks
+             if not all(0 <= v < n for g in (blk.first, blk.second)
+                        for v in g.side_a + g.side_b)]
+    pieces = [_as_piece(blk, n) for blk in bd.blocks]
+    masks = list(chain.from_iterable(map(edge_masks, pieces)))
+    if not stray and len(masks) == total and len(set(masks)) == total:
+        return BlockReport(valid=True, block_count=len(bd.blocks), pair_count=total)
+    counts = Counter(masks)
+    one = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
+    pairs = map(sum, product(one, [m << n for m in one]))
+    bad = next((m for m in pairs if counts[m] != 1), None)
+    if bad is not None:
+        e = edge_of_mask(bad)
+        witness = (e[:2], tuple(v - n for v in e[2:]))
+        multiplicity = counts[bad]
+    else:
+        # Every in-universe pair is covered once, so the stray blocks must
+        # add pairs outside the universe; such pairs have no mask.
+        extra = [
+            (e1, e2)
+            for blk in stray
+            for e1 in blk.first.edges()
+            for e2 in blk.second.edges()
+            if not all(0 <= v < n for v in e1 + e2)
+        ]
+        witness = min(extra)
+        multiplicity = extra.count(witness)
+    return BlockReport(
+        valid=False,
+        block_count=len(bd.blocks),
+        pair_count=total,
+        witness=witness,
+        witness_multiplicity=multiplicity,
+    )

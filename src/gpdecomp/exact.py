@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .constructions import construct_baseline
-from .core import Decomposition, GroundSet, RPartiteGraph, binomial, edges_of
+from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks
 
 SOFT_CAP_N = 9
 
@@ -95,18 +95,15 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     incumbent.  On budget exhaustion the incumbent and the trivial lower
     bound are reported instead of an optimum.
     """
-    edges = list(combinations(range(n), r))
-    edge_index = {e: i for i, e in enumerate(edges)}
-    total = len(edges)
+    # Edge i is the i-th r-subset in lexicographic order; a candidate's mask
+    # has bit i set when it covers edge i.
+    bits = [1 << v for v in range(n)]
+    edge_index = {m: i for i, m in enumerate(map(sum, combinations(bits, r)))}
+    total = len(edge_index)
     full_mask = (1 << total) - 1
 
     candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
-    masks: List[int] = []
-    for c in candidates:
-        m = 0
-        for e in edges_of(c):
-            m |= 1 << edge_index[e]
-        masks.append(m)
+    masks = [sum(1 << edge_index[m] for m in edge_masks(c)) for c in candidates]
     max_cov = max(c.edge_count for c in candidates)
     by_edge: List[List[int]] = [[] for _ in range(total)]
     for ci, m in enumerate(masks):

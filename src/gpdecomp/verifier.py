@@ -1,18 +1,30 @@
 """Exhaustive verification that a decomposition partitions all r-subsets.
 
-This is the oracle the whole toolkit leans on: every edge of the ground set
-is enumerated and its coverage multiplicity counted.  The fast census check
-(sum of piece edge counts vs binomial(n, r)) is reported but never trusted on
-its own.
+This is the oracle the whole toolkit leans on.  Every edge goes through one
+kernel, :func:`gpdecomp.core.edge_masks`, as a vertex bitmask.  Once the
+structure is sound (r disjoint nonempty parts, all vertices in range) every
+mask is an r-subset of 0..n-1, so the decomposition is a partition exactly
+when the census (the sum of piece edge counts, reported as ``census``) and
+the number of distinct masks both equal binomial(n, r).  The census is never
+trusted on its own.  Only on failure are the masks counted and the r-subsets
+scanned in lexicographic order for the first one not covered exactly once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import chain, combinations
+from typing import Dict, Optional, Tuple
 
-from .core import Decomposition, Edge, all_edges, binomial, edges_of
+from .core import (
+    Decomposition,
+    Edge,
+    RPartiteGraph,
+    binomial,
+    edge_masks,
+    edge_of_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -20,6 +32,7 @@ class VerificationReport:
     valid: bool
     piece_count: int
     edge_count: int
+    census: int  # sum of piece edge counts; equals edge_count when valid
     message: str = ""
     witness: Optional[Edge] = None
     witness_multiplicity: Optional[int] = None
@@ -52,38 +65,52 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
     total = binomial(n, r)
     problem = _structural_problem(d)
     if problem is not None:
-        return VerificationReport(
-            valid=False, piece_count=len(d.pieces), edge_count=total, message=problem
-        )
-    coverage: Dict[Edge, List[int]] = {}
-    for i, p in enumerate(d.pieces):
-        for e in edges_of(p):
-            coverage.setdefault(e, []).append(i)
-    for e in all_edges(n, r):
-        hits = coverage.get(e, [])
-        if len(hits) != 1:
-            return VerificationReport(
-                valid=False,
-                piece_count=len(d.pieces),
-                edge_count=total,
-                message=f"edge {e} covered {len(hits)} times",
-                witness=e,
-                witness_multiplicity=len(hits),
-                witness_pieces=tuple(hits),
-            )
-    return VerificationReport(valid=True, piece_count=len(d.pieces), edge_count=total)
+        census = sum(p.edge_count for p in d.pieces)
+        return VerificationReport(False, len(d.pieces), total, census, message=problem)
+    masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
+    census = len(masks)  # one mask per edge of each piece
+    if census == total and len(set(masks)) == total:
+        return VerificationReport(True, len(d.pieces), total, census)
+    counts = Counter(masks)
+    bad = next(m for m in map(sum, combinations([1 << v for v in range(n)], r))
+               if counts[m] != 1)
+    e = edge_of_mask(bad)
+    # The r parts are disjoint and e has r vertices, so a piece covers e
+    # exactly when every part meets it.
+    meets = frozenset(e).isdisjoint
+    hits = tuple(i for i, p in enumerate(d.pieces) if not any(map(meets, p.parts)))
+    return VerificationReport(
+        False,
+        len(d.pieces),
+        total,
+        census,
+        message=f"edge {e} covered {len(hits)} times",
+        witness=e,
+        witness_multiplicity=len(hits),
+        witness_pieces=hits,
+    )
 
 
 def coverage_histogram(d: Decomposition) -> Dict[int, int]:
     """Map multiplicity -> number of edges covered that many times.
 
-    A valid decomposition yields exactly {1: binomial(n, r)}."""
+    Only r-subsets of 0..n-1 are counted, so pieces with the wrong number of
+    parts, overlapping parts or out-of-range vertices add nothing for their
+    stray edges.  A valid decomposition yields exactly {1: binomial(n, r)}."""
     n, r = d.ground.n, d.ground.r
-    counts: Counter = Counter()
-    for p in d.pieces:
-        for e in edges_of(p):
-            counts[e] += 1
-    hist: Counter = Counter()
-    for e in all_edges(n, r):
-        hist[counts.get(e, 0)] += 1
-    return dict(hist)
+    masks = chain.from_iterable(map(edge_masks, d.pieces))
+    if _structural_problem(d) is not None:
+        # Dropping out-of-range vertices leaves exactly the edges inside
+        # 0..n-1.  With r parts, a vertex repeated across parts makes the
+        # sum carry, so its masks have fewer than r bits.
+        inside = [
+            RPartiteGraph(tuple(tuple(v for v in part if 0 <= v < n) for part in p.parts))
+            for p in d.pieces
+            if len(p.parts) == r
+        ]
+        masks = (m for m in chain.from_iterable(map(edge_masks, inside)) if m.bit_count() == r)
+    counts = Counter(Counter(masks).values())
+    missing = binomial(n, r) - sum(counts.values())
+    if missing:
+        counts[0] = missing
+    return dict(counts)

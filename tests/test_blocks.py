@@ -80,6 +80,15 @@ def test_verify_blocks_detects_duplication():
     assert report.witness_multiplicity == 2
 
 
+def test_verify_blocks_reports_out_of_range_pair():
+    bd = construct_trivial_blocks(3)
+    stray = Block(BipartiteGraph((0,), (3,)), BipartiteGraph((0,), (1,)))
+    report = verify_blocks(BlockDecomposition(3, bd.blocks + (stray,)))
+    assert not report.valid
+    assert report.witness == ((0, 3), (0, 1))
+    assert report.witness_multiplicity == 1
+
+
 def test_block_to_four_parts_relabels():
     blk = Block(
         BipartiteGraph((0,), (1, 2)),

@@ -9,6 +9,7 @@ from gpdecomp import (
     canonicalize,
     edges_of,
 )
+from gpdecomp.core import edge_masks, edge_of_mask
 
 
 def test_canonicalize_orders_by_minimum():
@@ -85,6 +86,14 @@ def test_edges_of_count_and_distinct(parts):
     assert edges == sorted(edges)
     for e in edges:
         assert len(e) == piece.r
+
+
+@given(disjoint_families())
+def test_edge_masks_are_the_edges(parts):
+    piece = canonicalize(parts)
+    masks = list(edge_masks(piece))
+    assert sorted(map(edge_of_mask, masks)) == list(edges_of(piece))
+    assert all(m.bit_count() == piece.r for m in masks)
 
 
 def test_edges_of_examples():

@@ -1,0 +1,231 @@
+"""Differential tests of the bitmask coverage kernel against a reference.
+
+The reference functions below are the tuple-dict verifier, histogram and
+block checker that the kernel replaced: every edge is a sorted vertex tuple
+counted in a dict, and every edge of the universe is scanned in
+lexicographic order.  They are slow and simple on purpose, and the library
+must give identical reports on random piece sets, random block sets and
+mutants of the constructions.
+"""
+
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Dict, List, Optional
+
+from hypothesis import given, settings, strategies as st
+
+from gpdecomp import (
+    Decomposition,
+    GroundSet,
+    VerificationReport,
+    binomial,
+    construct_baseline,
+    construct_even_from_odd,
+    construct_stars,
+    construct_theorem1,
+    construct_trivial_blocks,
+    coverage_histogram,
+    edges_of,
+    enumerate_candidate_pieces,
+    verify_blocks,
+    verify_decomposition,
+)
+from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition, BlockReport
+from gpdecomp.core import RPartiteGraph, canonicalize
+
+
+# -- reference oracle ----------------------------------------------------------
+
+def reference_structural_problem(d: Decomposition) -> Optional[str]:
+    n, r = d.ground.n, d.ground.r
+    for i, p in enumerate(d.pieces):
+        if len(p.parts) != r:
+            return f"piece {i} has {len(p.parts)} parts, expected {r}"
+        seen: set = set()
+        for part in p.parts:
+            if not part:
+                return f"piece {i} has an empty part"
+            for v in part:
+                if not (0 <= v < n):
+                    return f"piece {i} has out-of-range vertex {v}"
+                if v in seen:
+                    return f"piece {i} has overlapping parts at vertex {v}"
+                seen.add(v)
+    return None
+
+
+def reference_verify(d: Decomposition) -> VerificationReport:
+    n, r = d.ground.n, d.ground.r
+    total = binomial(n, r)
+    census = sum(p.edge_count for p in d.pieces)
+    problem = reference_structural_problem(d)
+    if problem is not None:
+        return VerificationReport(False, len(d.pieces), total, census, message=problem)
+    coverage: Dict[tuple, List[int]] = {}
+    for i, p in enumerate(d.pieces):
+        for e in edges_of(p):
+            coverage.setdefault(e, []).append(i)
+    for e in combinations(range(n), r):
+        hits = coverage.get(e, [])
+        if len(hits) != 1:
+            return VerificationReport(
+                False,
+                len(d.pieces),
+                total,
+                census,
+                message=f"edge {e} covered {len(hits)} times",
+                witness=e,
+                witness_multiplicity=len(hits),
+                witness_pieces=tuple(hits),
+            )
+    return VerificationReport(True, len(d.pieces), total, census)
+
+
+def reference_histogram(d: Decomposition) -> Dict[int, int]:
+    n, r = d.ground.n, d.ground.r
+    counts: Dict[tuple, int] = {}
+    for p in d.pieces:
+        for e in edges_of(p):
+            counts[e] = counts.get(e, 0) + 1
+    hist: Dict[int, int] = {}
+    for e in combinations(range(n), r):
+        m = counts.get(e, 0)
+        hist[m] = hist.get(m, 0) + 1
+    return hist
+
+
+def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
+    n = bd.n
+    counts: Dict[tuple, int] = {}
+    for blk in bd.blocks:
+        for e1 in blk.first.edges():
+            for e2 in blk.second.edges():
+                counts[(e1, e2)] = counts.get((e1, e2), 0) + 1
+    total = binomial(n, 2) ** 2
+    all_pairs = list(product(combinations(range(n), 2), repeat=2))
+    for pair in all_pairs:
+        m = counts.get(pair, 0)
+        if m != 1:
+            return BlockReport(False, len(bd.blocks), total, pair, m)
+    if len(counts) != total:
+        extra = sorted(set(counts) - set(all_pairs))[0]
+        return BlockReport(False, len(bd.blocks), total, extra, counts[extra])
+    return BlockReport(True, len(bd.blocks), total)
+
+
+# -- inputs --------------------------------------------------------------------
+
+candidates = lru_cache(maxsize=None)(enumerate_candidate_pieces)
+
+CONSTRUCTIONS = [
+    construct_stars(5),
+    construct_baseline(6, 3),
+    construct_baseline(7, 4),
+    construct_baseline(7, 5),
+    construct_even_from_odd(6, 4),
+    construct_theorem1(2, 3, 3),
+    construct_theorem1(3, 2, 5),
+]
+
+
+@st.composite
+def random_piece_sets(draw) -> Decomposition:
+    """Pieces drawn from all candidates of (n, r), n <= 7, with repeats, plus
+    at times a stray piece with a vertex out of range or the wrong number of
+    parts."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, n))
+    pool = candidates(n, r)
+    pieces = draw(st.lists(st.sampled_from(pool), max_size=12))
+    stray_r = draw(st.sampled_from([s for s in (r - 1, r, r + 1) if 1 <= s <= n + 1]))
+    pieces += draw(st.lists(st.sampled_from(candidates(n + 1, stray_r)), max_size=1))
+    return Decomposition(GroundSet(n, r), tuple(draw(st.permutations(pieces))))
+
+
+def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
+    """Move vertex v into part ``target``; a part left empty is dropped."""
+    parts = [[u for u in part if u != v] for part in piece.parts]
+    parts[target].append(v)
+    return canonicalize([p for p in parts if p])
+
+
+def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
+    """Replace vertex v by w, which may fall outside the ground set or inside
+    another part; built without canonicalize so such pieces stay possible."""
+    return RPartiteGraph(tuple(tuple(w if u == v else u for u in part) for part in piece.parts))
+
+
+@st.composite
+def construction_mutants(draw) -> Decomposition:
+    """A construction with up to two edits: delete, duplicate, move a vertex
+    between parts of one piece, or relabel a vertex."""
+    d = draw(st.sampled_from(CONSTRUCTIONS))
+    n = d.ground.n
+    pieces = list(d.pieces)
+    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "move", "relabel"]),
+                              max_size=2)):
+        if not pieces:
+            break
+        i = draw(st.integers(0, len(pieces) - 1))
+        p = pieces[i]
+        if kind == "delete":
+            del pieces[i]
+        elif kind == "duplicate":
+            pieces.insert(draw(st.integers(0, len(pieces))), p)
+        else:
+            v = draw(st.sampled_from([u for part in p.parts for u in part]))
+            if kind == "move":
+                pieces[i] = _move(p, v, draw(st.integers(0, len(p.parts) - 1)))
+            else:
+                pieces[i] = _relabel(p, v, draw(st.integers(-1, n + 1)))
+    return Decomposition(d.ground, tuple(pieces))
+
+
+@st.composite
+def bipartite_graphs(draw, n: int) -> BipartiteGraph:
+    """Sides over -1..n, so vertices can fall outside 0..n-1; repeats within
+    a side are allowed, as the block file format allows them."""
+    side_a = draw(st.lists(st.integers(-1, n), min_size=1, max_size=3))
+    side_b = draw(st.lists(st.integers(-1, n).filter(lambda v: v not in side_a),
+                           min_size=1, max_size=3))
+    return BipartiteGraph(tuple(side_a), tuple(side_b))
+
+
+@st.composite
+def block_sets(draw) -> BlockDecomposition:
+    """The trivial blocks of n <= 5 with some deleted or duplicated, plus a
+    few random blocks."""
+    n = draw(st.integers(2, 5))
+    blocks = list(construct_trivial_blocks(n).blocks)
+    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate"]), max_size=2)):
+        if blocks:
+            i = draw(st.integers(0, len(blocks) - 1))
+            if kind == "delete":
+                del blocks[i]
+            else:
+                blocks.append(blocks[i])
+    blocks += draw(st.lists(st.builds(Block, bipartite_graphs(n), bipartite_graphs(n)),
+                            max_size=3))
+    return BlockDecomposition(n, tuple(draw(st.permutations(blocks))))
+
+
+# -- tests ---------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_piece_sets(), construction_mutants()))
+def test_verifier_and_histogram_match_reference(d):
+    assert verify_decomposition(d) == reference_verify(d)
+    assert coverage_histogram(d) == reference_histogram(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sets())
+def test_verify_blocks_matches_reference(bd):
+    assert verify_blocks(bd) == reference_verify_blocks(bd)
+
+
+def test_reference_accepts_every_construction():
+    for d in CONSTRUCTIONS:
+        assert verify_decomposition(d) == reference_verify(d)
+        assert verify_decomposition(d).valid
+        assert coverage_histogram(d) == reference_histogram(d) == {1: d.ground.edge_count}

@@ -3,6 +3,7 @@ import pytest
 from gpdecomp import (
     Decomposition,
     GroundSet,
+    RPartiteGraph,
     binomial,
     canonicalize,
     construct_baseline,
@@ -52,6 +53,18 @@ def test_structural_failures():
     assert not verify_decomposition(out_of_range).valid
 
 
+def test_report_carries_census():
+    dec = construct_baseline(7, 4)
+    assert verify_decomposition(dec).census == binomial(7, 4)
+    dropped = dec.pieces[0]
+    broken = Decomposition(dec.ground, dec.pieces[1:])
+    assert verify_decomposition(broken).census == binomial(7, 4) - dropped.edge_count
+    g = GroundSet(4, 2)
+    structural = Decomposition(g, (canonicalize([{0}, {1}, {2, 3}]),))
+    report = verify_decomposition(structural)
+    assert not report.valid and report.census == 2
+
+
 def test_census_alone_is_not_trusted():
     # 3 + 2 + 1 = 6 edges claimed on K_4, but (1,2) is covered twice and
     # (2,3) never: the census passes while coverage fails.
@@ -65,6 +78,7 @@ def test_census_alone_is_not_trusted():
     assert sum(p.edge_count for p in pieces) == binomial(4, 2)
     report = verify_decomposition(dec)
     assert not report.valid
+    assert report.census == report.edge_count == 6
     hist = coverage_histogram(dec)
     assert hist == {0: 1, 1: 4, 2: 1}
 
@@ -82,6 +96,19 @@ def test_histogram_empty_and_doubled():
     dec = construct_stars(4)
     doubled = Decomposition(dec.ground, dec.pieces + dec.pieces)
     assert coverage_histogram(doubled) == {2: 6}
+
+
+def test_histogram_ignores_edges_outside_the_universe():
+    g = GroundSet(4, 2)
+    stray = (canonicalize([{0}, {5}]), canonicalize([{0}, {1}, {2}]))
+    dec = Decomposition(g, construct_stars(4).pieces + stray)
+    assert coverage_histogram(dec) == {1: 6}
+    # Pieces built without canonicalize: a negative vertex, and overlapping
+    # parts whose repeated vertex must not alias another edge.
+    odd = (RPartiteGraph(((-1, 0), (1,))), RPartiteGraph(((0,), (0,), (2,))))
+    assert coverage_histogram(Decomposition(g, construct_stars(4).pieces + odd)) == {
+        1: 5, 2: 1
+    }
 
 
 def test_report_agrees_with_histogram():
