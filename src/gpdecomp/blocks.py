@@ -15,12 +15,11 @@ construction; :func:`construct_trivial_blocks` is the default with
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 from typing import List, Mapping, Optional, Tuple
 
-from .core import RPartiteGraph, binomial, edge_masks, edge_of_mask
+from .core import RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, subset_masks
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,14 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
                         for v in g.side_a + g.side_b)]
     pieces = [_as_piece(blk, n) for blk in bd.blocks]
     masks = list(chain.from_iterable(map(edge_masks, pieces)))
-    if not stray and len(masks) == total and len(set(masks)) == total:
+    one = list(subset_masks(n, 2))
+    found = first_miscovered(masks, map(sum, product(one, [m << n for m in one])), total)
+    if found is None and not stray:
         return BlockReport(valid=True, block_count=len(bd.blocks), pair_count=total)
-    counts = Counter(masks)
-    one = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
-    pairs = map(sum, product(one, [m << n for m in one]))
-    bad = next((m for m in pairs if counts[m] != 1), None)
-    if bad is not None:
-        e = edge_of_mask(bad)
+    if found is not None:
+        e = edge_of_mask(found[0])
         witness = (e[:2], tuple(v - n for v in e[2:]))
-        multiplicity = counts[bad]
+        multiplicity = found[1]
     else:
         # Every in-universe pair is covered once, so the stray blocks must
         # add pairs outside the universe; such pairs have no mask.

@@ -43,36 +43,30 @@ def _write_decomposition(d: Decomposition, path: str) -> None:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
+    tally = None
     try:
         if args.method == "stars":
             if r is not None and r != 2:
                 return _fail("stars implies r=2", EXIT_BAD_ARGS)
             dec = construct_stars(n)
-            tally = None
         elif args.method == "baseline":
             if r is None:
                 return _fail("baseline requires --r", EXIT_BAD_ARGS)
             dec = construct_baseline(n, r)
-            tally = None
         elif args.method == "theorem1":
             if r is None or args.k is None:
                 return _fail("theorem1 requires --r and --k", EXIT_BAD_ARGS)
-            if r % 2 == 0:
-                return _fail("theorem1 requires odd r", EXIT_BAD_ARGS)
             dec, tally = construct_theorem1_detailed(n, args.k, r)
         elif args.method == "even-from-odd":
             if r is None:
                 return _fail("even-from-odd requires --r", EXIT_BAD_ARGS)
-            if r % 2 == 1:
-                return _fail("even-from-odd requires even r", EXIT_BAD_ARGS)
             dec = construct_even_from_odd(n, r)
-            tally = None
         else:  # pragma: no cover - argparse restricts choices
             return _fail(f"unknown method {args.method}", EXIT_BAD_ARGS)
-    except ValueError as exc:
+        _write_decomposition(dec, args.out)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
 
-    _write_decomposition(dec, args.out)
     if args.porcelain:
         print(f"pieces={dec.piece_count}")
     else:
@@ -111,10 +105,10 @@ def cmd_exact(args: argparse.Namespace) -> int:
     try:
         budget = SearchBudget(max_nodes=args.max_nodes, wall_clock_s=args.max_seconds)
         result = solve_exact(args.n, args.r, budget, allow_large=args.allow_large)
-    except ValueError as exc:
+        if args.out:
+            _write_decomposition(result.witness, args.out)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
-    if args.out:
-        _write_decomposition(result.witness, args.out)
     if args.porcelain:
         if result.optimal:
             print(f"f_exact={result.value}")

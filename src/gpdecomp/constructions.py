@@ -83,8 +83,7 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     for odd r, the interval above a_m).  Index tuples forcing an empty
     interval are skipped, leaving binomial(n - ceil(r/2), floor(r/2)) pieces.
     """
-    if r < 1 or r > n:
-        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
+    ground = GroundSet(n, r)
     m = r // 2
     pieces: List[RPartiteGraph] = []
     for fixed in combinations(range(n), m):
@@ -107,7 +106,7 @@ def construct_baseline(n: int, r: int) -> Decomposition:
                 parts.append(tail)
         if ok:
             pieces.append(canonicalize(parts, n=n))
-    return Decomposition(GroundSet(n, r), tuple(pieces))
+    return Decomposition(ground, tuple(pieces))
 
 
 def construct_stars(n: int) -> Decomposition:
@@ -299,8 +298,7 @@ def construct_even_from_odd(
     the source's."""
     if r % 2 != 0 or r < 2:
         raise ValueError("r must be even and >= 2")
-    if n < r:
-        raise ValueError("need n >= r")
+    ground = GroundSet(n, r)
     odd = odd_provider(n + 1, r + 1)
     v = n
     pieces: List[RPartiteGraph] = []
@@ -308,4 +306,4 @@ def construct_even_from_odd(
         if any(v in part for part in p.parts):
             rest = [part for part in p.parts if v not in part]
             pieces.append(canonicalize(rest, n=n))
-    return Decomposition(GroundSet(n, r), tuple(pieces))
+    return Decomposition(ground, tuple(pieces))

@@ -9,9 +9,10 @@ canonical form so that equality and serialization are deterministic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Tuple
+from itertools import combinations, product
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, ...]
 
@@ -40,8 +41,8 @@ class GroundSet:
 class RPartiteGraph:
     """Complete r-partite r-graph in canonical form.
 
-    Do not construct directly; use :func:`canonicalize`, which sorts each
-    part ascending and orders parts by minimum element.
+    Build it with :func:`canonicalize`, or from parts already checked to be
+    canonical: each part ascending, parts ordered by minimum element.
     """
 
     parts: Tuple[Tuple[int, ...], ...]
@@ -70,26 +71,36 @@ class Decomposition:
         return len(self.pieces)
 
 
+def piece_problem(parts: Sequence[Sequence[int]], n: int | None = None) -> Optional[str]:
+    """The one piece rule: why ``parts`` are not pairwise-disjoint nonempty
+    subsets of 0..n-1 (nonnegative integers if ``n`` is None), or None.  A
+    vertex repeated within a part counts as overlapping."""
+    seen: set = set()
+    for part in parts:
+        if not part:
+            return "an empty part"
+        for v in part:
+            if v < 0 or (n is not None and v >= n):
+                return f"out-of-range vertex {v}"
+            if v in seen:
+                return f"overlapping parts at vertex {v}"
+            seen.add(v)
+    return None
+
+
 def canonicalize(parts: Iterable[Iterable[int]], n: int | None = None) -> RPartiteGraph:
     """Canonical form of an unordered family of disjoint vertex sets.
 
-    Idempotent and invariant under permutation of the input family.  Rejects
-    empty families, empty parts, overlapping parts, and (when ``n`` is given)
-    out-of-range vertices.
+    Idempotent and invariant under permutation of the input family.  Repeats
+    within a part are merged; then empty families and every family failing
+    :func:`piece_problem` are rejected.
     """
     norm = [tuple(sorted(set(p))) for p in parts]
     if not norm:
         raise InvalidPieceError("piece needs at least one part")
-    seen: set = set()
-    for p in norm:
-        if not p:
-            raise InvalidPieceError("empty part")
-        for v in p:
-            if v < 0 or (n is not None and v >= n):
-                raise InvalidPieceError(f"vertex {v} out of range")
-            if v in seen:
-                raise InvalidPieceError(f"overlapping parts at vertex {v}")
-            seen.add(v)
+    problem = piece_problem(norm, n)
+    if problem is not None:
+        raise InvalidPieceError(problem)
     norm.sort(key=lambda p: p[0])
     return RPartiteGraph(tuple(norm))
 
@@ -119,6 +130,22 @@ def edge_masks(piece: RPartiteGraph) -> Iterator[int]:
 def edge_of_mask(mask: int) -> Edge:
     """The vertices of a bitmask, ascending."""
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def subset_masks(n: int, r: int) -> Iterator[int]:
+    """The one edge universe: the r-subsets of 0..n-1 as masks, in lexicographic order."""
+    return map(sum, combinations([1 << v for v in range(n)], r))
+
+
+def first_miscovered(masks: List[int], universe: Iterable[int],
+                     total: int) -> Optional[Tuple[int, int]]:
+    """The one coverage verdict: the first ``universe`` mask not counted
+    exactly once in ``masks`` (all inside that universe of ``total`` masks),
+    with its count, or None.  The census alone is never trusted."""
+    if len(masks) == total and len(set(masks)) == total:
+        return None
+    counts = Counter(masks)
+    return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
 
 
 def binomial(a: int, b: int) -> int:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
 from typing import List, Optional, Tuple
 
 from .constructions import construct_baseline
-from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks
+from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, subset_masks
 
 SOFT_CAP_N = 9
 
@@ -54,8 +53,7 @@ def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> Lis
     """
     if n > SOFT_CAP_N and not allow_large:
         raise CandidateCapError(f"n={n} exceeds soft cap {SOFT_CAP_N}")
-    if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
+    GroundSet(n, r)  # raises unless 1 <= r <= n
     out: List[RPartiteGraph] = []
 
     def rec(v: int, parts: List[List[int]]) -> None:
@@ -97,21 +95,18 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     """
     # Edge i is the i-th r-subset in lexicographic order; a candidate's mask
     # has bit i set when it covers edge i.
-    bits = [1 << v for v in range(n)]
-    edge_index = {m: i for i, m in enumerate(map(sum, combinations(bits, r)))}
+    edge_index = {m: i for i, m in enumerate(subset_masks(n, r))}
     total = len(edge_index)
     full_mask = (1 << total) - 1
 
     candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
-    masks = [sum(1 << edge_index[m] for m in edge_masks(c)) for c in candidates]
+    covers = [[edge_index[m] for m in edge_masks(c)] for c in candidates]
+    masks = [sum(1 << e for e in cover) for cover in covers]
     max_cov = max(c.edge_count for c in candidates)
     by_edge: List[List[int]] = [[] for _ in range(total)]
-    for ci, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = (mm & -mm).bit_length() - 1
-            by_edge[low].append(ci)
-            mm &= mm - 1
+    for ci, cover in enumerate(covers):
+        for e in cover:
+            by_edge[e].append(ci)
 
     seed = construct_baseline(n, r)
     best_count = seed.piece_count

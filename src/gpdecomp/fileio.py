@@ -17,6 +17,8 @@ Block files (magic ``GPB 1``)::
     a:0 b:1,2,3 ; a:0 b:1,2,3
     ...
 
+the two sides of each bipartite factor holding distinct vertices of 0..n-1.
+
 Serializing the same object twice is byte-identical, and parsing a generated
 file then re-serializing reproduces it byte-for-byte.
 """
@@ -26,11 +28,32 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .blocks import BipartiteGraph, Block, BlockDecomposition
-from .core import Decomposition, GroundSet, RPartiteGraph, canonicalize
+from .core import Decomposition, GroundSet, RPartiteGraph, piece_problem
 
 
 class ParseError(ValueError):
     """Malformed decomposition or block file."""
+
+
+def _read_header(text: str, magic: str, names: Tuple[str, ...]) -> Tuple[List[int], List[str]]:
+    """The values of the ``name value`` header and the body lines, after
+    checking the magic, the header, the body line count and the trailing LF."""
+    lines = text.split("\n")
+    if lines[0] != magic:
+        raise ParseError(f"missing {magic} magic line")
+    if len(lines) < 2:
+        raise ParseError("missing header line")
+    fields = lines[1].split(" ")
+    if len(fields) != 2 * len(names) or tuple(fields[::2]) != names:
+        raise ParseError(f"bad header {lines[1]!r}")
+    try:
+        values = [int(v) for v in fields[1::2]]
+    except ValueError as exc:
+        raise ParseError(f"bad header {lines[1]!r}") from exc
+    body = lines[2:]
+    if body[-1:] != [""] or len(body) != values[-1] + 1:  # names[-1]: "pieces" or "blocks"
+        raise ParseError(f"expected {values[-1]} {names[-1][:-1]} lines and a trailing newline")
+    return values, body[:-1]
 
 
 def serialize_decomposition(d: Decomposition) -> str:
@@ -40,39 +63,29 @@ def serialize_decomposition(d: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_part(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad part {text!r}") from exc
+def _parse_parts(chunks: List[str], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The comma-separated parts in ``chunks``, checked by the piece rule."""
+    parts = []
+    for chunk in chunks:
+        try:
+            parts.append(tuple(map(int, chunk.split(","))))
+        except ValueError as exc:
+            raise ParseError(f"bad part {chunk!r}") from exc
+    problem = piece_problem(parts, n)
+    if problem is not None:
+        raise ParseError(problem)
+    return tuple(parts)
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    lines = text.split("\n")
-    if not lines or lines[0] != "GPD 1":
-        raise ParseError("missing GPD 1 magic line")
-    if len(lines) < 2:
-        raise ParseError("missing header line")
-    fields = lines[1].split(" ")
-    if len(fields) != 6 or fields[0] != "n" or fields[2] != "r" or fields[4] != "pieces":
-        raise ParseError(f"bad header {lines[1]!r}")
-    try:
-        n, r, m = int(fields[1]), int(fields[3]), int(fields[5])
-    except ValueError as exc:
-        raise ParseError(f"bad header {lines[1]!r}") from exc
-    body = lines[2:]
-    if len(body) != m + 1 or body[-1] != "":
-        raise ParseError(f"expected {m} piece lines and a trailing newline")
+    (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"))
     pieces: List[RPartiteGraph] = []
-    for line in body[:-1]:
-        parts = [_parse_part(chunk) for chunk in line.split(" | ")]
-        try:
-            piece = canonicalize(parts, n=n)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        if piece.parts != tuple(parts):
+    for line in lines:
+        parts = _parse_parts(line.split(" | "), n)
+        # Disjoint parts are canonical iff sorting each, then all, changes nothing.
+        if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
             raise ParseError(f"piece line not in canonical form: {line!r}")
-        pieces.append(piece)
+        pieces.append(RPartiteGraph(parts))
     try:
         ground = GroundSet(n, r)
     except ValueError as exc:
@@ -94,36 +107,21 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bipartite(text: str) -> BipartiteGraph:
+def _parse_bipartite(text: str, n: int) -> BipartiteGraph:
     chunks = text.split(" ")
     if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
         raise ParseError(f"bad bipartite factor {text!r}")
-    try:
-        return BipartiteGraph(_parse_part(chunks[0][2:]), _parse_part(chunks[1][2:]))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]], n))
 
 
 def parse_blocks(text: str) -> BlockDecomposition:
-    lines = text.split("\n")
-    if not lines or lines[0] != "GPB 1":
-        raise ParseError("missing GPB 1 magic line")
-    if len(lines) < 2:
-        raise ParseError("missing header line")
-    fields = lines[1].split(" ")
-    if len(fields) != 4 or fields[0] != "n" or fields[2] != "blocks":
-        raise ParseError(f"bad header {lines[1]!r}")
-    try:
-        n, m = int(fields[1]), int(fields[3])
-    except ValueError as exc:
-        raise ParseError(f"bad header {lines[1]!r}") from exc
-    body = lines[2:]
-    if len(body) != m + 1 or body[-1] != "":
-        raise ParseError(f"expected {m} block lines and a trailing newline")
+    (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"))
+    if n < 1:
+        raise ParseError(f"need n >= 1, got n={n}")
     blocks: List[Block] = []
-    for line in body[:-1]:
+    for line in lines:
         halves = line.split(" ; ")
         if len(halves) != 2:
             raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(_parse_bipartite(halves[0]), _parse_bipartite(halves[1])))
+        blocks.append(Block(_parse_bipartite(halves[0], n), _parse_bipartite(halves[1], n)))
     return BlockDecomposition(n=n, blocks=tuple(blocks))

@@ -1,20 +1,16 @@
 """Exhaustive verification that a decomposition partitions all r-subsets.
 
-This is the oracle the whole toolkit leans on.  Every edge goes through one
-kernel, :func:`gpdecomp.core.edge_masks`, as a vertex bitmask.  Once the
-structure is sound (r disjoint nonempty parts, all vertices in range) every
-mask is an r-subset of 0..n-1, so the decomposition is a partition exactly
-when the census (the sum of piece edge counts, reported as ``census``) and
-the number of distinct masks both equal binomial(n, r).  The census is never
-trusted on its own.  Only on failure are the masks counted and the r-subsets
-scanned in lexicographic order for the first one not covered exactly once.
+This is the oracle the whole toolkit leans on.  Once every piece has r parts
+and passes :func:`gpdecomp.core.piece_problem`, each edge mask from
+:func:`gpdecomp.core.edge_masks` is an r-subset of 0..n-1, so the coverage
+verdict :func:`gpdecomp.core.first_miscovered` over those r-subsets decides.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from .core import (
@@ -24,6 +20,9 @@ from .core import (
     binomial,
     edge_masks,
     edge_of_mask,
+    first_miscovered,
+    piece_problem,
+    subset_masks,
 )
 
 
@@ -44,16 +43,9 @@ def _structural_problem(d: Decomposition) -> Optional[str]:
     for i, p in enumerate(d.pieces):
         if len(p.parts) != r:
             return f"piece {i} has {len(p.parts)} parts, expected {r}"
-        seen: set = set()
-        for part in p.parts:
-            if not part:
-                return f"piece {i} has an empty part"
-            for v in part:
-                if not (0 <= v < n):
-                    return f"piece {i} has out-of-range vertex {v}"
-                if v in seen:
-                    return f"piece {i} has overlapping parts at vertex {v}"
-                seen.add(v)
+        problem = piece_problem(p.parts, n)
+        if problem is not None:
+            return f"piece {i} has {problem}"
     return None
 
 
@@ -69,12 +61,10 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
         return VerificationReport(False, len(d.pieces), total, census, message=problem)
     masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
     census = len(masks)  # one mask per edge of each piece
-    if census == total and len(set(masks)) == total:
+    found = first_miscovered(masks, subset_masks(n, r), total)
+    if found is None:
         return VerificationReport(True, len(d.pieces), total, census)
-    counts = Counter(masks)
-    bad = next(m for m in map(sum, combinations([1 << v for v in range(n)], r))
-               if counts[m] != 1)
-    e = edge_of_mask(bad)
+    e = edge_of_mask(found[0])
     # The r parts are disjoint and e has r vertices, so a piece covers e
     # exactly when every part meets it.
     meets = frozenset(e).isdisjoint

@@ -39,6 +39,13 @@ def test_construct_rejects_even_r_for_theorem1(tmp_path, capsys):
     assert "odd" in err
 
 
+def test_construct_rejects_odd_r_for_even_from_odd(tmp_path, capsys):
+    code, _, err = run(capsys, "construct", "--method", "even-from-odd",
+                       "--n", "6", "--r", "5", "--out", str(tmp_path / "x.gpd"))
+    assert code == 3
+    assert "even" in err
+
+
 def test_construct_even_from_odd(tmp_path, capsys):
     out = tmp_path / "e.gpd"
     code, _, _ = run(capsys, "construct", "--method", "even-from-odd",
@@ -183,3 +190,18 @@ def test_bounds_scan_rejects_reversed_range(capsys):
     assert code == 3
     assert err.startswith("error:")
     assert stdout == ""
+
+
+def test_construct_unwritable_out_is_bad_args(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.gpd"
+    code, _, err = run(capsys, "construct", "--method", "stars", "--n", "4",
+                       "--out", str(out))
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_exact_unwritable_out_is_bad_args(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "w.gpd"
+    code, _, err = run(capsys, "exact", "--n", "4", "--r", "2", "--out", str(out))
+    assert code == 3
+    assert err.startswith("error:")

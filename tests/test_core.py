@@ -1,15 +1,26 @@
+import itertools
 import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from gpdecomp import (
+    Decomposition,
     GroundSet,
     InvalidPieceError,
     binomial,
     canonicalize,
     edges_of,
+    verify_decomposition,
 )
-from gpdecomp.core import edge_masks, edge_of_mask
+from gpdecomp.core import (
+    RPartiteGraph,
+    edge_masks,
+    edge_of_mask,
+    first_miscovered,
+    piece_problem,
+    subset_masks,
+)
 
 
 def test_canonicalize_orders_by_minimum():
@@ -115,3 +126,54 @@ def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(3, 0)
     assert GroundSet(5, 2).edge_count == 10
+
+
+@pytest.mark.parametrize(
+    "parts, reason",
+    [
+        (((0,), (1, 2)), None),
+        (((0,), ()), "an empty part"),
+        (((0,), (1, 4)), "out-of-range vertex 4"),
+        (((-1,), (1,)), "out-of-range vertex -1"),
+        (((0, 1), (1, 2)), "overlapping parts at vertex 1"),
+        (((0, 0), (1,)), "overlapping parts at vertex 0"),  # repeat within a part
+        (((5,), ()), "out-of-range vertex 5"),  # first fault in part order
+    ],
+)
+def test_piece_problem_reasons(parts, reason):
+    assert piece_problem(parts, 4) == reason
+
+
+def test_piece_problem_without_n_checks_only_the_sign():
+    assert piece_problem(((0,), (99,))) is None
+    assert piece_problem(((0,), (-1,))) == "out-of-range vertex -1"
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3))],
+)
+def test_canonicalize_and_verifier_give_the_same_reason(parts):
+    with pytest.raises(InvalidPieceError) as info:
+        canonicalize(parts, n=4)
+    d = Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
+    assert verify_decomposition(d).message == f"piece 0 has {info.value}"
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_subset_masks_are_the_lexicographic_r_subsets(n):
+    bits = [1 << v for v in range(n)]
+    for r in range(n + 1):
+        masks = list(subset_masks(n, r))
+        assert masks == list(map(sum, itertools.combinations(bits, r)))
+        assert [edge_of_mask(m) for m in masks] == list(itertools.combinations(range(n), r))
+
+
+def test_first_miscovered():
+    universe = list(subset_masks(4, 2))  # 0b11, 0b101, 0b110, 0b1001, ...
+    assert first_miscovered(universe[::-1], universe, 6) is None
+    # a missing mask is found with count 0, a repeated one with its count
+    assert first_miscovered(universe[1:], universe, 6) == (0b11, 0)
+    assert first_miscovered(universe + [0b110], universe, 6) == (0b110, 2)
+    # the census matches but a mask repeats in place of another
+    assert first_miscovered(universe[:-1] + [0b101], universe, 6) == (0b101, 2)

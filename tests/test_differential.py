@@ -31,7 +31,7 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition, BlockReport
-from gpdecomp.core import RPartiteGraph, canonicalize
+from gpdecomp.core import RPartiteGraph
 
 
 # -- reference oracle ----------------------------------------------------------
@@ -143,10 +143,13 @@ def random_piece_sets(draw) -> Decomposition:
 
 
 def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
-    """Move vertex v into part ``target``; a part left empty is dropped."""
+    """Move vertex v into part ``target``; a part left empty is dropped.
+    Built without canonicalize, each part sorted and the parts ordered by
+    minimum, so a piece an earlier relabel made malformed stays possible."""
     parts = [[u for u in part if u != v] for part in piece.parts]
     parts[target].append(v)
-    return canonicalize([p for p in parts if p])
+    kept = [tuple(sorted(p)) for p in parts if p]
+    return RPartiteGraph(tuple(sorted(kept, key=lambda p: p[0])))
 
 
 def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
@@ -183,8 +186,9 @@ def construction_mutants(draw) -> Decomposition:
 
 @st.composite
 def bipartite_graphs(draw, n: int) -> BipartiteGraph:
-    """Sides over -1..n, so vertices can fall outside 0..n-1; repeats within
-    a side are allowed, as the block file format allows them."""
+    """Sides over -1..n, so vertices can fall outside 0..n-1, and repeats
+    within a side are allowed: the block file format rejects both, but
+    verify_blocks must handle blocks built in memory."""
     side_a = draw(st.lists(st.integers(-1, n), min_size=1, max_size=3))
     side_b = draw(st.lists(st.integers(-1, n).filter(lambda v: v not in side_a),
                            min_size=1, max_size=3))
@@ -222,6 +226,18 @@ def test_verifier_and_histogram_match_reference(d):
 @given(block_sets())
 def test_verify_blocks_matches_reference(bd):
     assert verify_blocks(bd) == reference_verify_blocks(bd)
+
+
+def test_relabel_then_move_reaches_both_oracles():
+    # Relabelling vertex 3 of the piece {0,1,2} x {3} to 1 makes its parts
+    # overlap; moving vertex 2 afterwards must keep the piece malformed.
+    d = construct_stars(5)
+    p = _move(_relabel(d.pieces[2], 3, 1), 2, 1)
+    assert p.parts == ((0, 1), (1, 2))
+    bad = Decomposition(d.ground, d.pieces[:2] + (p,) + d.pieces[3:])
+    assert verify_decomposition(bad) == reference_verify(bad)
+    assert not verify_decomposition(bad).valid
+    assert coverage_histogram(bad) == reference_histogram(bad)
 
 
 def test_reference_accepts_every_construction():

@@ -60,7 +60,12 @@ def test_format_shape():
         "GPD 1\nn 3 r 2 pieces 2\n0 | 1,2\n1 | x\n",
         "GPD 1\nn 3 r 2 pieces 1\n1,2 | 0\n",  # non-canonical part order
         "GPD 1\nn 3 r 2 pieces 1\n0 | 1,5\n",  # out of range
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 2,1\n",  # part not ascending
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 1,1\n",  # repeat within a part
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 0,1\n",  # overlapping parts
         "GPD 1\nn three r 2 pieces 0\n",
+        "GPD 1\nn 3 r 2 pieces\n",  # header without the piece count
+        "GPD 1\nn 3 r 2 pieces -1",  # negative count, no body
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -87,6 +92,12 @@ def test_block_round_trip():
         "GPD 1\nn 4 blocks 0\n",
         "GPB 1\nn 4 blocks 1\na:0 b:1\n",  # missing second factor
         "GPB 1\nn 4 blocks 1\na:0 b:0 ; a:2 b:3\n",  # sides overlap
+        "GPB 1\nn 3 blocks 1\na:0,0 b:-1 ; a:0 b:7\n",
+        "GPB 1\nn 3 blocks 1\na:0,0 b:1 ; a:0 b:1\n",  # repeat within a side
+        "GPB 1\nn 3 blocks 1\na:0 b:-1 ; a:0 b:1\n",  # negative vertex
+        "GPB 1\nn 3 blocks 1\na:0 b:1 ; a:0 b:7\n",  # vertex >= n
+        "GPB 1\nn 0 blocks 0\n",  # n < 1
+        "GPB 1\nn 3 blocks -1",  # negative count, no body
     ],
 )
 def test_parse_blocks_rejects_malformed(text):
