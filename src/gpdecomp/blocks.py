@@ -3,21 +3,22 @@ complete bipartite graphs.
 
 A block is an ordered product of two complete bipartite graphs, the first
 over class one and the second over class two (both classes of size n, with
-class-local labels 0..n-1).  Embedding into a host ground set happens only at
-:func:`block_to_four_parts`, so one block decomposition can be reused across
-many class pairs.
+class-local labels 0..n-1).  :func:`block_to_four_parts` is the one
+placement: it shifts class one and class two up by two offsets, so one block
+decomposition serves every class pair of the main construction, and
+:func:`verify_blocks` checks a block as the piece placed at offsets 0 and n.
 
-Any function ``n -> BlockDecomposition`` whose output passes
-:func:`verify_blocks` can serve as a block provider for the main
-construction; :func:`construct_trivial_blocks` is the default with
-(n-1)^2 blocks.
+Any function ``n -> BlockDecomposition`` can serve as a block provider for
+the main construction, which rejects with ``ValueError`` an output that is
+not for n or fails :func:`verify_blocks`; :func:`construct_trivial_blocks`
+is the default with (n-1)^2 blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, subset_masks
 
@@ -71,6 +72,13 @@ class BlockReport:
     witness: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
     witness_multiplicity: Optional[int] = None
 
+    @property
+    def message(self) -> str:
+        """The witness in words, like ``VerificationReport.message``; empty when valid."""
+        if self.valid:
+            return ""
+        return f"pair {self.witness} covered {self.witness_multiplicity} times"
+
 
 def construct_star_bipartite(n: int) -> List[BipartiteGraph]:
     """Star partition of E(K_n): n-1 bipartite graphs ({i}, {i+1..n-1})."""
@@ -87,39 +95,19 @@ def construct_trivial_blocks(n: int) -> BlockDecomposition:
     return BlockDecomposition(n=n, blocks=blocks)
 
 
-def block_to_four_parts(
-    b: Block,
-    embed_one: Mapping[int, int],
-    embed_two: Mapping[int, int],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Embed a block into a host ground set as four disjoint parts.
+def block_to_four_parts(b: Block, n: int, one: int, two: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one placement of a block: four parts holding its side vertices
+    inside 0..n-1, class one shifted up by ``one`` and class two by ``two``.
 
-    The 4-sets taking one vertex per returned part are exactly the pairs
-    (e1, e2) of the block under the two embeddings.
+    When the shifted classes do not overlap, the 4-sets taking one vertex per
+    part are exactly the in-universe pairs (e1, e2) of the block.
     """
-    img_one = {embed_one[v] for v in set(b.first.side_a) | set(b.first.side_b)}
-    img_two = {embed_two[v] for v in set(b.second.side_a) | set(b.second.side_b)}
-    if img_one & img_two:
-        raise ValueError("embedding images overlap")
     return (
-        tuple(sorted(embed_one[v] for v in b.first.side_a)),
-        tuple(sorted(embed_one[v] for v in b.first.side_b)),
-        tuple(sorted(embed_two[v] for v in b.second.side_a)),
-        tuple(sorted(embed_two[v] for v in b.second.side_b)),
+        tuple(v + one for v in b.first.side_a if 0 <= v < n),
+        tuple(v + one for v in b.first.side_b if 0 <= v < n),
+        tuple(v + two for v in b.second.side_a if 0 <= v < n),
+        tuple(v + two for v in b.second.side_b if 0 <= v < n),
     )
-
-
-def _as_piece(b: Block, n: int) -> RPartiteGraph:
-    """The block as a four-part piece on 2n vertices, class two shifted up by
-    n, keeping only vertices in 0..n-1: its edges are the in-universe pairs
-    of the block, each the union of an edge of class one and one of class
-    two.  The piece is not canonical; only the edge kernel reads it."""
-    return RPartiteGraph((
-        tuple(v for v in b.first.side_a if 0 <= v < n),
-        tuple(v for v in b.first.side_b if 0 <= v < n),
-        tuple(v + n for v in b.second.side_a if 0 <= v < n),
-        tuple(v + n for v in b.second.side_b if 0 <= v < n),
-    ))
 
 
 def verify_blocks(bd: BlockDecomposition) -> BlockReport:
@@ -130,35 +118,27 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     pair reaching outside 0..n-1."""
     n = bd.n
     total = binomial(n, 2) ** 2
-    stray = [blk for blk in bd.blocks
-             if not all(0 <= v < n for g in (blk.first, blk.second)
-                        for v in g.side_a + g.side_b)]
-    pieces = [_as_piece(blk, n) for blk in bd.blocks]
+    count = len(bd.blocks)
+    # Class two shifted up by n makes each block a four-part piece on 2n
+    # vertices whose edges are its in-universe pairs.
+    pieces = [RPartiteGraph(block_to_four_parts(blk, n, 0, n)) for blk in bd.blocks]
     masks = list(chain.from_iterable(map(edge_masks, pieces)))
     one = list(subset_masks(n, 2))
     found = first_miscovered(masks, map(sum, product(one, [m << n for m in one])), total)
-    if found is None and not stray:
-        return BlockReport(valid=True, block_count=len(bd.blocks), pair_count=total)
     if found is not None:
         e = edge_of_mask(found[0])
-        witness = (e[:2], tuple(v - n for v in e[2:]))
-        multiplicity = found[1]
-    else:
-        # Every in-universe pair is covered once, so the stray blocks must
-        # add pairs outside the universe; such pairs have no mask.
-        extra = [
-            (e1, e2)
-            for blk in stray
-            for e1 in blk.first.edges()
-            for e2 in blk.second.edges()
-            if not all(0 <= v < n for v in e1 + e2)
-        ]
-        witness = min(extra)
-        multiplicity = extra.count(witness)
-    return BlockReport(
-        valid=False,
-        block_count=len(bd.blocks),
-        pair_count=total,
-        witness=witness,
-        witness_multiplicity=multiplicity,
-    )
+        return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), found[1])
+    # Every in-universe pair is covered once, so only blocks reaching outside
+    # 0..n-1 can add pairs, and such pairs have no mask.
+    extra = [
+        (e1, e2)
+        for blk in bd.blocks
+        if not all(0 <= v < n for g in (blk.first, blk.second) for v in g.side_a + g.side_b)
+        for e1 in blk.first.edges()
+        for e2 in blk.second.edges()
+        if not all(0 <= v < n for v in e1 + e2)
+    ]
+    if not extra:
+        return BlockReport(True, count, total)
+    witness = min(extra)
+    return BlockReport(False, count, total, witness, extra.count(witness))

@@ -13,8 +13,9 @@ Three families of algorithms live here:
 
 Sub-decompositions are pluggable: ``sub_provider(n, r)`` must return a valid
 Decomposition of K_n^(r), and ``block_provider(n)`` a valid
-BlockDecomposition.  Defaults are the baseline and the trivial (n-1)^2
-blocks.
+BlockDecomposition for n.  Each output is verified when it is called, and
+one that is not raises ValueError.  Defaults are the baseline and the
+trivial (n-1)^2 blocks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .blocks import BlockDecomposition, block_to_four_parts, construct_trivial_blocks
+from .blocks import (
+    Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
+)
 from .core import Decomposition, GroundSet, RPartiteGraph, canonicalize
+from .verifier import verify_decomposition
 
 SubProvider = Callable[[int, int], Decomposition]
 BlockProvider = Callable[[int], BlockDecomposition]
@@ -202,6 +206,17 @@ def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
     return paired + [rt for rt in routes if rt.family != "paired_two_classes"]
 
 
+def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...], problem: str) -> None:
+    """Raise ValueError naming the provider call unless its output is for
+    ``want`` (``(n,)`` or ``(n, r)``) and its verifier reported no
+    ``problem`` (the witness in words)."""
+    if ground != want:
+        got = ", ".join(f"{name}={v}" for name, v in zip("nr", ground))
+        raise ValueError(f"{call} returned an output for {got}")
+    if problem:
+        raise ValueError(f"{call} is invalid: {problem}")
+
+
 def _route_pieces(
     layout: ClassLayout,
     routes: Sequence[Route],
@@ -211,13 +226,22 @@ def _route_pieces(
     """The pieces of each route, in route order.
 
     ``block_provider`` is called at most once and ``sub_provider`` once per
-    size; each factor list is built once per class pair or (class, size)."""
+    size, and each output is verified there; each factor list is built once
+    per class pair or (class, size).  Verified factors sit on disjoint class
+    ranges, so placing them by class offset drops nothing and overlaps
+    nothing."""
     n = layout.n
-    blocks = block_provider(n).blocks if any(rt.pairs for rt in routes) else ()
+    blocks: Tuple[Block, ...] = ()
+    if any(rt.pairs for rt in routes):
+        bd = block_provider(n)
+        _check_output(f"block_provider({n})", (bd.n,), (n,), verify_blocks(bd).message)
+        blocks = bd.blocks
     subs = {s: sub_provider(n, s) for s in sorted({s for rt in routes for _, s in rt.singles})}
-    embed = [{v: c * n + v for v in range(n)} for c in range(layout.k)]
+    for s, dec in subs.items():
+        _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
+                      verify_decomposition(dec).message)
     pair_factors = {
-        (ci, cj): [block_to_four_parts(b, embed[ci], embed[cj]) for b in blocks]
+        (ci, cj): [block_to_four_parts(b, n, ci * n, cj * n) for b in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
     }
     single_factors = {
@@ -262,8 +286,6 @@ def construct_theorem1_detailed(
     if n < 2:
         raise ValueError("need n >= 2")
     layout = ClassLayout(k=k, n=n)
-    if r > layout.total:
-        raise ValueError("r exceeds k*n")
     routes = theorem1_routes(layout, r)
     counts = asdict(FamilyTally())
     pieces: List[RPartiteGraph] = []

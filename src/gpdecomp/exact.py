@@ -27,7 +27,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.wall_clock_s is not None and self.wall_clock_s <= 0:
+        # Written as "not > 0" so that nan is refused too.
+        if self.wall_clock_s is not None and not self.wall_clock_s > 0:
             raise ValueError("wall_clock_s must be positive")
 
 
@@ -93,13 +94,14 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     incumbent.  On budget exhaustion the incumbent and the trivial lower
     bound are reported instead of an optimum.
     """
+    # The candidates come first: enumerating them enforces the soft cap
+    # before the C(n, r) edge index is built.
+    candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
     # Edge i is the i-th r-subset in lexicographic order; a candidate's mask
     # has bit i set when it covers edge i.
     edge_index = {m: i for i, m in enumerate(subset_masks(n, r))}
     total = len(edge_index)
     full_mask = (1 << total) - 1
-
-    candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
     covers = [[edge_index[m] for m in edge_masks(c)] for c in candidates]
     masks = [sum(1 << e for e in cover) for cover in covers]
     max_cov = max(c.edge_count for c in candidates)

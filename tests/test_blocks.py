@@ -94,37 +94,30 @@ def test_block_to_four_parts_relabels():
         BipartiteGraph((0,), (1, 2)),
         BipartiteGraph((0,), (1,)),
     )
-    emb1 = {0: 0, 1: 1, 2: 2}
-    emb2 = {0: 3, 1: 4, 2: 5}
-    assert block_to_four_parts(blk, emb1, emb2) == ((0,), (1, 2), (3,), (4,))
+    assert block_to_four_parts(blk, 3, 0, 3) == ((0,), (1, 2), (3,), (4,))
 
 
 def test_block_to_four_parts_count_preserved():
     for blk in construct_trivial_blocks(4).blocks:
-        parts = block_to_four_parts(
-            blk, {v: v for v in range(4)}, {v: v + 4 for v in range(4)}
-        )
+        parts = block_to_four_parts(blk, 4, 0, 4)
         prod = 1
         for p in parts:
             prod *= len(p)
         assert prod == blk.pair_count
 
 
-def test_block_to_four_parts_rejects_overlapping_images():
-    blk = construct_trivial_blocks(3).blocks[0]
-    with pytest.raises(ValueError):
-        block_to_four_parts(blk, {v: v for v in range(3)}, {v: v for v in range(3)})
+def test_block_to_four_parts_keeps_only_in_range_vertices():
+    blk = Block(BipartiteGraph((0, 5), (1, -1)), BipartiteGraph((2,), (0, 3)))
+    assert block_to_four_parts(blk, 3, 6, 9) == ((6,), (7,), (11,), (9,))
 
 
 def test_embedded_trivial_blocks_cover_pairs_as_4sets():
     # every ordered pair of edges appears exactly once among the 4-partite
-    # pieces obtained by embedding the n=3 trivial blocks
+    # pieces obtained by placing the n=3 trivial blocks at offsets 0 and n
     n = 3
-    emb1 = {v: v for v in range(n)}
-    emb2 = {v: v + n for v in range(n)}
     seen = []
     for blk in construct_trivial_blocks(n).blocks:
-        parts = block_to_four_parts(blk, emb1, emb2)
+        parts = block_to_four_parts(blk, n, 0, n)
         for combo in product(*parts):
             seen.append(tuple(sorted(combo)))
     expected = [

@@ -165,9 +165,10 @@ def test_exact_rejects_nonpositive_node_budget(capsys):
 
 
 def test_exact_rejects_negative_time_budget(capsys):
-    code, _, err = run(capsys, "exact", "--n", "5", "--r", "2", "--max-seconds", "-1")
-    assert code == 3
-    assert err.startswith("error:")
+    for seconds in ("-1", "nan"):
+        code, _, err = run(capsys, "exact", "--n", "5", "--r", "2", "--max-seconds", seconds)
+        assert code == 3
+        assert err.startswith("error:")
 
 
 def test_verify_non_utf8_is_parse_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
-from gpdecomp.core import edges_of
+from gpdecomp.core import Decomposition, GroundSet, edges_of
 
 
 # -- baseline -----------------------------------------------------------
@@ -239,6 +239,46 @@ def test_theorem1_tally_follows_block_count(n, k, r):
     predicted = predicted_family_tallies(n, k, d, block_count_fn=lambda m: (m - 1) ** 2 + 1)
     assert asdict(tally) == predicted
     assert predicted != predicted_family_tallies(n, k, d)
+
+
+def _trivial_blocks_plus(extra, drop=0):
+    """A block provider: the trivial blocks without the first ``drop`` ones,
+    plus ``extra``."""
+    return lambda m: BlockDecomposition(m, construct_trivial_blocks(m).blocks[drop:] + extra)
+
+
+def _baseline_except(size, replace):
+    """A sub-provider: the baseline, except ``replace(n)`` for ``size``."""
+    return lambda m, s: replace(m) if s == size else construct_baseline(m, s)
+
+
+STRAY_BLOCK = Block(BipartiteGraph((0,), (3,)), BipartiteGraph((0,), (1,)))
+FIRST_TRIVIAL = construct_trivial_blocks(3).blocks[0]
+
+
+@pytest.mark.parametrize(
+    "providers,message",
+    [
+        (dict(block_provider=_trivial_blocks_plus((STRAY_BLOCK,))),
+         r"block_provider\(3\) is invalid: pair \(\(0, 3\), \(0, 1\)\) covered 1 times"),
+        (dict(block_provider=_trivial_blocks_plus((FIRST_TRIVIAL,))),
+         r"block_provider\(3\) is invalid: pair \(\(0, 1\), \(0, 1\)\) covered 2 times"),
+        (dict(block_provider=_trivial_blocks_plus((), drop=1)),
+         r"block_provider\(3\) is invalid: pair \(\(0, 1\), \(0, 1\)\) covered 0 times"),
+        (dict(block_provider=lambda m: construct_trivial_blocks(m + 1)),
+         r"block_provider\(3\) returned an output for n=4$"),
+        (dict(sub_provider=_baseline_except(
+            2, lambda m: Decomposition(GroundSet(m, 2), construct_baseline(m, 2).pieces[1:]))),
+         r"sub_provider\(3, 2\) is invalid: edge \(0, 1\) covered 0 times"),
+        (dict(sub_provider=_baseline_except(3, lambda m: construct_baseline(m + 1, 3))),
+         r"sub_provider\(3, 3\) returned an output for n=4, r=3$"),
+    ],
+    ids=["out-of-range-block", "duplicated-block", "missing-block", "blocks-for-wrong-n",
+         "short-sub", "sub-of-wrong-ground"],
+)
+def test_theorem1_rejects_bad_provider(providers, message):
+    with pytest.raises(ValueError, match=message):
+        construct_theorem1(3, 3, 5, **providers)
 
 
 # SHA-256 of the serialized output, which pins piece order as well as content.

@@ -46,6 +46,9 @@ def test_candidate_examples():
 def test_candidate_soft_cap():
     with pytest.raises(CandidateCapError):
         enumerate_candidate_pieces(10, 2)
+    # refused before the C(40, 20)-edge index is built
+    with pytest.raises(CandidateCapError):
+        solve_exact(40, 20)
     # override allowed
     enumerate_candidate_pieces(10, 9, allow_large=True)
 
@@ -106,3 +109,5 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=10, wall_clock_s=-1)
+    with pytest.raises(ValueError):
+        SearchBudget(max_nodes=10, wall_clock_s=float("nan"))

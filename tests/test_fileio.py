@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpdecomp import (
     ParseError,
@@ -103,3 +104,41 @@ def test_block_round_trip():
 def test_parse_blocks_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_blocks(text)
+
+
+# -- robustness: mutated valid texts --------------------------------------
+
+VALID_TEXTS = [serialize_decomposition(d) for d in GENERATED] + [
+    serialize_blocks(construct_trivial_blocks(n)) for n in (2, 4)
+]
+# Format characters, a non-ASCII digit that int() accepts, and other noise.
+NOISE = "0123456789-,|:; abnrpiecslkGPDBX\n\r\t\u0663\xff"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid GPD or GPB text with a few short spans replaced by noise and
+    possibly one line repeated or dropped."""
+    text = draw(st.sampled_from(VALID_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 4, len(text))))
+        text = text[:i] + draw(st.text(NOISE, max_size=4)) + text[j:]
+    lines = text.split("\n")
+    k = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(("keep", "repeat", "drop")))
+    if edit == "repeat":
+        lines.insert(k, lines[k])
+    elif edit == "drop":
+        del lines[k]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_parsers_raise_only_parse_error(text):
+    for parse in (parse_decomposition, parse_blocks):
+        try:
+            parse(text)
+        except ParseError:
+            pass
