@@ -11,11 +11,12 @@ Three families of algorithms live here:
 * the even-from-odd reduction deleting one vertex from an (r+1)-uniform
   decomposition.
 
-Sub-decompositions are pluggable: ``sub_provider(n, r)`` must return a valid
-Decomposition of K_n^(r), and ``block_provider(n)`` a valid
-BlockDecomposition for n.  Each output is verified when it is called, and
-one that is not raises ValueError.  Defaults are the baseline and the
-trivial (n-1)^2 blocks.
+Sub-decompositions are pluggable: ``sub_provider(n, r)`` and
+``odd_provider(n, r)`` must return a valid Decomposition of K_n^(r), and
+``block_provider(n)`` a valid BlockDecomposition for n.  Each output is
+verified when it is called (an ``odd_provider`` output through the
+decomposition derived from it), and one that is not raises ValueError.
+Defaults are the baseline and the trivial (n-1)^2 blocks.
 """
 
 from __future__ import annotations
@@ -317,15 +318,20 @@ def construct_even_from_odd(
 
     For each source piece containing vertex n, keep the r parts that do not
     contain it; drop pieces avoiding vertex n.  The piece count never exceeds
-    the source's."""
+    the source's.  The derived K_n^(r) is verified, not the 4x larger
+    source, and ValueError names the ``odd_provider`` call when it is
+    invalid or the source is not for (n+1, r+1)."""
     if r % 2 != 0 or r < 2:
         raise ValueError("r must be even and >= 2")
     ground = GroundSet(n, r)
     odd = odd_provider(n + 1, r + 1)
     v = n
-    pieces: List[RPartiteGraph] = []
-    for p in odd.pieces:
-        if any(v in part for part in p.parts):
-            rest = [part for part in p.parts if v not in part]
-            pieces.append(canonicalize(rest, n=n))
-    return Decomposition(ground, tuple(pieces))
+    # Verify before canonicalizing, so that any bad source, even one with
+    # overlapping parts or for the wrong ground, fails with the call named.
+    derived = tuple(
+        RPartiteGraph(tuple(part for part in p.parts if v not in part))
+        for p in odd.pieces if any(v in part for part in p.parts)
+    )
+    _check_output(f"odd_provider({n + 1}, {r + 1})", (odd.ground.n, odd.ground.r), (n + 1, r + 1),
+                  verify_decomposition(Decomposition(ground, derived)).message)
+    return Decomposition(ground, tuple(canonicalize(p.parts) for p in derived))

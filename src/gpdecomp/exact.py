@@ -1,16 +1,18 @@
 """Exact minimum decomposition sizes on tiny instances.
 
 Branch-and-bound exact cover: the universe is all r-subsets of 0..n-1 and
-the candidates are all complete r-partite pieces.  Branching always targets
-the lexicographically smallest uncovered edge and tries its candidates in
-canonical order, so results and node counts are reproducible.
+the candidates are all complete r-partite pieces.  A node is one call of the
+search on a set of pairwise disjoint chosen candidates; it branches on the
+lexicographically smallest uncovered edge and tries the disjoint candidates
+covering it in canonical order, so results and node counts are
+reproducible.  The root keeps one candidate per orbit of the symmetries
+fixing edge 0 = {0..r-1}, and the prune rule compares integers only.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import ceil
 from typing import List, Optional, Tuple
 
 from .constructions import construct_baseline
@@ -89,31 +91,48 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     r-subsets of 0..n-1, with a witness decomposition.
 
     The search is seeded with the baseline construction, then branch-and-bound
-    looks for anything strictly smaller.  Prunes a node when
-    used + ceil(uncovered / max-candidate-edge-count) is no better than the
-    incumbent.  On budget exhaustion the incumbent and the trivial lower
-    bound are reported instead of an optimum.
+    looks for anything strictly smaller.  A node with ``used`` pieces chosen
+    and ``uncovered`` edges left is pruned when
+    ``uncovered > (incumbent - used - 1) * max_cov``, where ``max_cov`` is the
+    largest candidate edge count: then even ``max_cov`` edges per further
+    piece cannot beat the incumbent.  On budget exhaustion the incumbent and
+    the trivial lower bound ``ceil(C(n, r) / max_cov)`` are reported instead
+    of an optimum.
     """
     # The candidates come first: enumerating them enforces the soft cap
     # before the C(n, r) edge index is built.
     candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
     # Edge i is the i-th r-subset in lexicographic order; a candidate's mask
-    # has bit i set when it covers edge i.
+    # has bit i set when it covers edge i.  by_edge[i] lists the masks of the
+    # candidates covering edge i, in canonical order.
     edge_index = {m: i for i, m in enumerate(subset_masks(n, r))}
     total = len(edge_index)
     full_mask = (1 << total) - 1
-    covers = [[edge_index[m] for m in edge_masks(c)] for c in candidates]
-    masks = [sum(1 << e for e in cover) for cover in covers]
-    max_cov = max(c.edge_count for c in candidates)
+    masks: List[int] = []
     by_edge: List[List[int]] = [[] for _ in range(total)]
-    for ci, cover in enumerate(covers):
+    for c in candidates:
+        cover = [edge_index[m] for m in edge_masks(c)]
+        mask = sum(1 << e for e in cover)
+        masks.append(mask)
         for e in cover:
-            by_edge[e].append(ci)
+            by_edge[e].append(mask)
+    max_cov = max(c.edge_count for c in candidates)
+    # Only the root branches on edge 0 = {0..r-1}; every later node has it
+    # covered.  Sym(0..r-1) x Sym(r..n-1) fixes that edge and maps candidates
+    # to candidates, and its orbits on the candidates covering edge 0 are
+    # keyed by sorted part sizes.  An optimum's piece covering edge 0 can be
+    # mapped onto the first member of its orbit, so the root keeps only those.
+    root = {}
+    for c, mask in zip(candidates, masks):
+        if mask & 1:
+            root.setdefault(tuple(sorted(map(len, c.parts))), mask)
+    by_edge[0] = list(root.values())
 
     seed = construct_baseline(n, r)
     best_count = seed.piece_count
     best_pieces: Tuple[RPartiteGraph, ...] = seed.pieces
     nodes = 0
+    max_nodes = budget.max_nodes
     deadline = (
         time.monotonic() + budget.wall_clock_s if budget.wall_clock_s else None
     )
@@ -121,24 +140,23 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     def dfs(covered: int, chosen: List[int]) -> None:
         nonlocal nodes, best_count, best_pieces
         nodes += 1
-        if nodes > budget.max_nodes:
+        if nodes > max_nodes:
             raise _BudgetExhausted
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted
         if covered == full_mask:
             if len(chosen) < best_count:
                 best_count = len(chosen)
-                best_pieces = tuple(candidates[i] for i in chosen)
+                best_pieces = tuple(candidates[masks.index(m)] for m in chosen)
             return
-        uncovered = total - bin(covered).count("1")
-        if len(chosen) + ceil(uncovered / max_cov) >= best_count:
+        if total - covered.bit_count() > (best_count - len(chosen) - 1) * max_cov:
             return
-        free = ~covered & full_mask
-        e = (free & -free).bit_length() - 1
-        for ci in by_edge[e]:
-            if masks[ci] & covered == 0:
-                chosen.append(ci)
-                dfs(covered | masks[ci], chosen)
+        # The lowest clear bit of covered: the smallest uncovered edge.
+        e = (~covered & (covered + 1)).bit_length() - 1
+        for mask in by_edge[e]:
+            if mask & covered == 0:
+                chosen.append(mask)
+                dfs(covered | mask, chosen)
                 chosen.pop()
 
     exhausted = False
@@ -148,7 +166,7 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
         exhausted = True
 
     witness = Decomposition(GroundSet(n, r), best_pieces)
-    lower = best_count if not exhausted else ceil(total / max_cov)
+    lower = best_count if not exhausted else -(-total // max_cov)
     return ExactResult(
         optimal=not exhausted,
         value=best_count,

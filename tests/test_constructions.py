@@ -23,7 +23,7 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
-from gpdecomp.core import Decomposition, GroundSet, edges_of
+from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edges_of
 
 
 # -- baseline -----------------------------------------------------------
@@ -306,6 +306,26 @@ def test_even_from_odd_valid(n, r):
     assert verify_decomposition(dec).valid
     source = construct_baseline(n + 1, r + 1)
     assert dec.piece_count <= source.piece_count
+
+
+@pytest.mark.parametrize(
+    "odd_provider,message",
+    [
+        (lambda m, s: Decomposition(GroundSet(m, s), construct_baseline(m, s).pieces[1:]),
+         r"odd_provider\(7, 5\) is invalid: edge \(0, 1, 2, 3\) covered 0 times$"),
+        (lambda m, s: construct_baseline(m + 1, s),
+         r"odd_provider\(7, 5\) returned an output for n=8, r=5$"),
+        (lambda m, s: construct_baseline(m, s - 2),
+         r"odd_provider\(7, 5\) returned an output for n=7, r=3$"),
+        (lambda m, s: Decomposition(GroundSet(m, s), (
+            RPartiteGraph(((0,), (0, 1), (2,), (3,), (6,))),) + construct_baseline(m, s).pieces[1:]),
+         r"odd_provider\(7, 5\) is invalid: piece 0 has overlapping parts at vertex 0$"),
+    ],
+    ids=["dropped-piece", "wrong-n", "wrong-r", "overlapping-parts"],
+)
+def test_even_from_odd_rejects_bad_provider(odd_provider, message):
+    with pytest.raises(ValueError, match=message):
+        construct_even_from_odd(6, 4, odd_provider=odd_provider)
 
 
 def test_even_from_odd_preconditions():

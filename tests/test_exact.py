@@ -79,6 +79,28 @@ def test_f4_values_frozen():
     assert res.optimal and res.value == 1
 
 
+@pytest.mark.parametrize(
+    "n,r,nodes,value", [(6, 3, 98, 4), (6, 4, 5874, 6), (7, 3, 11708, 5), (9, 7, 133, 9)]
+)
+def test_pinned_node_counts(n, r, nodes, value):
+    res = solve_exact(n, r)
+    assert res.optimal
+    assert res.lower_bound == res.value == value
+    assert res.nodes == nodes
+    assert res.witness.piece_count == value
+    assert verify_decomposition(res.witness).valid
+
+
+def test_capped_interval_contains_known_value():
+    # f_4(7) = 9 is known from a MILP proof; this budget stops well short.
+    res = solve_exact(7, 4, SearchBudget(max_nodes=2000))
+    assert not res.optimal
+    assert res.nodes == 2001
+    assert res.lower_bound <= 9 <= res.value
+    assert res.witness.piece_count == res.value
+    assert verify_decomposition(res.witness).valid
+
+
 def test_solver_never_beats_valid_constructions():
     for n in range(2, 7):
         for r in (2, 3):
