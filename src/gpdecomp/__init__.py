@@ -43,7 +43,6 @@ from .core import (
     RPartiteGraph,
     binomial,
     canonicalize,
-    edges_of,
 )
 from .exact import ExactResult, SearchBudget, enumerate_candidate_pieces, solve_exact
 from .fileio import (

@@ -3,9 +3,11 @@ complete bipartite graphs.
 
 A block is an ordered product of two complete bipartite graphs, the first
 over class one and the second over class two (both classes of size n, with
-class-local labels 0..n-1).  :func:`block_to_four_parts` is the one
-placement: it shifts class one and class two up by two offsets, so one block
-decomposition serves every class pair of the main construction, and
+class-local labels 0..n-1).  :class:`BlockDecomposition` applies the piece
+rule to every bipartite factor when it is built, so each side holds distinct
+vertices of 0..n-1 and the two sides are disjoint.  :func:`block_to_four_parts`
+is the one placement: it shifts class one and class two up by two offsets, so
+one block decomposition serves every class pair of the main construction, and
 :func:`verify_blocks` checks a block as the piece placed at offsets 0 and n.
 
 Any function ``n -> BlockDecomposition`` can serve as a block provider for
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import List, Optional, Tuple
 
-from .core import RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, subset_masks
+from .core import (
+    RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, piece_problem, subset_masks,
+)
 
 
 @dataclass(frozen=True)
@@ -29,15 +33,6 @@ class BipartiteGraph:
 
     side_a: Tuple[int, ...]
     side_b: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.side_a or not self.side_b:
-            raise ValueError("both sides must be nonempty")
-        if set(self.side_a) & set(self.side_b):
-            raise ValueError("sides must be disjoint")
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return sorted(tuple(sorted((u, v))) for u in self.side_a for v in self.side_b)
 
     @property
     def edge_count(self) -> int:
@@ -58,10 +53,22 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks."""
+    """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks.
+
+    Built only from bipartite factors passing the piece rule over 0..n-1;
+    anything else raises ValueError with the first factor's problem."""
 
     n: int
     blocks: Tuple[Block, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
+        # Each distinct factor once: the trivial blocks reuse n-1 stars.
+        for g in dict.fromkeys(chain.from_iterable((b.first, b.second) for b in self.blocks)):
+            problem = piece_problem((g.side_a, g.side_b), self.n)
+            if problem is not None:
+                raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -95,18 +102,18 @@ def construct_trivial_blocks(n: int) -> BlockDecomposition:
     return BlockDecomposition(n=n, blocks=blocks)
 
 
-def block_to_four_parts(b: Block, n: int, one: int, two: int) -> Tuple[Tuple[int, ...], ...]:
-    """The one placement of a block: four parts holding its side vertices
-    inside 0..n-1, class one shifted up by ``one`` and class two by ``two``.
+def block_to_four_parts(b: Block, one: int, two: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one placement of a block: its four sides, class one shifted up by
+    ``one`` and class two by ``two``.
 
     When the shifted classes do not overlap, the 4-sets taking one vertex per
-    part are exactly the in-universe pairs (e1, e2) of the block.
+    part are exactly the pairs (e1, e2) of the block.
     """
     return (
-        tuple(v + one for v in b.first.side_a if 0 <= v < n),
-        tuple(v + one for v in b.first.side_b if 0 <= v < n),
-        tuple(v + two for v in b.second.side_a if 0 <= v < n),
-        tuple(v + two for v in b.second.side_b if 0 <= v < n),
+        tuple(v + one for v in b.first.side_a),
+        tuple(v + one for v in b.first.side_b),
+        tuple(v + two for v in b.second.side_a),
+        tuple(v + two for v in b.second.side_b),
     )
 
 
@@ -114,31 +121,17 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     """Exhaustively check that every ordered pair of 2-sets is covered once.
 
     On failure the witness is the first pair in lexicographic order covered
-    other than once; when every pair is covered once, it is the smallest
-    pair reaching outside 0..n-1."""
+    other than once."""
     n = bd.n
     total = binomial(n, 2) ** 2
     count = len(bd.blocks)
     # Class two shifted up by n makes each block a four-part piece on 2n
-    # vertices whose edges are its in-universe pairs.
-    pieces = [RPartiteGraph(block_to_four_parts(blk, n, 0, n)) for blk in bd.blocks]
+    # vertices whose edges are its pairs, all inside the pair universe.
+    pieces = [RPartiteGraph(block_to_four_parts(blk, 0, n)) for blk in bd.blocks]
     masks = list(chain.from_iterable(map(edge_masks, pieces)))
     one = list(subset_masks(n, 2))
     found = first_miscovered(masks, map(sum, product(one, [m << n for m in one])), total)
-    if found is not None:
-        e = edge_of_mask(found[0])
-        return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), found[1])
-    # Every in-universe pair is covered once, so only blocks reaching outside
-    # 0..n-1 can add pairs, and such pairs have no mask.
-    extra = [
-        (e1, e2)
-        for blk in bd.blocks
-        if not all(0 <= v < n for g in (blk.first, blk.second) for v in g.side_a + g.side_b)
-        for e1 in blk.first.edges()
-        for e2 in blk.second.edges()
-        if not all(0 <= v < n for v in e1 + e2)
-    ]
-    if not extra:
+    if found is None:
         return BlockReport(True, count, total)
-    witness = min(extra)
-    return BlockReport(False, count, total, witness, extra.count(witness))
+    e = edge_of_mask(found[0])
+    return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), found[1])

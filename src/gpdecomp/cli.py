@@ -154,14 +154,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if not 1 <= lo <= hi:
             return _fail("scan-range needs 1 <= LO <= HI", EXIT_BAD_ARGS)
         td = bounds_mod.threshold_d()
+        if args.porcelain:
+            print(f"threshold_d={td}")
+            return EXIT_OK
         for d in range(lo, hi + 1):
             coef = bounds_mod.base_coefficient(d)
             marker = "  <-- threshold" if d == td else ""
             print(f"d={d:<5} coefficient ~= {float(coef):.9f} "
                   f"{'< 1' if coef < 1 else '>= 1'}{marker}")
         print(f"threshold d = {td}, uniformity r = {2 * td + 1}")
-        if args.porcelain:
-            print(f"threshold_d={td}")
         return EXIT_OK
     if args.d is None and args.r is None:
         return _fail("give --d or --r (or --scan-range)", EXIT_BAD_ARGS)

@@ -17,18 +17,22 @@ Sub-decompositions are pluggable: ``sub_provider(n, r)`` and
 verified when it is called (an ``odd_provider`` output through the
 decomposition derived from it), and one that is not raises ValueError.
 Defaults are the baseline and the trivial (n-1)^2 blocks.
+
+Every construction builds its pieces in canonical form directly, without
+:func:`gpdecomp.core.canonicalize`: provider parts are sorted once, and
+verified factors sit on disjoint class ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .blocks import (
     Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
 )
-from .core import Decomposition, GroundSet, RPartiteGraph, canonicalize
+from .core import Decomposition, GroundSet, RPartiteGraph
 from .verifier import verify_decomposition
 
 SubProvider = Callable[[int, int], Decomposition]
@@ -66,9 +70,6 @@ class Signature:
         items = tuple(sorted((c, s) for c, s in mapping.items() if s > 0))
         return Signature(items)
 
-    def sizes(self) -> List[int]:
-        return sorted(s for _, s in self.assignments)
-
 
 @dataclass
 class FamilyTally:
@@ -87,6 +88,7 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     together with the open intervals between consecutive fixed points (plus,
     for odd r, the interval above a_m).  Index tuples forcing an empty
     interval are skipped, leaving binomial(n - ceil(r/2), floor(r/2)) pieces.
+    The parts come out ascending and ordered by minimum, so canonical.
     """
     ground = GroundSet(n, r)
     m = r // 2
@@ -110,7 +112,7 @@ def construct_baseline(n: int, r: int) -> Decomposition:
             else:
                 parts.append(tail)
         if ok:
-            pieces.append(canonicalize(parts, n=n))
+            pieces.append(RPartiteGraph(tuple(parts)))
     return Decomposition(ground, tuple(pieces))
 
 
@@ -218,6 +220,11 @@ def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...], pro
         raise ValueError(f"{call} is invalid: {problem}")
 
 
+def _sorted_parts(parts: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Each part sorted, then the parts: for disjoint parts, the canonical order."""
+    return tuple(sorted(tuple(sorted(part)) for part in parts))
+
+
 def _route_pieces(
     layout: ClassLayout,
     routes: Sequence[Route],
@@ -228,9 +235,10 @@ def _route_pieces(
 
     ``block_provider`` is called at most once and ``sub_provider`` once per
     size, and each output is verified there; each factor list is built once
-    per class pair or (class, size).  Verified factors sit on disjoint class
-    ranges, so placing them by class offset drops nothing and overlaps
-    nothing."""
+    per class pair or (class, size), each part sorted.  Verified factors sit
+    on disjoint class ranges, so placing them by class offset drops nothing
+    and overlaps nothing, and sorting a piece's disjoint ascending parts
+    orders them by minimum: each piece is canonical as built."""
     n = layout.n
     blocks: Tuple[Block, ...] = ()
     if any(rt.pairs for rt in routes):
@@ -242,19 +250,17 @@ def _route_pieces(
         _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
                       verify_decomposition(dec).message)
     pair_factors = {
-        (ci, cj): [block_to_four_parts(b, n, ci * n, cj * n) for b in blocks]
+        (ci, cj): [_sorted_parts(block_to_four_parts(b, ci * n, cj * n)) for b in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
     }
     single_factors = {
-        (c, s): [tuple(tuple(v + c * n for v in part) for part in p.parts) for p in subs[s].pieces]
+        (c, s): [_sorted_parts([v + c * n for v in part] for part in p.parts) for p in subs[s].pieces]
         for c, s in {cs for rt in routes for cs in rt.singles}
     }
     for rt in routes:
         factors = [pair_factors[p] for p in rt.pairs] + [single_factors[cs] for cs in rt.singles]
         tail = (rt.complement,) if rt.complement else ()
-        yield [
-            canonicalize(chain(*combo, tail), n=layout.total) for combo in product(*factors)
-        ]
+        yield [RPartiteGraph(tuple(sorted(chain(*combo, tail)))) for combo in product(*factors)]
 
 
 def decompose_signature(
@@ -326,12 +332,12 @@ def construct_even_from_odd(
     ground = GroundSet(n, r)
     odd = odd_provider(n + 1, r + 1)
     v = n
-    # Verify before canonicalizing, so that any bad source, even one with
-    # overlapping parts or for the wrong ground, fails with the call named.
-    derived = tuple(
-        RPartiteGraph(tuple(part for part in p.parts if v not in part))
+    # The derived pieces are built sorted and verified as they are returned,
+    # so any bad source, even one for the wrong ground, fails with the call named.
+    derived = Decomposition(ground, tuple(
+        RPartiteGraph(_sorted_parts(part for part in p.parts if v not in part))
         for p in odd.pieces if any(v in part for part in p.parts)
-    )
+    ))
     _check_output(f"odd_provider({n + 1}, {r + 1})", (odd.ground.n, odd.ground.r), (n + 1, r + 1),
-                  verify_decomposition(Decomposition(ground, derived)).message)
-    return Decomposition(ground, tuple(canonicalize(p.parts) for p in derived))
+                  verify_decomposition(derived).message)
+    return derived

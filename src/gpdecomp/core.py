@@ -105,13 +105,6 @@ def canonicalize(parts: Iterable[Iterable[int]], n: int | None = None) -> RParti
     return RPartiteGraph(tuple(norm))
 
 
-def edges_of(piece: RPartiteGraph) -> Iterator[Edge]:
-    """All edges of a piece, each sorted ascending, in lexicographic order."""
-    edges = [tuple(sorted(combo)) for combo in product(*piece.parts)]
-    edges.sort()
-    return iter(edges)
-
-
 def edge_masks(piece: RPartiteGraph) -> Iterator[int]:
     """All edges of a piece as vertex bitmasks, bit v set for vertex v.
 

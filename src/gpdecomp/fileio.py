@@ -17,7 +17,9 @@ Block files (magic ``GPB 1``)::
     a:0 b:1,2,3 ; a:0 b:1,2,3
     ...
 
-the two sides of each bipartite factor holding distinct vertices of 0..n-1.
+the two sides of each bipartite factor holding distinct vertices of 0..n-1,
+a rule that :class:`BlockDecomposition` itself enforces, so the parser
+reports its refusal as a ParseError.
 
 Serializing the same object twice is byte-identical, and parsing a generated
 file then re-serializing reproduces it byte-for-byte.
@@ -63,17 +65,14 @@ def serialize_decomposition(d: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_parts(chunks: List[str], n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The comma-separated parts in ``chunks``, checked by the piece rule."""
+def _parse_parts(chunks: List[str]) -> Tuple[Tuple[int, ...], ...]:
+    """The comma-separated parts in ``chunks``."""
     parts = []
     for chunk in chunks:
         try:
             parts.append(tuple(map(int, chunk.split(","))))
         except ValueError as exc:
             raise ParseError(f"bad part {chunk!r}") from exc
-    problem = piece_problem(parts, n)
-    if problem is not None:
-        raise ParseError(problem)
     return tuple(parts)
 
 
@@ -81,7 +80,10 @@ def parse_decomposition(text: str) -> Decomposition:
     (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"))
     pieces: List[RPartiteGraph] = []
     for line in lines:
-        parts = _parse_parts(line.split(" | "), n)
+        parts = _parse_parts(line.split(" | "))
+        problem = piece_problem(parts, n)
+        if problem is not None:
+            raise ParseError(problem)
         # Disjoint parts are canonical iff sorting each, then all, changes nothing.
         if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
             raise ParseError(f"piece line not in canonical form: {line!r}")
@@ -107,21 +109,22 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bipartite(text: str, n: int) -> BipartiteGraph:
+def _parse_bipartite(text: str) -> BipartiteGraph:
     chunks = text.split(" ")
     if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
         raise ParseError(f"bad bipartite factor {text!r}")
-    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]], n))
+    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]]))
 
 
 def parse_blocks(text: str) -> BlockDecomposition:
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"))
-    if n < 1:
-        raise ParseError(f"need n >= 1, got n={n}")
     blocks: List[Block] = []
     for line in lines:
         halves = line.split(" ; ")
         if len(halves) != 2:
             raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(_parse_bipartite(halves[0], n), _parse_bipartite(halves[1], n)))
-    return BlockDecomposition(n=n, blocks=tuple(blocks))
+        blocks.append(Block(_parse_bipartite(halves[0]), _parse_bipartite(halves[1])))
+    try:
+        return BlockDecomposition(n=n, blocks=tuple(blocks))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

@@ -12,6 +12,11 @@ from gpdecomp import (
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
 
 
+def bipartite_edges(g):
+    """The 2-sets of a bipartite graph, each sorted, in lexicographic order."""
+    return sorted(tuple(sorted((u, v))) for u in g.side_a for v in g.side_b)
+
+
 def test_star_bipartite_n4():
     stars = construct_star_bipartite(4)
     assert [(s.side_a, s.side_b) for s in stars] == [
@@ -37,7 +42,7 @@ def test_star_bipartite_rejects_small_n():
 def test_star_bipartite_partitions_edges(n):
     stars = construct_star_bipartite(n)
     assert len(stars) == n - 1
-    covered = [e for s in stars for e in s.edges()]
+    covered = [e for s in stars for e in bipartite_edges(s)]
     assert len(covered) == binomial(n, 2)
     assert sorted(covered) == sorted(combinations(range(n), 2))
 
@@ -57,8 +62,8 @@ def test_trivial_blocks_n3_pair_census():
     pairs = [
         (e1, e2)
         for blk in bd.blocks
-        for e1 in blk.first.edges()
-        for e2 in blk.second.edges()
+        for e1 in bipartite_edges(blk.first)
+        for e2 in bipartite_edges(blk.second)
     ]
     assert len(pairs) == 9
     assert set(pairs) == set(product(combinations(range(3), 2), repeat=2))
@@ -80,13 +85,37 @@ def test_verify_blocks_detects_duplication():
     assert report.witness_multiplicity == 2
 
 
-def test_verify_blocks_reports_out_of_range_pair():
-    bd = construct_trivial_blocks(3)
-    stray = Block(BipartiteGraph((0,), (3,)), BipartiteGraph((0,), (1,)))
-    report = verify_blocks(BlockDecomposition(3, bd.blocks + (stray,)))
-    assert not report.valid
-    assert report.witness == ((0, 3), (0, 1))
-    assert report.witness_multiplicity == 1
+STAR = BipartiteGraph((0,), (1,))
+
+
+@pytest.mark.parametrize(
+    "factor,reason",
+    [
+        (BipartiteGraph((0,), (3,)), "out-of-range vertex 3"),
+        (BipartiteGraph((0,), (1, -1)), "out-of-range vertex -1"),
+        (BipartiteGraph((0, 0), (1,)), "overlapping parts at vertex 0"),
+        (BipartiteGraph((0, 1), (2, 1)), "overlapping parts at vertex 1"),
+        (BipartiteGraph((0,), ()), "an empty part"),
+    ],
+    ids=["out-of-range", "negative", "repeat-within-side", "overlapping-sides", "empty-side"],
+)
+@pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+def test_block_decomposition_rejects_bad_factor(factor, reason, second):
+    bad = Block(STAR, factor) if second else Block(factor, STAR)
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        BlockDecomposition(3, construct_trivial_blocks(3).blocks + (bad,))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_block_decomposition_rejects_small_n(n):
+    with pytest.raises(ValueError, match=f"^need n >= 1, got n={n}$"):
+        BlockDecomposition(n, ())
+
+
+def test_block_decomposition_reports_first_bad_factor():
+    bad = (Block(STAR, BipartiteGraph((0,), (5,))), Block(BipartiteGraph((1,), (1,)), STAR))
+    with pytest.raises(ValueError, match="^out-of-range vertex 5$"):
+        BlockDecomposition(3, bad)
 
 
 def test_block_to_four_parts_relabels():
@@ -94,21 +123,16 @@ def test_block_to_four_parts_relabels():
         BipartiteGraph((0,), (1, 2)),
         BipartiteGraph((0,), (1,)),
     )
-    assert block_to_four_parts(blk, 3, 0, 3) == ((0,), (1, 2), (3,), (4,))
+    assert block_to_four_parts(blk, 0, 3) == ((0,), (1, 2), (3,), (4,))
 
 
 def test_block_to_four_parts_count_preserved():
     for blk in construct_trivial_blocks(4).blocks:
-        parts = block_to_four_parts(blk, 4, 0, 4)
+        parts = block_to_four_parts(blk, 0, 4)
         prod = 1
         for p in parts:
             prod *= len(p)
         assert prod == blk.pair_count
-
-
-def test_block_to_four_parts_keeps_only_in_range_vertices():
-    blk = Block(BipartiteGraph((0, 5), (1, -1)), BipartiteGraph((2,), (0, 3)))
-    assert block_to_four_parts(blk, 3, 6, 9) == ((6,), (7,), (11,), (9,))
 
 
 def test_embedded_trivial_blocks_cover_pairs_as_4sets():
@@ -117,7 +141,7 @@ def test_embedded_trivial_blocks_cover_pairs_as_4sets():
     n = 3
     seen = []
     for blk in construct_trivial_blocks(n).blocks:
-        parts = block_to_four_parts(blk, n, 0, n)
+        parts = block_to_four_parts(blk, 0, n)
         for combo in product(*parts):
             seen.append(tuple(sorted(combo)))
     expected = [

@@ -119,7 +119,7 @@ def test_bounds_scan(capsys):
 def test_bounds_scan_porcelain(capsys):
     code, stdout, _ = run(capsys, "bounds", "--scan-range", "146:148", "--porcelain")
     assert code == 0
-    assert "threshold_d=147" in stdout.split("\n")
+    assert stdout == "threshold_d=147\n"
 
 
 def test_bounds_report(capsys):

@@ -23,7 +23,12 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
-from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edges_of
+from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
+
+
+def piece_edges(piece):
+    """The edges of a piece as sorted vertex tuples."""
+    return map(edge_of_mask, edge_masks(piece))
 
 
 # -- baseline -----------------------------------------------------------
@@ -85,7 +90,7 @@ def test_enumerate_signatures_worked_example():
     assert len(sigs) == 12
     by_type = {}
     for s in sigs:
-        by_type.setdefault(tuple(s.sizes()), []).append(s)
+        by_type.setdefault(tuple(sorted(size for _, size in s.assignments)), []).append(s)
     assert len(by_type[(2, 3)]) == 6
     assert len(by_type[(1, 2, 2)]) == 3
     assert len(by_type[(1, 1, 3)]) == 3
@@ -132,7 +137,7 @@ def test_decompose_signature_paired_family_with_complement():
     covered = []
     for p in pieces:
         assert comp in p.parts
-        covered.extend(edges_of(p))
+        covered.extend(piece_edges(p))
     expected = edges_with_profile(layout, {0: 2, 1: 2, 2: 1})
     assert sorted(covered) == sorted(expected)
     assert len(expected) == 27
@@ -142,7 +147,7 @@ def test_decompose_signature_two_three():
     layout = ClassLayout(k=3, n=3)
     pieces = decompose_signature(layout, Signature.of({0: 3, 1: 2}))
     assert len(pieces) == 2
-    covered = [e for p in pieces for e in edges_of(p)]
+    covered = [e for p in pieces for e in piece_edges(p)]
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 2}))
     assert len(covered) == 3
 
@@ -151,7 +156,7 @@ def test_decompose_signature_generic():
     layout = ClassLayout(k=3, n=3)
     pieces = decompose_signature(layout, Signature.of({0: 3, 1: 1, 2: 1}))
     assert len(pieces) == 1
-    covered = list(edges_of(pieces[0]))
+    covered = list(piece_edges(pieces[0]))
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 1, 2: 1}))
     assert len(covered) == 9
 
@@ -260,7 +265,7 @@ FIRST_TRIVIAL = construct_trivial_blocks(3).blocks[0]
     "providers,message",
     [
         (dict(block_provider=_trivial_blocks_plus((STRAY_BLOCK,))),
-         r"block_provider\(3\) is invalid: pair \(\(0, 3\), \(0, 1\)\) covered 1 times"),
+         r"^out-of-range vertex 3$"),
         (dict(block_provider=_trivial_blocks_plus((FIRST_TRIVIAL,))),
          r"block_provider\(3\) is invalid: pair \(\(0, 1\), \(0, 1\)\) covered 2 times"),
         (dict(block_provider=_trivial_blocks_plus((), drop=1)),
@@ -296,6 +301,32 @@ THEOREM1_GOLDEN = {
 def test_theorem1_golden_output(n, k, r):
     text = serialize_decomposition(construct_theorem1(n, k, r))
     assert hashlib.sha256(text.encode()).hexdigest() == THEOREM1_GOLDEN[(n, k, r)]
+
+
+def _scrambled(dec):
+    """``dec`` with each piece's parts in reverse order, each part reversed."""
+    return Decomposition(dec.ground, tuple(
+        RPartiteGraph(tuple(part[::-1] for part in p.parts[::-1])) for p in dec.pieces))
+
+
+def _scrambled_blocks(m):
+    """The trivial blocks with each bipartite factor's sides swapped and reversed."""
+    flip = lambda g: BipartiteGraph(g.side_b[::-1], g.side_a[::-1])
+    return BlockDecomposition(m, tuple(
+        Block(flip(b.first), flip(b.second)) for b in construct_trivial_blocks(m).blocks))
+
+
+@pytest.mark.parametrize("n,k,r", [(4, 3, 5), (3, 4, 7), (5, 3, 3)])
+def test_theorem1_canonical_from_unsorted_providers(n, k, r):
+    scrambled = construct_theorem1(n, k, r, sub_provider=lambda m, s: _scrambled(
+        construct_baseline(m, s)), block_provider=_scrambled_blocks)
+    assert serialize_decomposition(scrambled) == serialize_decomposition(construct_theorem1(n, k, r))
+
+
+def test_even_from_odd_canonical_from_unsorted_provider():
+    scrambled = construct_even_from_odd(10, 4, odd_provider=lambda m, s: _scrambled(
+        construct_baseline(m, s)))
+    assert serialize_decomposition(scrambled) == serialize_decomposition(construct_even_from_odd(10, 4))
 
 
 # -- even from odd ------------------------------------------------------

@@ -10,7 +10,6 @@ from gpdecomp import (
     InvalidPieceError,
     binomial,
     canonicalize,
-    edges_of,
     verify_decomposition,
 )
 from gpdecomp.core import (
@@ -89,28 +88,29 @@ def test_canonicalize_permutation_invariant(parts, rng):
 
 
 @given(disjoint_families())
-def test_edges_of_count_and_distinct(parts):
+def test_edge_masks_count_and_distinct(parts):
     piece = canonicalize(parts)
-    edges = list(edges_of(piece))
-    assert len(edges) == math.prod(len(p) for p in piece.parts)
-    assert len(set(edges)) == len(edges)
-    assert edges == sorted(edges)
-    for e in edges:
-        assert len(e) == piece.r
+    masks = list(edge_masks(piece))
+    assert len(masks) == math.prod(len(p) for p in piece.parts)
+    assert len(set(masks)) == len(masks)
 
 
 @given(disjoint_families())
 def test_edge_masks_are_the_edges(parts):
     piece = canonicalize(parts)
     masks = list(edge_masks(piece))
-    assert sorted(map(edge_of_mask, masks)) == list(edges_of(piece))
+    expected = sorted(tuple(sorted(c)) for c in itertools.product(*piece.parts))
+    assert sorted(map(edge_of_mask, masks)) == expected
     assert all(m.bit_count() == piece.r for m in masks)
 
 
-def test_edges_of_examples():
-    assert list(edges_of(canonicalize([{0}, {1, 2}]))) == [(0, 1), (0, 2)]
-    assert len(list(edges_of(canonicalize([{0, 1}, {2, 3}])))) == 4
-    assert list(edges_of(canonicalize([{0}, {1}, {2}]))) == [(0, 1, 2)]
+def test_edge_masks_examples():
+    def edges(parts):
+        return sorted(map(edge_of_mask, edge_masks(canonicalize(parts))))
+
+    assert edges([{0}, {1, 2}]) == [(0, 1), (0, 2)]
+    assert len(edges([{0, 1}, {2, 3}])) == 4
+    assert edges([{0}, {1}, {2}]) == [(0, 1, 2)]
 
 
 def test_binomial_values():

@@ -25,7 +25,6 @@ from gpdecomp import (
     construct_theorem1,
     construct_trivial_blocks,
     coverage_histogram,
-    edges_of,
     enumerate_candidate_pieces,
     verify_blocks,
     verify_decomposition,
@@ -35,6 +34,11 @@ from gpdecomp.core import RPartiteGraph
 
 
 # -- reference oracle ----------------------------------------------------------
+
+def reference_edges(parts) -> List[tuple]:
+    """The sorted vertex tuples taking one vertex from each part, sorted."""
+    return sorted(tuple(sorted(c)) for c in product(*parts))
+
 
 def reference_structural_problem(d: Decomposition) -> Optional[str]:
     n, r = d.ground.n, d.ground.r
@@ -63,7 +67,7 @@ def reference_verify(d: Decomposition) -> VerificationReport:
         return VerificationReport(False, len(d.pieces), total, census, message=problem)
     coverage: Dict[tuple, List[int]] = {}
     for i, p in enumerate(d.pieces):
-        for e in edges_of(p):
+        for e in reference_edges(p.parts):
             coverage.setdefault(e, []).append(i)
     for e in combinations(range(n), r):
         hits = coverage.get(e, [])
@@ -85,7 +89,7 @@ def reference_histogram(d: Decomposition) -> Dict[int, int]:
     n, r = d.ground.n, d.ground.r
     counts: Dict[tuple, int] = {}
     for p in d.pieces:
-        for e in edges_of(p):
+        for e in reference_edges(p.parts):
             counts[e] = counts.get(e, 0) + 1
     hist: Dict[int, int] = {}
     for e in combinations(range(n), r):
@@ -98,18 +102,14 @@ def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
     n = bd.n
     counts: Dict[tuple, int] = {}
     for blk in bd.blocks:
-        for e1 in blk.first.edges():
-            for e2 in blk.second.edges():
+        for e1 in reference_edges((blk.first.side_a, blk.first.side_b)):
+            for e2 in reference_edges((blk.second.side_a, blk.second.side_b)):
                 counts[(e1, e2)] = counts.get((e1, e2), 0) + 1
     total = binomial(n, 2) ** 2
-    all_pairs = list(product(combinations(range(n), 2), repeat=2))
-    for pair in all_pairs:
+    for pair in product(combinations(range(n), 2), repeat=2):
         m = counts.get(pair, 0)
         if m != 1:
             return BlockReport(False, len(bd.blocks), total, pair, m)
-    if len(counts) != total:
-        extra = sorted(set(counts) - set(all_pairs))[0]
-        return BlockReport(False, len(bd.blocks), total, extra, counts[extra])
     return BlockReport(True, len(bd.blocks), total)
 
 
@@ -186,12 +186,11 @@ def construction_mutants(draw) -> Decomposition:
 
 @st.composite
 def bipartite_graphs(draw, n: int) -> BipartiteGraph:
-    """Sides over -1..n, so vertices can fall outside 0..n-1, and repeats
-    within a side are allowed: the block file format rejects both, but
-    verify_blocks must handle blocks built in memory."""
-    side_a = draw(st.lists(st.integers(-1, n), min_size=1, max_size=3))
-    side_b = draw(st.lists(st.integers(-1, n).filter(lambda v: v not in side_a),
-                           min_size=1, max_size=3))
+    """Two disjoint sides of distinct vertices of 0..n-1 in any order: the
+    factors BlockDecomposition accepts."""
+    side_a = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1), unique=True))
+    side_b = draw(st.lists(st.integers(0, n - 1).filter(lambda v: v not in side_a),
+                           min_size=1, max_size=3, unique=True))
     return BipartiteGraph(tuple(side_a), tuple(side_b))
 
 

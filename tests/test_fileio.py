@@ -106,6 +106,14 @@ def test_parse_blocks_rejects_malformed(text):
         parse_blocks(text)
 
 
+def test_parse_blocks_reports_the_block_rule():
+    # BlockDecomposition applies the piece rule; the parser passes on its reason.
+    with pytest.raises(ParseError, match="^out-of-range vertex 7$"):
+        parse_blocks("GPB 1\nn 3 blocks 1\na:0 b:1 ; a:0 b:7\n")
+    with pytest.raises(ParseError, match="^need n >= 1, got n=0$"):
+        parse_blocks("GPB 1\nn 0 blocks 0\n")
+
+
 # -- robustness: mutated valid texts --------------------------------------
 
 VALID_TEXTS = [serialize_decomposition(d) for d in GENERATED] + [
