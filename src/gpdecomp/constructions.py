@@ -330,14 +330,16 @@ def construct_even_from_odd(
     if r % 2 != 0 or r < 2:
         raise ValueError("r must be even and >= 2")
     ground = GroundSet(n, r)
+    call, want = f"odd_provider({n + 1}, {r + 1})", (n + 1, r + 1)
     odd = odd_provider(n + 1, r + 1)
+    # Checked before deriving: the source carries the piece rule for its own
+    # ground, so once that is (n+1, r+1) each derived piece has r disjoint
+    # parts inside 0..n-1, and only the derived coverage is left to verify.
+    _check_output(call, (odd.ground.n, odd.ground.r), want, "")
     v = n
-    # The derived pieces are built sorted and verified as they are returned,
-    # so any bad source, even one for the wrong ground, fails with the call named.
     derived = Decomposition(ground, tuple(
         RPartiteGraph(_sorted_parts(part for part in p.parts if v not in part))
         for p in odd.pieces if any(v in part for part in p.parts)
     ))
-    _check_output(f"odd_provider({n + 1}, {r + 1})", (odd.ground.n, odd.ground.r), (n + 1, r + 1),
-                  verify_decomposition(derived).message)
+    _check_output(call, want, want, verify_decomposition(derived).message)
     return derived

@@ -4,6 +4,8 @@ Vertices are 0-based integers.  A piece (complete r-partite r-graph) is an
 unordered family of r pairwise-disjoint nonempty vertex sets; its edge set is
 all r-sets taking exactly one vertex per part.  Pieces are stored in a
 canonical form so that equality and serialization are deterministic.
+:func:`piece_problem` is the one piece rule; :class:`Decomposition` applies
+it to every piece when built, so no later check repeats it.
 """
 
 from __future__ import annotations
@@ -60,11 +62,22 @@ class RPartiteGraph:
 class Decomposition:
     """A list of pieces over a common ground set.
 
-    Carries no partition claim by itself; run the verifier to establish one.
+    Carries the piece rule: every piece has ``ground.r`` parts passing
+    :func:`piece_problem` over 0..n-1, or ValueError names the first piece
+    that does not.  Carries no partition claim; run the verifier for one.
     """
 
     ground: GroundSet
     pieces: Tuple[RPartiteGraph, ...]
+
+    def __post_init__(self) -> None:
+        n, r = self.ground.n, self.ground.r
+        for i, p in enumerate(self.pieces):
+            if len(p.parts) != r:
+                raise ValueError(f"piece {i} has {len(p.parts)} parts, expected {r}")
+            problem = piece_problem(p.parts, n)
+            if problem is not None:
+                raise ValueError(f"piece {i} has {problem}")
 
     @property
     def piece_count(self) -> int:

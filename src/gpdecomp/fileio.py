@@ -7,8 +7,10 @@ Decomposition files (magic ``GPD 1``)::
     0 | 1 | 2 | 3,4,5
     ...
 
-one piece per line, parts joined by `` | ``, vertices comma-separated
-ascending, parts in canonical order, LF line endings, trailing LF.
+one piece per line, exactly r parts joined by `` | ``, vertices
+comma-separated ascending, parts in canonical order, LF line endings,
+trailing LF.  The parts of a piece are disjoint and inside 0..n-1, a rule
+that :class:`Decomposition` itself enforces along with the part count.
 
 Block files (magic ``GPB 1``)::
 
@@ -18,8 +20,8 @@ Block files (magic ``GPB 1``)::
     ...
 
 the two sides of each bipartite factor holding distinct vertices of 0..n-1,
-a rule that :class:`BlockDecomposition` itself enforces, so the parser
-reports its refusal as a ParseError.
+a rule that :class:`BlockDecomposition` itself enforces.  Both parsers report
+a constructor's refusal as a ParseError.
 
 Serializing the same object twice is byte-identical, and parsing a generated
 file then re-serializing reproduces it byte-for-byte.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .blocks import BipartiteGraph, Block, BlockDecomposition
-from .core import Decomposition, GroundSet, RPartiteGraph, piece_problem
+from .core import Decomposition, GroundSet, RPartiteGraph
 
 
 class ParseError(ValueError):
@@ -81,18 +83,15 @@ def parse_decomposition(text: str) -> Decomposition:
     pieces: List[RPartiteGraph] = []
     for line in lines:
         parts = _parse_parts(line.split(" | "))
-        problem = piece_problem(parts, n)
-        if problem is not None:
-            raise ParseError(problem)
-        # Disjoint parts are canonical iff sorting each, then all, changes nothing.
+        # For disjoint parts, canonical iff sorting each, then all, changes
+        # nothing; Decomposition rejects parts that are not disjoint.
         if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
             raise ParseError(f"piece line not in canonical form: {line!r}")
         pieces.append(RPartiteGraph(parts))
     try:
-        ground = GroundSet(n, r)
+        return Decomposition(GroundSet(n, r), tuple(pieces))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return Decomposition(ground, tuple(pieces))
 
 
 def _fmt_side(side: Tuple[int, ...]) -> str:

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from gpdecomp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -75,6 +82,15 @@ def test_verify_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+def test_verify_wrong_part_count_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "arity.gpd"
+    bad.write_text("GPD 1\nn 3 r 2 pieces 1\n0 | 1 | 2\n")
+    code, stdout, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert "parse error" in err and "piece 0 has 3 parts, expected 2" in err
+    assert stdout == ""
 
 
 def test_exact_command(tmp_path, capsys):
@@ -206,3 +222,12 @@ def test_exact_unwritable_out_is_bad_args(tmp_path, capsys):
     code, _, err = run(capsys, "exact", "--n", "4", "--r", "2", "--out", str(out))
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_python_m_gpdecomp_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "gpdecomp", "bounds", "--scan-range", "147:147", "--porcelain"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "threshold_d=147\n", "")

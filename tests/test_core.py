@@ -10,7 +10,6 @@ from gpdecomp import (
     InvalidPieceError,
     binomial,
     canonicalize,
-    verify_decomposition,
 )
 from gpdecomp.core import (
     RPartiteGraph,
@@ -153,11 +152,12 @@ def test_piece_problem_without_n_checks_only_the_sign():
     "parts",
     [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3))],
 )
-def test_canonicalize_and_verifier_give_the_same_reason(parts):
+def test_canonicalize_and_decomposition_give_the_same_reason(parts):
     with pytest.raises(InvalidPieceError) as info:
         canonicalize(parts, n=4)
-    d = Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
-    assert verify_decomposition(d).message == f"piece 0 has {info.value}"
+    with pytest.raises(ValueError) as refused:
+        Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
+    assert str(refused.value) == f"piece 0 has {info.value}"
 
 
 @pytest.mark.parametrize("n", range(0, 9))

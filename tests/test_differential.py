@@ -3,15 +3,18 @@
 The reference functions below are the tuple-dict verifier, histogram and
 block checker that the kernel replaced: every edge is a sorted vertex tuple
 counted in a dict, and every edge of the universe is scanned in
-lexicographic order.  They are slow and simple on purpose, and the library
-must give identical reports on random piece sets, random block sets and
-mutants of the constructions.
+lexicographic order.  They are slow and simple on purpose.  On random piece
+sets and mutants of the constructions, ``Decomposition`` must refuse exactly
+the piece lists the reference structural check refuses, with its message,
+and the library must give identical reports on every list it accepts and on
+random block sets.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpdecomp import (
@@ -40,9 +43,10 @@ def reference_edges(parts) -> List[tuple]:
     return sorted(tuple(sorted(c)) for c in product(*parts))
 
 
-def reference_structural_problem(d: Decomposition) -> Optional[str]:
-    n, r = d.ground.n, d.ground.r
-    for i, p in enumerate(d.pieces):
+def reference_structural_problem(ground: GroundSet,
+                                 pieces: Tuple[RPartiteGraph, ...]) -> Optional[str]:
+    n, r = ground.n, ground.r
+    for i, p in enumerate(pieces):
         if len(p.parts) != r:
             return f"piece {i} has {len(p.parts)} parts, expected {r}"
         seen: set = set()
@@ -62,7 +66,7 @@ def reference_verify(d: Decomposition) -> VerificationReport:
     n, r = d.ground.n, d.ground.r
     total = binomial(n, r)
     census = sum(p.edge_count for p in d.pieces)
-    problem = reference_structural_problem(d)
+    problem = reference_structural_problem(d.ground, d.pieces)
     if problem is not None:
         return VerificationReport(False, len(d.pieces), total, census, message=problem)
     coverage: Dict[tuple, List[int]] = {}
@@ -128,8 +132,11 @@ CONSTRUCTIONS = [
 ]
 
 
+PieceList = Tuple[GroundSet, Tuple[RPartiteGraph, ...]]
+
+
 @st.composite
-def random_piece_sets(draw) -> Decomposition:
+def random_piece_sets(draw) -> PieceList:
     """Pieces drawn from all candidates of (n, r), n <= 7, with repeats, plus
     at times a stray piece with a vertex out of range or the wrong number of
     parts."""
@@ -139,7 +146,7 @@ def random_piece_sets(draw) -> Decomposition:
     pieces = draw(st.lists(st.sampled_from(pool), max_size=12))
     stray_r = draw(st.sampled_from([s for s in (r - 1, r, r + 1) if 1 <= s <= n + 1]))
     pieces += draw(st.lists(st.sampled_from(candidates(n + 1, stray_r)), max_size=1))
-    return Decomposition(GroundSet(n, r), tuple(draw(st.permutations(pieces))))
+    return GroundSet(n, r), tuple(draw(st.permutations(pieces)))
 
 
 def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
@@ -159,7 +166,7 @@ def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
 
 
 @st.composite
-def construction_mutants(draw) -> Decomposition:
+def construction_mutants(draw) -> PieceList:
     """A construction with up to two edits: delete, duplicate, move a vertex
     between parts of one piece, or relabel a vertex."""
     d = draw(st.sampled_from(CONSTRUCTIONS))
@@ -181,7 +188,7 @@ def construction_mutants(draw) -> Decomposition:
                 pieces[i] = _move(p, v, draw(st.integers(0, len(p.parts) - 1)))
             else:
                 pieces[i] = _relabel(p, v, draw(st.integers(-1, n + 1)))
-    return Decomposition(d.ground, tuple(pieces))
+    return d.ground, tuple(pieces)
 
 
 @st.composite
@@ -216,7 +223,14 @@ def block_sets(draw) -> BlockDecomposition:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(random_piece_sets(), construction_mutants()))
-def test_verifier_and_histogram_match_reference(d):
+def test_verifier_and_histogram_match_reference(drawn):
+    problem = reference_structural_problem(*drawn)
+    if problem is not None:
+        with pytest.raises(ValueError) as info:
+            Decomposition(*drawn)
+        assert str(info.value) == problem
+        return
+    d = Decomposition(*drawn)
     assert verify_decomposition(d) == reference_verify(d)
     assert coverage_histogram(d) == reference_histogram(d)
 
@@ -233,10 +247,11 @@ def test_relabel_then_move_reaches_both_oracles():
     d = construct_stars(5)
     p = _move(_relabel(d.pieces[2], 3, 1), 2, 1)
     assert p.parts == ((0, 1), (1, 2))
-    bad = Decomposition(d.ground, d.pieces[:2] + (p,) + d.pieces[3:])
-    assert verify_decomposition(bad) == reference_verify(bad)
-    assert not verify_decomposition(bad).valid
-    assert coverage_histogram(bad) == reference_histogram(bad)
+    pieces = d.pieces[:2] + (p,) + d.pieces[3:]
+    problem = reference_structural_problem(d.ground, pieces)
+    assert problem == "piece 2 has overlapping parts at vertex 1"
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        Decomposition(d.ground, pieces)
 
 
 def test_reference_accepts_every_construction():

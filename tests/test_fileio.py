@@ -64,6 +64,7 @@ def test_format_shape():
         "GPD 1\nn 3 r 2 pieces 1\n0 | 2,1\n",  # part not ascending
         "GPD 1\nn 3 r 2 pieces 1\n0 | 1,1\n",  # repeat within a part
         "GPD 1\nn 3 r 2 pieces 1\n0 | 0,1\n",  # overlapping parts
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 1 | 2\n",  # r + 1 parts
         "GPD 1\nn three r 2 pieces 0\n",
         "GPD 1\nn 3 r 2 pieces\n",  # header without the piece count
         "GPD 1\nn 3 r 2 pieces -1",  # negative count, no body

@@ -46,11 +46,12 @@ def test_duplicated_piece_reports_double_cover():
 
 
 def test_structural_failures():
+    # Decomposition carries the piece rule: the verifier never sees these.
     g = GroundSet(4, 2)
-    wrong_r = Decomposition(g, (canonicalize([{0}, {1}, {2}]),))
-    assert not verify_decomposition(wrong_r).valid
-    out_of_range = Decomposition(g, (canonicalize([{0}, {5}]),))
-    assert not verify_decomposition(out_of_range).valid
+    with pytest.raises(ValueError, match=r"^piece 0 has 3 parts, expected 2$"):
+        Decomposition(g, (canonicalize([{0}, {1}, {2}]),))
+    with pytest.raises(ValueError, match=r"^piece 0 has out-of-range vertex 5$"):
+        Decomposition(g, (canonicalize([{0}, {5}]),))
 
 
 def test_report_carries_census():
@@ -59,10 +60,6 @@ def test_report_carries_census():
     dropped = dec.pieces[0]
     broken = Decomposition(dec.ground, dec.pieces[1:])
     assert verify_decomposition(broken).census == binomial(7, 4) - dropped.edge_count
-    g = GroundSet(4, 2)
-    structural = Decomposition(g, (canonicalize([{0}, {1}, {2, 3}]),))
-    report = verify_decomposition(structural)
-    assert not report.valid and report.census == 2
 
 
 def test_census_alone_is_not_trusted():
@@ -98,17 +95,19 @@ def test_histogram_empty_and_doubled():
     assert coverage_histogram(doubled) == {2: 6}
 
 
-def test_histogram_ignores_edges_outside_the_universe():
+def test_decomposition_rejects_stray_pieces():
+    # No edge outside the r-subsets of 0..n-1 ever reaches the histogram.
     g = GroundSet(4, 2)
-    stray = (canonicalize([{0}, {5}]), canonicalize([{0}, {1}, {2}]))
-    dec = Decomposition(g, construct_stars(4).pieces + stray)
-    assert coverage_histogram(dec) == {1: 6}
-    # Pieces built without canonicalize: a negative vertex, and overlapping
-    # parts whose repeated vertex must not alias another edge.
-    odd = (RPartiteGraph(((-1, 0), (1,))), RPartiteGraph(((0,), (0,), (2,))))
-    assert coverage_histogram(Decomposition(g, construct_stars(4).pieces + odd)) == {
-        1: 5, 2: 1
-    }
+    strays = [
+        (canonicalize([{0}, {5}]), "out-of-range vertex 5"),
+        (canonicalize([{0}, {1}, {2}]), "3 parts, expected 2"),
+        # Built without canonicalize: a negative vertex, and overlapping parts.
+        (RPartiteGraph(((-1, 0), (1,))), "out-of-range vertex -1"),
+        (RPartiteGraph(((0,), (0, 2))), "overlapping parts at vertex 0"),
+    ]
+    for stray, reason in strays:
+        with pytest.raises(ValueError, match=f"^piece 3 has {reason}$"):
+            Decomposition(g, construct_stars(4).pieces + (stray,))
 
 
 def test_report_agrees_with_histogram():
