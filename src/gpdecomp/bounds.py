@@ -11,7 +11,10 @@ The headline coefficient for odd uniformity r = 2d+1 is
 
 and the k-dependent correction is epsilon_k = d! * C' / k, where C' counts
 the partitions of r into at most d-1 positive parts with exactly one odd
-part.  The least d with coefficient < 1 is 147 (uniformity 295).
+part.  C' is the sum of one table of partitions into at most d-2 parts,
+``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, so it costs O(r*d) and
+reaches d in the thousands.  The least d with coefficient < 1 is 147
+(uniformity 295).
 """
 
 from __future__ import annotations
@@ -43,36 +46,28 @@ class BoundReport:
     coefficient_below_one: bool
 
 
-def _partitions_at_most(n: int, k: int) -> int:
-    """Number of partitions of n into at most k positive parts."""
-    if n < 0 or k < 0:
-        return 0
-    # table[j] = partitions of j into at most the parts considered so far
-    table = [1] + [0] * n
-    for part in range(1, k + 1):
-        for j in range(part, n + 1):
-            table[j] += table[j - part]
-    return table[n]
-
-
 def count_c_prime(r: int, d: int) -> int:
     """Partitions of r into at most d-1 positive parts with exactly one odd
     part.
 
     With r odd such a partition splits uniquely into its single odd part o
-    and a partition of (r - o)/2 into at most d-2 parts (the halved even
-    parts), so the count is a sum of bounded partition numbers.  This stays
-    exact and fast at d around 150 where direct enumeration is hopeless."""
+    and a partition of j = (r - o)/2 into at most d-2 parts (the halved even
+    parts), and j runs over 0..(r-1)/2 as o runs over the odd numbers up to
+    r.  So ``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, read off one
+    bounded-partition table in O(r*d) big-integer additions.  An even r, an
+    r below 1 or a d below 2 gives 0."""
     if d < 1:
         raise ValueError("need d >= 1")
-    max_parts = d - 1
-    if max_parts < 1:
+    if d < 2 or r < 1 or r % 2 == 0:
         return 0
-    total = 0
-    for o in range(1, r + 1, 2):
-        if (r - o) % 2 == 0:
-            total += _partitions_at_most((r - o) // 2, max_parts - 1)
-    return total
+    half = (r - 1) // 2
+    # table[j] = partitions of j into parts of size at most `part` so far,
+    # which by conjugation is partitions of j into at most that many parts
+    table = [1] + [0] * half
+    for part in range(1, min(d - 2, half) + 1):
+        for j in range(part, half + 1):
+            table[j] += table[j - part]
+    return sum(table)
 
 
 def base_coefficient(d: int) -> Fraction:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from . import bounds as bounds_mod
 from .constructions import (
@@ -121,6 +122,26 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit (3.10.7 and later) while a bounds
+    report prints, then restore it.
+
+    The report prints exact values with thousands of digits, such as
+    epsilon_k = d!*C'/k from d of about 1550; the limit stays in force
+    everywhere else, so parsing untrusted text keeps its guard."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _print_report(rep: bounds_mod.BoundReport, porcelain: bool) -> None:
     coef = rep.theorem1_coefficient
     if porcelain:
@@ -178,7 +199,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         rep = bounds_mod.theorem1_coefficient(d, args.k)
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
-    _print_report(rep, args.porcelain)
+    with _exact_digits():
+        _print_report(rep, args.porcelain)
     return EXIT_OK
 
 

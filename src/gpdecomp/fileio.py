@@ -23,6 +23,10 @@ the two sides of each bipartite factor holding distinct vertices of 0..n-1,
 a rule that :class:`BlockDecomposition` itself enforces.  Both parsers report
 a constructor's refusal as a ParseError.
 
+In both formats every number, header values included, is spelled exactly as
+``str(v)`` of its value v; any other spelling (``02``, ``+2``, ``-0``,
+``1_0``, non-ASCII digits, a neighbouring space or CR) is a ParseError.
+
 Serializing the same object twice is byte-identical, and parsing a generated
 file then re-serializing reproduces it byte-for-byte.
 """
@@ -39,7 +43,27 @@ class ParseError(ValueError):
     """Malformed decomposition or block file."""
 
 
-def _read_header(text: str, magic: str, names: Tuple[str, ...]) -> Tuple[List[int], List[str]]:
+class _Tokens(dict):
+    """One file's table from a number token to its value.
+
+    A token is accepted only when it is ``str(v)`` of its value v, so each
+    number has exactly one spelling; ``int`` alone would also take ``02``,
+    ``+2``, `` 2``, ``1_0`` and non-ASCII digits.  A lookup of an unseen
+    token converts and caches it, so the table holds each distinct token of
+    the text once, and a bad token raises ValueError.  Read a chunk with
+    ``map(tokens.__getitem__, chunk.split(","))``.
+    """
+
+    def __missing__(self, token: str) -> int:
+        value = int(token)
+        if str(value) != token:
+            raise ValueError(f"{token!r} is not spelled as str(v)")
+        self[token] = value
+        return value
+
+
+def _read_header(text: str, magic: str, names: Tuple[str, ...],
+                 tokens: _Tokens) -> Tuple[List[int], List[str]]:
     """The values of the ``name value`` header and the body lines, after
     checking the magic, the header, the body line count and the trailing LF."""
     lines = text.split("\n")
@@ -51,7 +75,7 @@ def _read_header(text: str, magic: str, names: Tuple[str, ...]) -> Tuple[List[in
     if len(fields) != 2 * len(names) or tuple(fields[::2]) != names:
         raise ParseError(f"bad header {lines[1]!r}")
     try:
-        values = [int(v) for v in fields[1::2]]
+        values = list(map(tokens.__getitem__, fields[1::2]))
     except ValueError as exc:
         raise ParseError(f"bad header {lines[1]!r}") from exc
     body = lines[2:]
@@ -63,26 +87,28 @@ def _read_header(text: str, magic: str, names: Tuple[str, ...]) -> Tuple[List[in
 def serialize_decomposition(d: Decomposition) -> str:
     lines = ["GPD 1", f"n {d.ground.n} r {d.ground.r} pieces {len(d.pieces)}"]
     for p in d.pieces:
-        lines.append(" | ".join(",".join(str(v) for v in part) for part in p.parts))
+        lines.append(" | ".join(",".join(map(str, part)) for part in p.parts))
     return "\n".join(lines) + "\n"
 
 
-def _parse_parts(chunks: List[str]) -> Tuple[Tuple[int, ...], ...]:
+def _parse_parts(chunks: List[str], tokens: _Tokens) -> Tuple[Tuple[int, ...], ...]:
     """The comma-separated parts in ``chunks``."""
     parts = []
+    value = tokens.__getitem__
     for chunk in chunks:
         try:
-            parts.append(tuple(map(int, chunk.split(","))))
+            parts.append(tuple(map(value, chunk.split(","))))
         except ValueError as exc:
             raise ParseError(f"bad part {chunk!r}") from exc
     return tuple(parts)
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"))
+    tokens = _Tokens()
+    (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"), tokens)
     pieces: List[RPartiteGraph] = []
     for line in lines:
-        parts = _parse_parts(line.split(" | "))
+        parts = _parse_parts(line.split(" | "), tokens)
         # For disjoint parts, canonical iff sorting each, then all, changes
         # nothing; Decomposition rejects parts that are not disjoint.
         if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
@@ -95,7 +121,7 @@ def parse_decomposition(text: str) -> Decomposition:
 
 
 def _fmt_side(side: Tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in side)
+    return ",".join(map(str, side))
 
 
 def serialize_blocks(bd: BlockDecomposition) -> str:
@@ -108,21 +134,23 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bipartite(text: str) -> BipartiteGraph:
+def _parse_bipartite(text: str, tokens: _Tokens) -> BipartiteGraph:
     chunks = text.split(" ")
     if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
         raise ParseError(f"bad bipartite factor {text!r}")
-    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]]))
+    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]], tokens))
 
 
 def parse_blocks(text: str) -> BlockDecomposition:
-    (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"))
+    tokens = _Tokens()
+    (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)
     blocks: List[Block] = []
     for line in lines:
         halves = line.split(" ; ")
         if len(halves) != 2:
             raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(_parse_bipartite(halves[0]), _parse_bipartite(halves[1])))
+        blocks.append(Block(_parse_bipartite(halves[0], tokens),
+                            _parse_bipartite(halves[1], tokens)))
     try:
         return BlockDecomposition(n=n, blocks=tuple(blocks))
     except ValueError as exc:

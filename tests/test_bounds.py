@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -42,16 +43,65 @@ def naive_c_prime(r, d):
     )
 
 
+@lru_cache(maxsize=None)
+def reference_partitions_at_most(n, k):
+    """Partitions of n into at most k positive parts, by the recurrence
+    p(n, k) = p(n, k-1) + p(n-k, k): fewer than k parts, or exactly k parts
+    with one taken from each."""
+    if n < 0 or k < 0:
+        return 0
+    if n == 0:
+        return 1
+    if k == 0:
+        return 0
+    return reference_partitions_at_most(n, k - 1) + reference_partitions_at_most(n - k, k)
+
+
+def reference_c_prime(r, d):
+    """C' as a sum over the single odd part o: each o contributes the
+    partitions of (r - o)/2 into at most d-2 parts, one bounded partition
+    number per o, independent of count_c_prime's one table."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    max_parts = d - 1
+    if max_parts < 1:
+        return 0
+    total = 0
+    for o in range(1, r + 1, 2):
+        if (r - o) % 2 == 0:
+            total += reference_partitions_at_most((r - o) // 2, max_parts - 1)
+    return total
+
+
 def test_c_prime_examples():
     assert count_c_prime(5, 2) == 1
     assert count_c_prime(7, 3) == 4
     assert count_c_prime(3, 1) == 0
+    assert count_c_prime(295, 147) == 312222444906
 
 
 @pytest.mark.parametrize("d", range(1, 16))
 def test_c_prime_agrees_with_naive_enumerator(d):
     r = 2 * d + 1
     assert count_c_prime(r, d) == naive_c_prime(r, d)
+
+
+@pytest.mark.parametrize("d", range(-1, 71))
+def test_c_prime_agrees_with_reference_sum(d):
+    # Even r, r < 1 and d < 2 give 0 on both sides; d < 1 raises on both.
+    for r in range(-3, 151):
+        if d < 1:
+            with pytest.raises(ValueError, match="^need d >= 1$"):
+                reference_c_prime(r, d)
+            with pytest.raises(ValueError, match="^need d >= 1$"):
+                count_c_prime(r, d)
+        else:
+            assert count_c_prime(r, d) == reference_c_prime(r, d), (r, d)
+
+
+def test_c_prime_agrees_with_reference_sum_at_r_2d_plus_1():
+    for d in range(1, 201):
+        assert count_c_prime(2 * d + 1, d) == reference_c_prime(2 * d + 1, d), d
 
 
 def test_coefficient_d2():

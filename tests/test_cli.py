@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from gpdecomp import theorem1_coefficient
 from gpdecomp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -158,6 +161,62 @@ def test_bounds_r295(capsys):
     assert code == 0
     line = next(l for l in stdout.split("\n") if l.startswith("coefficient < 1"))
     assert line.endswith("yes")
+
+
+def exact_str(x):
+    """str(x) with Python's int-to-str digit limit lifted for the call."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str digit limit (4300) for one test, whatever
+    an earlier test left; None where Python has no limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield None
+        return
+    before = get_limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("d", [1546, 2000])
+def test_bounds_report_prints_past_the_digit_limit(capsys, default_digit_limit, d):
+    # From d = 1546 on epsilon_k = d!*C'/k has more than 4300 digits, past
+    # the default int-to-str limit; the report prints every row exactly and
+    # leaves the limit as it found it.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = default_digit_limit
+    rep = theorem1_coefficient(d, 10)
+    assert len(exact_str(rep.epsilon_k.numerator)) > 4300
+    code, stdout, err = run(capsys, "bounds", "--d", str(d), "--k", "10")
+    assert (code, err) == (0, "")
+    assert get_limit() == limit
+    rows = dict(line.split("  ", 1) for line in stdout.splitlines())
+    rows = {name.strip(): value.strip() for name, value in rows.items()}
+    assert len(rows) == 10
+    assert rows["C'"] == exact_str(rep.c_prime)
+    assert rows["epsilon_k = d!*C'/k"] == exact_str(rep.epsilon_k)
+    assert rows["alon lower coefficient"] == exact_str(rep.alon_lower_coefficient)
+    assert rows["coefficient"].startswith(exact_str(rep.theorem1_coefficient) + " ~= ")
+
+    code, stdout, err = run(capsys, "bounds", "--d", str(d), "--k", "10", "--porcelain")
+    assert (code, err) == (0, "")
+    assert get_limit() == limit
+    coef = rep.theorem1_coefficient
+    assert stdout == (f"coefficient_num={exact_str(coef.numerator)}\n"
+                      f"coefficient_den={exact_str(coef.denominator)}\n")
 
 
 def test_bounds_inconsistent_d_r(capsys):

@@ -68,6 +68,22 @@ def test_format_shape():
         "GPD 1\nn three r 2 pieces 0\n",
         "GPD 1\nn 3 r 2 pieces\n",  # header without the piece count
         "GPD 1\nn 3 r 2 pieces -1",  # negative count, no body
+        # A number is spelled only as str(v); int() alone accepts these.
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 02\n",
+        "GPD 1\nn 3 r 2 pieces 1\n0 | +2\n",
+        "GPD 1\nn 3 r 2 pieces 1\n0 |  2\n",
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 2 \n",
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 2\r\n",
+        "GPD 1\nn 3 r 2 pieces 1\n0 | 1,\u0662\n",
+        "GPD 1\nn 11 r 2 pieces 1\n0 | 1_0\n",
+        "GPD 1\nn 3 r 2 pieces 1\n-0 | 1\n",
+        "GPD 1\nn 03 r 2 pieces 1\n0 | 1\n",
+        "GPD 1\nn 3 r +2 pieces 1\n0 | 1\n",
+        "GPD 1\nn 3 r 2 pieces +1\n0 | 1\n",
+        "GPD 1\nn 3 r 2 pieces 01\n0 | 1\n",
+        "GPD 1\nn 3 r 2 pieces -0\n",
+        "GPD 1\nn \u0663 r 2 pieces 1\n0 | 1\n",
+        "GPD 1\nn 1_1 r 2 pieces 1\n0 | 1\n",
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -100,6 +116,16 @@ def test_block_round_trip():
         "GPB 1\nn 3 blocks 1\na:0 b:1 ; a:0 b:7\n",  # vertex >= n
         "GPB 1\nn 0 blocks 0\n",  # n < 1
         "GPB 1\nn 3 blocks -1",  # negative count, no body
+        # A number is spelled only as str(v); int() alone accepts these.
+        "GPB 1\nn 4 blocks 1\na:0 b:01 ; a:2 b:3\n",
+        "GPB 1\nn 4 blocks 1\na:0 b:+1 ; a:2 b:3\n",
+        "GPB 1\nn 4 blocks 1\na:0 b:1 ; a:-0 b:3\n",
+        "GPB 1\nn 4 blocks 1\na:0 b:1 ; a:2 b:3\r\n",
+        "GPB 1\nn 4 blocks 1\na:0 b:1,\u0662 ; a:2 b:3\n",
+        "GPB 1\nn 11 blocks 1\na:0 b:1_0 ; a:2 b:3\n",
+        "GPB 1\nn 04 blocks 1\na:0 b:1 ; a:2 b:3\n",
+        "GPB 1\nn 4 blocks +1\na:0 b:1 ; a:2 b:3\n",
+        "GPB 1\nn 4 blocks -0\n",
     ],
 )
 def test_parse_blocks_rejects_malformed(text):
@@ -151,3 +177,17 @@ def test_parsers_raise_only_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_parsers_accept_only_the_serialized_spelling(text):
+    # Whatever a parser accepts, the serializer writes back byte for byte,
+    # so every number, separator and line ending has one spelling.
+    for parse, serialize in ((parse_decomposition, serialize_decomposition),
+                             (parse_blocks, serialize_blocks)):
+        try:
+            back = parse(text)
+        except ParseError:
+            continue
+        assert serialize(back) == text
