@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -9,7 +10,8 @@ from gpdecomp import (
     solve_exact,
     verify_decomposition,
 )
-from gpdecomp.exact import CandidateCapError
+from gpdecomp.exact import DEADLINE_TICK, CandidateCapError
+from gpdecomp.fileio import serialize_decomposition
 
 
 def ordered_family_count(n, r):
@@ -98,6 +100,40 @@ def test_capped_interval_contains_known_value():
     assert res.nodes == 2001
     assert res.lower_bound <= 9 <= res.value
     assert res.witness.piece_count == res.value
+    assert verify_decomposition(res.witness).valid
+
+
+@pytest.mark.parametrize(
+    "n,r,lower,value,sha256",
+    [
+        (7, 4, 5, 10, "f8e7db658e698badcaee908fb6ec36eeee1d3a9f80c6cf045ec54efc47533a5b"),
+        (8, 3, 4, 6, "a70196c6f1746634313aaa2b80c687f91a505baa77d8f4fde364ccb90d08d448"),
+        (8, 4, 5, 15, "ad503b66d999532a1f1632b10c5a18f920234910b403e2e46cc6dadadb08722d"),
+    ],
+)
+def test_pinned_capped_search_order(n, r, lower, value, sha256):
+    # The benchmark's capped solves, pinned by nodes, interval and serialized
+    # witness.  At this budget the (7,4) and (8,4) witnesses are still the
+    # baseline seed; the (8,3) one is found by the search.
+    res = solve_exact(n, r, SearchBudget(max_nodes=100_000))
+    assert not res.optimal
+    assert res.nodes == 100_001
+    assert (res.lower_bound, res.value) == (lower, value)
+    text = serialize_decomposition(res.witness)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    assert verify_decomposition(res.witness).valid
+
+
+def test_wall_clock_deadline_stops_search():
+    # f_4(8) is far out of reach, so only the deadline or the node cap can
+    # end this search, and the deadline is read on tick boundaries only.
+    budget = SearchBudget(wall_clock_s=0.05)
+    res = solve_exact(8, 4, budget)
+    assert not res.optimal
+    assert res.nodes < budget.max_nodes
+    assert res.nodes % DEADLINE_TICK == 0
+    assert res.lower_bound <= 14
+    assert res.lower_bound <= res.value == res.witness.piece_count
     assert verify_decomposition(res.witness).valid
 
 
