@@ -29,6 +29,13 @@ from .constructions import ClassLayout, FamilyTally, theorem1_routes
 
 DENSITY_RATIO = Fraction(14, 15)
 DEFAULT_PRECISION = 40
+# The largest d the CLI evaluates without --allow-large.  The report's cost
+# grows about quadratically in d (C' alone is O(r*d) big-integer additions):
+# on a 2-core host with Python 3.11 it took 0.04 / 0.16 / 0.4 / 0.7-0.8 s at
+# d = 1000 / 2000 / 3000 / 4000, and 1.1 s at d = 5000, while a full scan
+# 1..4000 took 0.35 s.  Refusing above the cap keeps a mistyped d from
+# running for many minutes before it prints anything.
+SOFT_CAP_D = 4000
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        # newline="": the format allows LF only, so CR bytes reach the parser.
+        with open(args.path, encoding="utf-8", newline="") as fh:
             dec = parse_decomposition(fh.read())
     except OSError as exc:
         return _fail(str(exc), EXIT_PARSE)
@@ -166,6 +167,11 @@ def _print_report(rep: bounds_mod.BoundReport, porcelain: bool) -> None:
         print(f"{name:<{width}}  {value}")
 
 
+def _over_cap(label: str, d: int) -> str:
+    return (f"{label}={d} exceeds soft cap {bounds_mod.SOFT_CAP_D} "
+            "(pass --allow-large to run it anyway)")
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.scan_range:
         try:
@@ -174,6 +180,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             return _fail("scan-range must look like 140:160", EXIT_BAD_ARGS)
         if not 1 <= lo <= hi:
             return _fail("scan-range needs 1 <= LO <= HI", EXIT_BAD_ARGS)
+        if hi > bounds_mod.SOFT_CAP_D and not args.allow_large:
+            return _fail(_over_cap("scan-range HI", hi), EXIT_BAD_ARGS)
         td = bounds_mod.threshold_d()
         if args.porcelain:
             print(f"threshold_d={td}")
@@ -195,6 +203,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.r % 2 == 0 or args.r < 3:
             return _fail("--r must be odd and >= 3 (or give --d)", EXIT_BAD_ARGS)
         d = (args.r - 1) // 2
+    if d > bounds_mod.SOFT_CAP_D and not args.allow_large:
+        return _fail(_over_cap("d", d), EXIT_BAD_ARGS)
     try:
         rep = bounds_mod.theorem1_coefficient(d, args.k)
     except ValueError as exc:
@@ -245,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--scan-range", default=None, metavar="LO:HI",
                    help="print the coefficient over a range of d and the threshold")
+    p.add_argument("--allow-large", action="store_true",
+                   help="override the soft cap on d (and on HI of --scan-range)")
     p.add_argument("--porcelain", action="store_true")
     p.set_defaults(func=cmd_bounds)
     return parser

@@ -20,7 +20,10 @@ Defaults are the baseline and the trivial (n-1)^2 blocks.
 
 Every construction builds its pieces in canonical form directly, without
 :func:`gpdecomp.core.canonicalize`: provider parts are sorted once, and
-verified factors sit on disjoint class ranges.
+verified factors sit on disjoint class ranges.  So the class-split and
+even-from-odd outputs, made only from checked pieces, are built with
+``Decomposition._from_checked`` and not checked again; the baseline goes
+through the public, checking constructor.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ def construct_theorem1_detailed(
     for rt, got in zip(routes, _route_pieces(layout, routes, sub_provider, block_provider)):
         counts[rt.family] += len(got)
         pieces.extend(got)
-    dec = Decomposition(GroundSet(layout.total, r), tuple(pieces))
+    dec = Decomposition._from_checked(GroundSet(layout.total, r), tuple(pieces))
     return dec, FamilyTally(**counts)
 
 
@@ -337,7 +340,7 @@ def construct_even_from_odd(
     # parts inside 0..n-1, and only the derived coverage is left to verify.
     _check_output(call, (odd.ground.n, odd.ground.r), want, "")
     v = n
-    derived = Decomposition(ground, tuple(
+    derived = Decomposition._from_checked(ground, tuple(
         RPartiteGraph(_sorted_parts(part for part in p.parts if v not in part))
         for p in odd.pieces if any(v in part for part in p.parts)
     ))

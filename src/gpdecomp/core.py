@@ -4,8 +4,13 @@ Vertices are 0-based integers.  A piece (complete r-partite r-graph) is an
 unordered family of r pairwise-disjoint nonempty vertex sets; its edge set is
 all r-sets taking exactly one vertex per part.  Pieces are stored in a
 canonical form so that equality and serialization are deterministic.
-:func:`piece_problem` is the one piece rule; :class:`Decomposition` applies
-it to every piece when built, so no later check repeats it.
+:func:`piece_problem` is the one piece rule, checked once, where the data
+enters: the public :class:`Decomposition` constructor applies it to every
+piece, and ``parse_decomposition`` checks each line in its own pass.  Pieces
+derived from checked ones (the class-split and even-from-odd constructions)
+and parsed ones enter through one private constructor,
+``Decomposition._from_checked``, which names its callers; no later check
+repeats the rule.
 """
 
 from __future__ import annotations
@@ -41,10 +46,13 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class RPartiteGraph:
-    """Complete r-partite r-graph in canonical form.
+    """Complete r-partite r-graph in canonical form: each part ascending,
+    parts ordered by minimum element.
 
-    Build it with :func:`canonicalize`, or from parts already checked to be
-    canonical: each part ascending, parts ordered by minimum element.
+    Holds no check of its own.  The piece rule comes with the
+    :class:`Decomposition` it is put in; the constructions and the parser
+    build the canonical parts directly, and :func:`canonicalize` makes them
+    from any family of vertex sets.
     """
 
     parts: Tuple[Tuple[int, ...], ...]
@@ -64,7 +72,9 @@ class Decomposition:
 
     Carries the piece rule: every piece has ``ground.r`` parts passing
     :func:`piece_problem` over 0..n-1, or ValueError names the first piece
-    that does not.  Carries no partition claim; run the verifier for one.
+    that does not (:func:`piece_fault`).  The constructor checks it; only
+    :meth:`_from_checked` skips that, for pieces checked on the way in.
+    Carries no partition claim; run the verifier for one.
     """
 
     ground: GroundSet
@@ -73,15 +83,42 @@ class Decomposition:
     def __post_init__(self) -> None:
         n, r = self.ground.n, self.ground.r
         for i, p in enumerate(self.pieces):
-            if len(p.parts) != r:
-                raise ValueError(f"piece {i} has {len(p.parts)} parts, expected {r}")
-            problem = piece_problem(p.parts, n)
-            if problem is not None:
-                raise ValueError(f"piece {i} has {problem}")
+            fault = piece_fault(i, p.parts, n, r)
+            if fault is not None:
+                raise ValueError(fault)
+
+    @classmethod
+    def _from_checked(cls, ground: GroundSet,
+                      pieces: Tuple[RPartiteGraph, ...]) -> "Decomposition":
+        """A Decomposition of pieces already known to pass the piece rule
+        for ``ground``, built without walking them again.  Its callers, each
+        with its reason:
+
+        * :func:`gpdecomp.fileio.parse_decomposition`, after its own pass
+          has checked every line;
+        * :func:`gpdecomp.constructions.construct_theorem1_detailed`, whose
+          factors are verified and placed on disjoint class ranges;
+        * :func:`gpdecomp.constructions.construct_even_from_odd`, whose
+          source pieces are checked for ``(n+1, r+1)``.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "ground", ground)
+        object.__setattr__(d, "pieces", pieces)
+        return d
 
     @property
     def piece_count(self) -> int:
         return len(self.pieces)
+
+
+def piece_fault(i: int, parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[str]:
+    """Why :class:`Decomposition` over ``GroundSet(n, r)`` refuses ``parts``
+    as its piece ``i``: not r parts, or failing :func:`piece_problem` over
+    0..n-1; or None."""
+    if len(parts) != r:
+        return f"piece {i} has {len(parts)} parts, expected {r}"
+    problem = piece_problem(parts, n)
+    return None if problem is None else f"piece {i} has {problem}"
 
 
 def piece_problem(parts: Sequence[Sequence[int]], n: int | None = None) -> Optional[str]:

@@ -9,8 +9,12 @@ Decomposition files (magic ``GPD 1``)::
 
 one piece per line, exactly r parts joined by `` | ``, vertices
 comma-separated ascending, parts in canonical order, LF line endings,
-trailing LF.  The parts of a piece are disjoint and inside 0..n-1, a rule
-that :class:`Decomposition` itself enforces along with the part count.
+trailing LF.  The parts of a piece are disjoint and inside 0..n-1.
+:func:`parse_decomposition` checks all of this in one pass, through a table
+per file that converts and checks each distinct part string once, so a line
+costs r lookups and a few integer tests; it reports the first faulty piece in
+:class:`Decomposition`'s own words and builds the result without a second
+check.  :func:`serialize_decomposition` likewise joins each distinct part once.
 
 Block files (magic ``GPB 1``)::
 
@@ -20,8 +24,8 @@ Block files (magic ``GPB 1``)::
     ...
 
 the two sides of each bipartite factor holding distinct vertices of 0..n-1,
-a rule that :class:`BlockDecomposition` itself enforces.  Both parsers report
-a constructor's refusal as a ParseError.
+a rule that :class:`BlockDecomposition` itself enforces; the block parser
+reports its refusal as a ParseError.
 
 In both formats every number, header values included, is spelled exactly as
 ``str(v)`` of its value v; any other spelling (``02``, ``+2``, ``-0``,
@@ -33,10 +37,12 @@ file then re-serializing reproduces it byte-for-byte.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import List, Tuple
 
 from .blocks import BipartiteGraph, Block, BlockDecomposition
-from .core import Decomposition, GroundSet, RPartiteGraph
+from .core import Decomposition, GroundSet, RPartiteGraph, piece_fault
 
 
 class ParseError(ValueError):
@@ -84,10 +90,19 @@ def _read_header(text: str, magic: str, names: Tuple[str, ...],
     return values, body[:-1]
 
 
+class _Joined(dict):
+    """One serialization's table from a part to its text, so each distinct
+    part is joined once however many pieces share it."""
+
+    def __missing__(self, part: Tuple[int, ...]) -> str:
+        text = self[part] = ",".join(map(str, part))
+        return text
+
+
 def serialize_decomposition(d: Decomposition) -> str:
     lines = ["GPD 1", f"n {d.ground.n} r {d.ground.r} pieces {len(d.pieces)}"]
-    for p in d.pieces:
-        lines.append(" | ".join(",".join(map(str, part)) for part in p.parts))
+    text = _Joined().__getitem__
+    lines += [" | ".join(map(text, p.parts)) for p in d.pieces]
     return "\n".join(lines) + "\n"
 
 
@@ -103,21 +118,89 @@ def _parse_parts(chunks: List[str], tokens: _Tokens) -> Tuple[Tuple[int, ...], .
     return tuple(parts)
 
 
+# A part mask has bit v % _MASK_BITS for each vertex v, so it stays small
+# whatever n the header names; vertices of honest files (n far below this
+# width) never share a bit.
+_MASK_BITS = 1024
+_BIT = (1).__lshift__
+_WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
+
+
+class _Parts(dict):
+    """One GPD file's table from a part string (the text between `` | ``) to
+    ``(vertices, mask)``, so each distinct part is converted and checked once
+    however many lines repeat it.
+
+    ``mask`` is positive, with bit ``v % 1024`` for each vertex v, when the
+    vertices ascend strictly inside 0..n-1 and no two share a bit; 0 when
+    they do not decrease but leave 0..n-1, repeat a vertex or share a bit;
+    and -1 when they decrease somewhere, so the line is not canonical.  A
+    lookup of a part with a bad token raises ParseError naming the part.
+    """
+
+    def __init__(self, n: int, tokens: _Tokens) -> None:
+        super().__init__()
+        self.n = n
+        self.value = tokens.__getitem__
+
+    def __missing__(self, chunk: str) -> Tuple[Tuple[int, ...], int]:
+        n = self.n
+        try:
+            if "," not in chunk:  # most parts of small files: one vertex
+                v = self.value(chunk)
+                entry = self[chunk] = (v,), (_BIT(_WRAP(v)) if 0 <= v < n else 0)
+                return entry
+            part = tuple(map(self.value, chunk.split(",")))
+        except ValueError as exc:
+            raise ParseError(f"bad part {chunk!r}") from exc
+        if sorted(part) != list(part):
+            mask = -1
+        elif part[0] < 0 or part[-1] >= n:
+            mask = 0
+        else:
+            mask = sum(map(_BIT, map(_WRAP, part)))
+            if mask.bit_count() < len(part):  # a carry: two vertices share a bit
+                mask = 0
+        entry = self[chunk] = part, mask
+        return entry
+
+
 def parse_decomposition(text: str) -> Decomposition:
+    """The decomposition in a GPD file, in one pass over its lines.
+
+    Faults are reported in a fixed order: the first line with a bad part
+    (the first bad part within it) or not in canonical order; else a header
+    that is no ground set; else the first piece without r parts passing the
+    piece rule, in :class:`Decomposition`'s words.  Each line costs r table
+    lookups, an order test on its parts and a disjointness test on their
+    masks; only a piece the masks cannot vouch for (a faulty one, or, for
+    n above 1024, one with vertices 1024 apart) is walked with
+    :func:`~gpdecomp.core.piece_problem`.
+    """
     tokens = _Tokens()
     (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"), tokens)
+    lookup = _Parts(n, tokens).__getitem__
     pieces: List[RPartiteGraph] = []
-    for line in lines:
-        parts = _parse_parts(line.split(" | "), tokens)
-        # For disjoint parts, canonical iff sorting each, then all, changes
-        # nothing; Decomposition rejects parts that are not disjoint.
-        if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
+    fault = None  # the first faulty piece's message; line and ground-set faults win
+    for i, line in enumerate(lines):
+        parts, masks = zip(*map(lookup, line.split(" | ")))
+        low = min(masks)
+        # Canonical iff no part decreases and the parts ascend as tuples.
+        if low < 0 or parts != tuple(sorted(parts)):
             raise ParseError(f"piece line not in canonical form: {line!r}")
+        # Parts whose masks add up without a carry share no vertex; any other
+        # piece (a fault, or vertices 1024 apart) is checked exactly.
+        if fault is None and (low == 0 or len(parts) != r
+                              or sum(masks) != reduce(or_, masks)):
+            fault = piece_fault(i, parts, n, r)
         pieces.append(RPartiteGraph(parts))
     try:
-        return Decomposition(GroundSet(n, r), tuple(pieces))
+        ground = GroundSet(n, r)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    if fault is not None:
+        raise ParseError(fault)
+    return Decomposition._from_checked(ground, tuple(pieces))
 
 
 def _fmt_side(side: Tuple[int, ...]) -> str:

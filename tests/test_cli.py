@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gpdecomp import theorem1_coefficient
+from gpdecomp import bounds as bounds_mod, theorem1_coefficient
 from gpdecomp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -252,6 +252,54 @@ def test_verify_non_utf8_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr-only"])
+def test_verify_reads_line_endings_unchanged(tmp_path, capsys, ending):
+    # The format allows LF only; a copy with other line endings must reach
+    # the parser as it is and fail there, not be read as universal newlines.
+    out = tmp_path / "dec.gpd"
+    run(capsys, "construct", "--method", "baseline", "--n", "5", "--r", "3", "--out", str(out))
+    copy = tmp_path / "copy.gpd"
+    copy.write_bytes(out.read_bytes().replace(b"\n", ending.encode()))
+    code, stdout, err = run(capsys, "verify", str(copy), "--porcelain")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: parse error: missing GPD 1 magic line\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the computation started")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "100000"],
+    ["--d", "4001", "--k", "10", "--porcelain"],
+    ["--r", "8003"],
+    ["--scan-range", "1:4001"],
+    ["--scan-range", "100000:100000", "--porcelain"],
+], ids=["d", "d-porcelain", "r", "scan", "scan-porcelain"])
+def test_bounds_refuses_over_cap_up_front(capsys, monkeypatch, argv):
+    assert bounds_mod.SOFT_CAP_D == 4000
+    for name in ("theorem1_coefficient", "count_c_prime", "base_coefficient", "threshold_d"):
+        monkeypatch.setattr(bounds_mod, name, _refuse)
+    code, stdout, err = run(capsys, "bounds", *argv)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and "exceeds soft cap 4000" in err and "--allow-large" in err
+
+
+def test_bounds_allow_large_lifts_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(bounds_mod, "SOFT_CAP_D", 2)
+    assert run(capsys, "bounds", "--d", "3", "--porcelain")[0] == 3
+    assert run(capsys, "bounds", "--scan-range", "2:3")[0] == 3
+    code, stdout, _ = run(capsys, "bounds", "--d", "3", "--porcelain", "--allow-large")
+    assert code == 0 and stdout.startswith("coefficient_num=")
+    code, stdout, _ = run(capsys, "bounds", "--scan-range", "2:3", "--allow-large")
+    assert code == 0 and stdout.startswith("d=2 ")
+    # At the cap itself nothing is refused.
+    assert run(capsys, "bounds", "--d", "2", "--porcelain")[0] == 0
+    assert run(capsys, "bounds", "--scan-range", "1:2", "--porcelain")[0] == 0
 
 
 def test_bounds_scan_rejects_d_below_one(capsys):

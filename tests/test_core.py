@@ -8,9 +8,16 @@ from gpdecomp import (
     Decomposition,
     GroundSet,
     InvalidPieceError,
+    ParseError,
     binomial,
     canonicalize,
+    construct_baseline,
+    construct_even_from_odd,
+    construct_theorem1,
+    construct_trivial_blocks,
+    parse_decomposition,
 )
+from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
 from gpdecomp.core import (
     RPartiteGraph,
     edge_masks,
@@ -177,3 +184,50 @@ def test_first_miscovered():
     assert first_miscovered(universe + [0b110], universe, 6) == (0b110, 2)
     # the census matches but a mask repeats in place of another
     assert first_miscovered(universe[:-1] + [0b101], universe, 6) == (0b101, 2)
+
+
+# One bad piece planted through every public way a piece can enter, each
+# refusing it in the same words.  The constructions build their outputs
+# with a private constructor that does not check again, so a provider's
+# output must have been checked on its way in.
+PLANTED = [
+    # (parts of piece 1 over K_3^(3), the problem, a bad bipartite factor or None)
+    (((0,), (0, 1), (2,)), "overlapping parts at vertex 0", ((0,), (0, 1))),
+    (((0,), (1, 1), (2,)), "overlapping parts at vertex 1", ((0,), (1, 1))),
+    (((0,), (1,), (3,)), "out-of-range vertex 3", ((0,), (3,))),
+    (((-1,), (0,), (1,)), "out-of-range vertex -1", ((-1,), (0,))),
+    (((0,), (1, 2)), "2 parts, expected 3", None),
+]
+
+
+@pytest.mark.parametrize("parts,problem,factor", PLANTED,
+                         ids=["overlap", "repeat", "above-n", "negative", "part-count"])
+def test_bad_piece_is_refused_through_every_path(parts, problem, factor):
+    good = ((0,), (1,), (2,))
+    message = f"piece 1 has {problem}"
+
+    def planted(m=3, s=3):
+        assert (m, s) == (3, 3)
+        return Decomposition(GroundSet(3, 3), (RPartiteGraph(good), RPartiteGraph(parts)))
+
+    text = "GPD 1\nn 3 r 3 pieces 2\n0 | 1 | 2\n" + " | ".join(
+        ",".join(map(str, part)) for part in parts) + "\n"
+    paths = [
+        (ValueError, planted),
+        (ParseError, lambda: parse_decomposition(text)),
+        # construct_theorem1(3, 3, 5) asks for K_3^(3) on each class...
+        (ValueError, lambda: construct_theorem1(3, 3, 5, sub_provider=lambda m, s: (
+            planted(m, s) if s == 3 else construct_baseline(m, s)))),
+        # ...and construct_even_from_odd(2, 2) derives K_2^(2) from K_3^(3).
+        (ValueError, lambda: construct_even_from_odd(2, 2, odd_provider=planted)),
+    ]
+    for error, call in paths:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    if factor is not None:
+        stray = Block(BipartiteGraph(*factor), BipartiteGraph((0,), (1,)))
+        with pytest.raises(ValueError) as info:
+            construct_theorem1(3, 3, 5, block_provider=lambda m: BlockDecomposition(
+                m, construct_trivial_blocks(m).blocks + (stray,)))
+        assert str(info.value) == problem

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +91,21 @@ def test_format_shape():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_decomposition(text)
+
+
+def test_parse_memory_does_not_grow_with_the_header_n():
+    # A part's mask has one bit per vertex modulo 1024, so vertices near a
+    # huge n cost no more than small ones (a bit per vertex value would take
+    # 12.5 MB per part here).
+    text = "GPD 1\nn 100000000 r 2 pieces 2\n0 | 99999999\n1,99999998 | 2\n"
+    tracemalloc.start()
+    try:
+        d = parse_decomposition(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.pieces[1].parts == ((1, 99999998), (2,))
+    assert peak < 2**20
 
 
 def test_block_round_trip():
