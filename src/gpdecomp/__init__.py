@@ -20,7 +20,6 @@ from .bounds import (
     corollary2_value,
     count_c_prime,
     predicted_family_tallies,
-    predicted_theorem1_count,
     theorem1_coefficient,
     threshold_d,
 )
@@ -30,19 +29,15 @@ from .constructions import (
     Signature,
     construct_baseline,
     construct_even_from_odd,
-    construct_stars,
     construct_theorem1,
     construct_theorem1_detailed,
-    decompose_signature,
     enumerate_signatures,
 )
 from .core import (
     Decomposition,
     GroundSet,
-    InvalidPieceError,
     RPartiteGraph,
     binomial,
-    canonicalize,
 )
 from .exact import ExactResult, SearchBudget, enumerate_candidate_pieces, solve_exact
 from .fileio import (

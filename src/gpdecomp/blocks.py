@@ -34,10 +34,6 @@ class BipartiteGraph:
     side_a: Tuple[int, ...]
     side_b: Tuple[int, ...]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.side_a) * len(self.side_b)
-
 
 @dataclass(frozen=True)
 class Block:
@@ -45,10 +41,6 @@ class Block:
 
     first: BipartiteGraph
     second: BipartiteGraph
-
-    @property
-    def pair_count(self) -> int:
-        return self.first.edge_count * self.second.edge_count
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything on the comparison path is a Fraction or a big integer; the only
 non-rational quantity is (14/15)**(r/4) for r not divisible by 4, which is
-evaluated with decimal arithmetic at a stated precision (default 40
-significant digits).
+evaluated with decimal arithmetic at a fixed precision of 40 significant
+digits (``DEFAULT_PRECISION``, stated in every report).
 
 The headline coefficient for odd uniformity r = 2d+1 is
 
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .constructions import ClassLayout, FamilyTally, theorem1_routes
 
@@ -82,12 +82,12 @@ def base_coefficient(d: int) -> Fraction:
     return DENSITY_RATIO ** (d // 2) + d * DENSITY_RATIO ** ((d - 1) // 2)
 
 
-def corollary2_value(r: int, precision: int = DEFAULT_PRECISION) -> Decimal:
-    """(r/2) * (14/15)**(r/4) at the given number of significant digits."""
+def corollary2_value(r: int) -> Decimal:
+    """(r/2) * (14/15)**(r/4) to DEFAULT_PRECISION significant digits."""
     if r < 2:
         raise ValueError("need r >= 2")
     with localcontext() as ctx:
-        ctx.prec = precision
+        ctx.prec = DEFAULT_PRECISION
         q = Decimal(14) / Decimal(15)
         return Decimal(r) / 2 * (q.ln() * Decimal(r) / 4).exp()
 
@@ -102,12 +102,19 @@ def corollary2_exact(r: int) -> Optional[Fraction]:
 def corollary2_below_one(r: int) -> bool:
     """Exact rational test of (r/2)*(14/15)**(r/4) < 1.
 
-    Compares fourth powers: r**4 * 14**r < 2**4 * 15**r."""
+    Compares fourth powers: r**4 * 14**r < 2**4 * 15**r.  Nothing in the
+    package calls it; it stays because it states the paper's Corollary 2
+    claim that the decay bound is below 1 from r = 295 on, which the
+    acceptance tests check exactly."""
     return r**4 * 14**r < 16 * 15**r
 
 
 def corollary2_decreasing_at(r: int) -> bool:
-    """Exact test that the bound strictly decreases from r to r+1."""
+    """Exact test that the bound strictly decreases from r to r+1.
+
+    Nothing in the package calls it; it stays because it states the paper's
+    Corollary 2 claim that the decay bound decreases, which the acceptance
+    tests check exactly."""
     # ((r+1)/r)**4 * (14/15) < 1  <=>  14*(r+1)**4 < 15*r**4
     return 14 * (r + 1) ** 4 < 15 * r**4
 
@@ -122,7 +129,7 @@ def alon_lower_coefficient(r: int) -> Fraction:
     return Fraction(2, comb(2 * h, h))
 
 
-def theorem1_coefficient(d: int, k: int, precision: int = DEFAULT_PRECISION) -> BoundReport:
+def theorem1_coefficient(d: int, k: int) -> BoundReport:
     """Full bound report for uniformity r = 2d+1 split into k classes."""
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
@@ -137,19 +144,20 @@ def theorem1_coefficient(d: int, k: int, precision: int = DEFAULT_PRECISION) -> 
         epsilon_k=Fraction(factorial(d) * cp, k),
         c_prime=cp,
         alon_lower_coefficient=alon_lower_coefficient(r),
-        corollary2_value=corollary2_value(r, precision),
+        corollary2_value=corollary2_value(r),
         corollary2_exact=corollary2_exact(r),
-        precision_digits=precision,
+        precision_digits=DEFAULT_PRECISION,
         coefficient_below_one=coef < 1,
     )
 
 
-def threshold_d(limit: int = 1000) -> int:
-    """Least d with base_coefficient(d) < 1, by exact rational comparison."""
-    for d in range(1, limit + 1):
-        if base_coefficient(d) < 1:
-            return d
-    raise RuntimeError(f"no threshold found up to d={limit}")
+def threshold_d() -> int:
+    """Least d with base_coefficient(d) < 1, by exact rational comparison
+    (147: the search ends there)."""
+    d = 1
+    while base_coefficient(d) >= 1:
+        d += 1
+    return d
 
 
 def predicted_family_tallies(
@@ -172,29 +180,3 @@ def predicted_family_tallies(
         )
     return tallies
 
-
-def predicted_theorem1_count(
-    n: int,
-    k: int,
-    d: int,
-    block_count_fn: Callable[[int], int] = lambda n: (n - 1) ** 2,
-) -> Tuple[int, int]:
-    """(exact construction piece count, looser case-split bookkeeping bound).
-
-    The first number replicates the construction's own counting.  The second
-    evaluates the coarse per-case bound with g = block_count_fn(n) and with
-    the unnamed constant term replaced by the exact generic-family tally, so
-    exact <= bookkeeping always holds."""
-    r = 2 * d + 1
-    tallies = predicted_family_tallies(n, k, d, block_count_fn)
-    exact = sum(tallies.values())
-    g = block_count_fn(n)
-    cp = count_c_prime(r, d)
-    if d % 2 == 0:
-        main = comb(k, d) * g ** (d // 2)
-        second = d * comb(k, d) * n**2 * g ** ((d - 2) // 2)
-    else:
-        main = comb(k, d) * n * g ** ((d - 1) // 2)
-        second = d * comb(k, d) * n * g ** ((d - 1) // 2)
-    bookkeeping = main + second + cp * k ** (d - 1) * n**d + tallies["generic"]
-    return exact, bookkeeping

@@ -17,7 +17,6 @@ from . import bounds as bounds_mod
 from .constructions import (
     construct_baseline,
     construct_even_from_odd,
-    construct_stars,
     construct_theorem1_detailed,
 )
 from .core import Decomposition
@@ -49,7 +48,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.method == "stars":
             if r is not None and r != 2:
                 return _fail("stars implies r=2", EXIT_BAD_ARGS)
-            dec = construct_stars(n)
+            dec = construct_baseline(n, 2)
         elif args.method == "baseline":
             if r is None:
                 return _fail("baseline requires --r", EXIT_BAD_ARGS)

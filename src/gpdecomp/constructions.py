@@ -18,12 +18,12 @@ verified when it is called (an ``odd_provider`` output through the
 decomposition derived from it), and one that is not raises ValueError.
 Defaults are the baseline and the trivial (n-1)^2 blocks.
 
-Every construction builds its pieces in canonical form directly, without
-:func:`gpdecomp.core.canonicalize`: provider parts are sorted once, and
-verified factors sit on disjoint class ranges.  So the class-split and
-even-from-odd outputs, made only from checked pieces, are built with
-``Decomposition._from_checked`` and not checked again; the baseline goes
-through the public, checking constructor.
+Every construction builds its pieces in canonical form directly: provider
+parts are sorted once, and verified factors sit on disjoint class ranges.
+So the class-split and even-from-odd outputs, made only from checked pieces,
+are built with ``Decomposition._from_checked`` and not checked again; the
+baseline goes through the public, checking constructor.  The n-1 star pieces
+of K_n are ``construct_baseline(n, 2)``.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ def construct_baseline(n: int, r: int) -> Decomposition:
         if ok:
             pieces.append(RPartiteGraph(tuple(parts)))
     return Decomposition(ground, tuple(pieces))
-
-
-def construct_stars(n: int) -> Decomposition:
-    """The n-1 star pieces partitioning E(K_n)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return construct_baseline(n, 2)
 
 
 def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
@@ -264,22 +257,6 @@ def _route_pieces(
         factors = [pair_factors[p] for p in rt.pairs] + [single_factors[cs] for cs in rt.singles]
         tail = (rt.complement,) if rt.complement else ()
         yield [RPartiteGraph(tuple(sorted(chain(*combo, tail)))) for combo in product(*factors)]
-
-
-def decompose_signature(
-    layout: ClassLayout,
-    sig: Signature,
-    sub_provider: SubProvider = construct_baseline,
-    block_provider: BlockProvider = construct_trivial_blocks,
-) -> List[RPartiteGraph]:
-    """Pieces partitioning the edges with the given intersection profile,
-    built along :func:`route_signature`.  An all-2s profile (the d 2-classes
-    of a 2+...+2+1 profile with the lone 1 omitted) covers every placement of
-    the extra vertex."""
-    route = route_signature(layout, sig)
-    if route is None:
-        return []
-    return next(_route_pieces(layout, [route], sub_provider, block_provider))
 
 
 def construct_theorem1_detailed(

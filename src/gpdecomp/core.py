@@ -24,10 +24,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 Edge = Tuple[int, ...]
 
 
-class InvalidPieceError(ValueError):
-    """Raised when a family of parts cannot form a valid piece."""
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Complete r-uniform hypergraph on vertices 0..n-1."""
@@ -39,10 +35,6 @@ class GroundSet:
         if not (1 <= self.r <= self.n):
             raise ValueError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
 
-    @property
-    def edge_count(self) -> int:
-        return binomial(self.n, self.r)
-
 
 @dataclass(frozen=True)
 class RPartiteGraph:
@@ -51,19 +43,10 @@ class RPartiteGraph:
 
     Holds no check of its own.  The piece rule comes with the
     :class:`Decomposition` it is put in; the constructions and the parser
-    build the canonical parts directly, and :func:`canonicalize` makes them
-    from any family of vertex sets.
+    build the canonical parts directly.
     """
 
     parts: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
-
-    @property
-    def edge_count(self) -> int:
-        return math.prod(len(p) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -136,23 +119,6 @@ def piece_problem(parts: Sequence[Sequence[int]], n: int | None = None) -> Optio
                 return f"overlapping parts at vertex {v}"
             seen.add(v)
     return None
-
-
-def canonicalize(parts: Iterable[Iterable[int]], n: int | None = None) -> RPartiteGraph:
-    """Canonical form of an unordered family of disjoint vertex sets.
-
-    Idempotent and invariant under permutation of the input family.  Repeats
-    within a part are merged; then empty families and every family failing
-    :func:`piece_problem` are rejected.
-    """
-    norm = [tuple(sorted(set(p))) for p in parts]
-    if not norm:
-        raise InvalidPieceError("piece needs at least one part")
-    problem = piece_problem(norm, n)
-    if problem is not None:
-        raise InvalidPieceError(problem)
-    norm.sort(key=lambda p: p[0])
-    return RPartiteGraph(tuple(norm))
 
 
 def edge_masks(piece: RPartiteGraph) -> Iterator[int]:

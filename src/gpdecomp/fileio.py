@@ -91,8 +91,8 @@ def _read_header(text: str, magic: str, names: Tuple[str, ...],
 
 
 class _Joined(dict):
-    """One serialization's table from a part to its text, so each distinct
-    part is joined once however many pieces share it."""
+    """One serialization's table from a part (or block side) to its text,
+    so each distinct part is joined once however many lines share it."""
 
     def __missing__(self, part: Tuple[int, ...]) -> str:
         text = self[part] = ",".join(map(str, part))
@@ -104,18 +104,6 @@ def serialize_decomposition(d: Decomposition) -> str:
     text = _Joined().__getitem__
     lines += [" | ".join(map(text, p.parts)) for p in d.pieces]
     return "\n".join(lines) + "\n"
-
-
-def _parse_parts(chunks: List[str], tokens: _Tokens) -> Tuple[Tuple[int, ...], ...]:
-    """The comma-separated parts in ``chunks``."""
-    parts = []
-    value = tokens.__getitem__
-    for chunk in chunks:
-        try:
-            parts.append(tuple(map(value, chunk.split(","))))
-        except ValueError as exc:
-            raise ParseError(f"bad part {chunk!r}") from exc
-    return tuple(parts)
 
 
 # A part mask has bit v % _MASK_BITS for each vertex v, so it stays small
@@ -203,17 +191,11 @@ def parse_decomposition(text: str) -> Decomposition:
     return Decomposition._from_checked(ground, tuple(pieces))
 
 
-def _fmt_side(side: Tuple[int, ...]) -> str:
-    return ",".join(map(str, side))
-
-
 def serialize_blocks(bd: BlockDecomposition) -> str:
     lines = ["GPB 1", f"n {bd.n} blocks {len(bd.blocks)}"]
-    for blk in bd.blocks:
-        lines.append(
-            f"a:{_fmt_side(blk.first.side_a)} b:{_fmt_side(blk.first.side_b)}"
-            f" ; a:{_fmt_side(blk.second.side_a)} b:{_fmt_side(blk.second.side_b)}"
-        )
+    text = _Joined().__getitem__
+    lines += [f"a:{text(blk.first.side_a)} b:{text(blk.first.side_b)}"
+              f" ; a:{text(blk.second.side_a)} b:{text(blk.second.side_b)}" for blk in bd.blocks]
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +203,13 @@ def _parse_bipartite(text: str, tokens: _Tokens) -> BipartiteGraph:
     chunks = text.split(" ")
     if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
         raise ParseError(f"bad bipartite factor {text!r}")
-    return BipartiteGraph(*_parse_parts([chunks[0][2:], chunks[1][2:]], tokens))
+    sides = []
+    for chunk in (chunks[0][2:], chunks[1][2:]):
+        try:
+            sides.append(tuple(map(tokens.__getitem__, chunk.split(","))))
+        except ValueError as exc:
+            raise ParseError(f"bad part {chunk!r}") from exc
+    return BipartiteGraph(*sides)
 
 
 def parse_blocks(text: str) -> BlockDecomposition:

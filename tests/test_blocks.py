@@ -24,7 +24,7 @@ def test_star_bipartite_n4():
         ((1,), (2, 3)),
         ((2,), (3,)),
     ]
-    assert sum(s.edge_count for s in stars) == 6
+    assert sum(len(s.side_a) * len(s.side_b) for s in stars) == 6
 
 
 def test_star_bipartite_n2():
@@ -132,7 +132,9 @@ def test_block_to_four_parts_count_preserved():
         prod = 1
         for p in parts:
             prod *= len(p)
-        assert prod == blk.pair_count
+        first, second = blk.first, blk.second
+        assert prod == (len(first.side_a) * len(first.side_b)
+                        * len(second.side_a) * len(second.side_b))
 
 
 def test_embedded_trivial_blocks_cover_pairs_as_4sets():

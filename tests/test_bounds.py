@@ -14,11 +14,10 @@ from gpdecomp import (
     corollary2_value,
     count_c_prime,
     predicted_family_tallies,
-    predicted_theorem1_count,
     theorem1_coefficient,
     threshold_d,
 )
-from gpdecomp.bounds import corollary2_decreasing_at
+from gpdecomp.bounds import DEFAULT_PRECISION, corollary2_decreasing_at
 
 
 def naive_partitions(total, max_part=None):
@@ -172,8 +171,10 @@ def test_corollary2_decay():
 
 
 def test_corollary2_precision_is_stated():
-    rep = theorem1_coefficient(3, 5, precision=35)
-    assert rep.precision_digits == 35
+    rep = theorem1_coefficient(3, 5)
+    assert rep.precision_digits == DEFAULT_PRECISION == 40
+    # 40 significant digits: 3.5 * (14/15)**1.75 = 3.0838...
+    assert len(rep.corollary2_value.as_tuple().digits) == 40
 
 
 @pytest.mark.parametrize(
@@ -189,12 +190,10 @@ def test_predicted_matches_construction(n, k, d):
     assert pred["paired_two_classes"] == tally.paired_two_classes
     assert pred["two_plus_three"] == tally.two_plus_three
     assert pred["generic"] == tally.generic
-    exact, bookkeeping = predicted_theorem1_count(n, k, d)
-    assert exact == dec.piece_count
-    assert exact <= bookkeeping
+    assert sum(pred.values()) == dec.piece_count
 
 
 def test_predicted_worked_example():
-    exact, bookkeeping = predicted_theorem1_count(3, 3, 2)
-    assert exact == 27
-    assert bookkeeping >= 27
+    pred = predicted_family_tallies(3, 3, 2)
+    assert pred == {"paired_two_classes": 12, "two_plus_three": 12, "generic": 3}
+    assert sum(pred.values()) == 27

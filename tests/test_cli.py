@@ -324,6 +324,20 @@ def test_construct_unwritable_out_is_bad_args(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_construct_stars_below_two_vertices_is_bad_args(tmp_path, n):
+    out = tmp_path / "s.gpd"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "gpdecomp", "construct", "--method", "stars", "--n", n,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"error: need 1 <= r <= n, got n={n}, r=2\n"
+    assert not out.exists()
+
+
 def test_exact_unwritable_out_is_bad_args(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "w.gpd"
     code, _, err = run(capsys, "exact", "--n", "4", "--r", "2", "--out", str(out))

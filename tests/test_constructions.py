@@ -11,11 +11,9 @@ from gpdecomp import (
     binomial,
     construct_baseline,
     construct_even_from_odd,
-    construct_stars,
     construct_theorem1,
     construct_theorem1_detailed,
     construct_trivial_blocks,
-    decompose_signature,
     enumerate_signatures,
     predicted_family_tallies,
     serialize_decomposition,
@@ -23,6 +21,7 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from gpdecomp.constructions import _route_pieces, route_signature
 from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
 
 
@@ -57,14 +56,17 @@ def test_baseline_rejects_bad_uniformity():
 
 
 def test_stars():
-    assert construct_stars(2).piece_count == 1
-    assert construct_stars(4).piece_count == 3
-    dec = construct_stars(50)
+    # At r = 2 the baseline is the n-1 stars ({0..a-1}, {a}).
+    assert construct_baseline(2, 2).piece_count == 1
+    assert construct_baseline(4, 2).piece_count == 3
+    dec = construct_baseline(50, 2)
     assert dec.piece_count == 49
     assert verify_decomposition(dec).valid
-    assert construct_stars(5) == construct_baseline(5, 2)
-    with pytest.raises(ValueError):
-        construct_stars(1)
+    assert [p.parts for p in construct_baseline(4, 2).pieces] == [
+        ((0,), (1,)), ((0, 1), (2,)), ((0, 1, 2), (3,))]
+    for n in (1, 0):
+        with pytest.raises(ValueError):
+            construct_baseline(n, 2)
 
 
 # -- signatures ---------------------------------------------------------
@@ -112,7 +114,14 @@ def test_signature_census_identity():
         assert total == binomial(k * n, r)
 
 
-# -- decompose_signature ------------------------------------------------
+# -- the pieces of one signature ---------------------------------------
+
+def signature_pieces(layout, sig):
+    """The pieces the class-split construction gives one profile's route,
+    with the default providers."""
+    routes = [route_signature(layout, sig)]
+    return next(_route_pieces(layout, routes, construct_baseline, construct_trivial_blocks))
+
 
 def edges_with_profile(layout, profile):
     """All r-sets whose intersection with class i has size profile.get(i, 0)."""
@@ -131,7 +140,7 @@ def edges_with_profile(layout, profile):
 def test_decompose_signature_paired_family_with_complement():
     layout = ClassLayout(k=3, n=3)
     sig = Signature.of({0: 2, 1: 2})  # the lone extra vertex lives elsewhere
-    pieces = decompose_signature(layout, sig)
+    pieces = signature_pieces(layout, sig)
     assert len(pieces) == 4
     comp = (6, 7, 8)
     covered = []
@@ -145,7 +154,7 @@ def test_decompose_signature_paired_family_with_complement():
 
 def test_decompose_signature_two_three():
     layout = ClassLayout(k=3, n=3)
-    pieces = decompose_signature(layout, Signature.of({0: 3, 1: 2}))
+    pieces = signature_pieces(layout, Signature.of({0: 3, 1: 2}))
     assert len(pieces) == 2
     covered = [e for p in pieces for e in piece_edges(p)]
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 2}))
@@ -154,7 +163,7 @@ def test_decompose_signature_two_three():
 
 def test_decompose_signature_generic():
     layout = ClassLayout(k=3, n=3)
-    pieces = decompose_signature(layout, Signature.of({0: 3, 1: 1, 2: 1}))
+    pieces = signature_pieces(layout, Signature.of({0: 3, 1: 1, 2: 1}))
     assert len(pieces) == 1
     covered = list(piece_edges(pieces[0]))
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 1, 2: 1}))
@@ -163,12 +172,12 @@ def test_decompose_signature_generic():
 
 def test_decompose_signature_vacuous_when_no_complement():
     layout = ClassLayout(k=2, n=3)
-    assert decompose_signature(layout, Signature.of({0: 2, 1: 2})) == []
+    assert route_signature(layout, Signature.of({0: 2, 1: 2})) is None
 
 
 def test_decompose_signature_rejects_oversized():
     with pytest.raises(ValueError):
-        decompose_signature(ClassLayout(k=2, n=3), Signature.of({0: 4, 1: 1}))
+        signature_pieces(ClassLayout(k=2, n=3), Signature.of({0: 4, 1: 1}))
 
 
 # -- theorem 1 ----------------------------------------------------------

@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 from gpdecomp import (
     Decomposition,
     GroundSet,
-    InvalidPieceError,
     ParseError,
     binomial,
-    canonicalize,
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
@@ -18,6 +16,7 @@ from gpdecomp import (
     parse_decomposition,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from gpdecomp.constructions import _sorted_parts
 from gpdecomp.core import (
     RPartiteGraph,
     edge_masks,
@@ -28,39 +27,21 @@ from gpdecomp.core import (
 )
 
 
+# Canonical form (each part ascending, parts ordered by minimum) is made by
+# the constructions' ``_sorted_parts``; the piece rule is tested below.
+
+def canonical(parts):
+    return RPartiteGraph(_sorted_parts(parts))
+
+
 def test_canonicalize_orders_by_minimum():
-    p = canonicalize([{3}, {0, 1}])
-    assert p.parts == ((0, 1), (3,))
+    assert canonical([{3}, {1, 0}]).parts == ((0, 1), (3,))
 
 
 def test_canonicalize_permutation_invariant_small():
-    import itertools
-
     base = [{0}, {1}, {2}]
-    outs = {canonicalize(perm) for perm in itertools.permutations(base)}
+    outs = {canonical(perm) for perm in itertools.permutations(base)}
     assert len(outs) == 1
-
-
-def test_canonicalize_rejects_overlap():
-    with pytest.raises(InvalidPieceError):
-        canonicalize([{1, 2}, {1, 3}])
-
-
-def test_canonicalize_rejects_empty_part():
-    with pytest.raises(InvalidPieceError):
-        canonicalize([{0}, set()])
-
-
-def test_canonicalize_rejects_empty_family():
-    with pytest.raises(InvalidPieceError):
-        canonicalize([])
-
-
-def test_canonicalize_rejects_out_of_range():
-    with pytest.raises(InvalidPieceError):
-        canonicalize([{0}, {5}], n=4)
-    with pytest.raises(InvalidPieceError):
-        canonicalize([{-1}, {2}])
 
 
 @st.composite
@@ -81,21 +62,20 @@ def disjoint_families(draw):
 
 @given(disjoint_families())
 def test_canonicalize_idempotent(parts):
-    once = canonicalize(parts)
-    again = canonicalize(once.parts)
-    assert once == again
+    once = canonical(parts)
+    assert canonical(once.parts) == once
 
 
 @given(disjoint_families(), st.randoms())
 def test_canonicalize_permutation_invariant(parts, rng):
-    shuffled = list(parts)
+    shuffled = [p[::-1] for p in parts]
     rng.shuffle(shuffled)
-    assert canonicalize(parts) == canonicalize(shuffled)
+    assert canonical(parts) == canonical(shuffled)
 
 
 @given(disjoint_families())
 def test_edge_masks_count_and_distinct(parts):
-    piece = canonicalize(parts)
+    piece = RPartiteGraph(tuple(sorted(map(tuple, parts))))
     masks = list(edge_masks(piece))
     assert len(masks) == math.prod(len(p) for p in piece.parts)
     assert len(set(masks)) == len(masks)
@@ -103,20 +83,20 @@ def test_edge_masks_count_and_distinct(parts):
 
 @given(disjoint_families())
 def test_edge_masks_are_the_edges(parts):
-    piece = canonicalize(parts)
+    piece = RPartiteGraph(tuple(sorted(map(tuple, parts))))
     masks = list(edge_masks(piece))
     expected = sorted(tuple(sorted(c)) for c in itertools.product(*piece.parts))
     assert sorted(map(edge_of_mask, masks)) == expected
-    assert all(m.bit_count() == piece.r for m in masks)
+    assert all(m.bit_count() == len(parts) for m in masks)
 
 
 def test_edge_masks_examples():
     def edges(parts):
-        return sorted(map(edge_of_mask, edge_masks(canonicalize(parts))))
+        return sorted(map(edge_of_mask, edge_masks(RPartiteGraph(parts))))
 
-    assert edges([{0}, {1, 2}]) == [(0, 1), (0, 2)]
-    assert len(edges([{0, 1}, {2, 3}])) == 4
-    assert edges([{0}, {1}, {2}]) == [(0, 1, 2)]
+    assert edges(((0,), (1, 2))) == [(0, 1), (0, 2)]
+    assert len(edges(((0, 1), (2, 3)))) == 4
+    assert edges(((0,), (1,), (2,))) == [(0, 1, 2)]
 
 
 def test_binomial_values():
@@ -131,7 +111,8 @@ def test_ground_set_validation():
         GroundSet(3, 4)
     with pytest.raises(ValueError):
         GroundSet(3, 0)
-    assert GroundSet(5, 2).edge_count == 10
+    with pytest.raises(ValueError):
+        GroundSet(1, 2)  # the n-1 stars of K_n need n >= 2
 
 
 @pytest.mark.parametrize(
@@ -159,12 +140,10 @@ def test_piece_problem_without_n_checks_only_the_sign():
     "parts",
     [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3))],
 )
-def test_canonicalize_and_decomposition_give_the_same_reason(parts):
-    with pytest.raises(InvalidPieceError) as info:
-        canonicalize(parts, n=4)
+def test_decomposition_refuses_in_piece_problem_words(parts):
     with pytest.raises(ValueError) as refused:
         Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
-    assert str(refused.value) == f"piece 0 has {info.value}"
+    assert str(refused.value) == f"piece 0 has {piece_problem(parts, 4)}"
 
 
 @pytest.mark.parametrize("n", range(0, 9))

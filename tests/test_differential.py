@@ -12,6 +12,7 @@ random block sets.
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -24,7 +25,6 @@ from gpdecomp import (
     binomial,
     construct_baseline,
     construct_even_from_odd,
-    construct_stars,
     construct_theorem1,
     construct_trivial_blocks,
     coverage_histogram,
@@ -65,7 +65,7 @@ def reference_structural_problem(ground: GroundSet,
 def reference_verify(d: Decomposition) -> VerificationReport:
     n, r = d.ground.n, d.ground.r
     total = binomial(n, r)
-    census = sum(p.edge_count for p in d.pieces)
+    census = sum(prod(map(len, p.parts)) for p in d.pieces)
     problem = reference_structural_problem(d.ground, d.pieces)
     if problem is not None:
         return VerificationReport(False, len(d.pieces), total, census, message=problem)
@@ -122,7 +122,7 @@ def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
 candidates = lru_cache(maxsize=None)(enumerate_candidate_pieces)
 
 CONSTRUCTIONS = [
-    construct_stars(5),
+    construct_baseline(5, 2),
     construct_baseline(6, 3),
     construct_baseline(7, 4),
     construct_baseline(7, 5),
@@ -151,8 +151,8 @@ def random_piece_sets(draw) -> PieceList:
 
 def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
     """Move vertex v into part ``target``; a part left empty is dropped.
-    Built without canonicalize, each part sorted and the parts ordered by
-    minimum, so a piece an earlier relabel made malformed stays possible."""
+    Built unchecked, each part sorted and the parts ordered by minimum, so a
+    piece an earlier relabel made malformed stays possible."""
     parts = [[u for u in part if u != v] for part in piece.parts]
     parts[target].append(v)
     kept = [tuple(sorted(p)) for p in parts if p]
@@ -161,7 +161,7 @@ def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
 
 def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
     """Replace vertex v by w, which may fall outside the ground set or inside
-    another part; built without canonicalize so such pieces stay possible."""
+    another part; built unchecked so such pieces stay possible."""
     return RPartiteGraph(tuple(tuple(w if u == v else u for u in part) for part in piece.parts))
 
 
@@ -244,7 +244,7 @@ def test_verify_blocks_matches_reference(bd):
 def test_relabel_then_move_reaches_both_oracles():
     # Relabelling vertex 3 of the piece {0,1,2} x {3} to 1 makes its parts
     # overlap; moving vertex 2 afterwards must keep the piece malformed.
-    d = construct_stars(5)
+    d = construct_baseline(5, 2)
     p = _move(_relabel(d.pieces[2], 3, 1), 2, 1)
     assert p.parts == ((0, 1), (1, 2))
     pieces = d.pieces[:2] + (p,) + d.pieces[3:]
@@ -258,4 +258,4 @@ def test_reference_accepts_every_construction():
     for d in CONSTRUCTIONS:
         assert verify_decomposition(d) == reference_verify(d)
         assert verify_decomposition(d).valid
-        assert coverage_histogram(d) == reference_histogram(d) == {1: d.ground.edge_count}
+        assert coverage_histogram(d) == reference_histogram(d) == {1: binomial(d.ground.n, d.ground.r)}

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gpdecomp import (
     ParseError,
     construct_baseline,
-    construct_stars,
     construct_theorem1,
     construct_trivial_blocks,
     parse_blocks,
@@ -18,7 +18,7 @@ from gpdecomp import (
 
 
 GENERATED = [
-    construct_stars(5),
+    construct_baseline(5, 2),
     construct_baseline(7, 5),
     construct_baseline(6, 1),
     construct_theorem1(3, 3, 5),
@@ -44,7 +44,7 @@ def test_serialization_is_canonical():
 
 
 def test_format_shape():
-    text = serialize_decomposition(construct_stars(3))
+    text = serialize_decomposition(construct_baseline(3, 2))
     lines = text.split("\n")
     assert lines[0] == "GPD 1"
     assert lines[1] == "n 3 r 2 pieces 2"
@@ -121,6 +121,25 @@ def test_block_round_trip():
     assert lines[2] == "a:0 b:1,2,3 ; a:0 b:1,2,3"
 
 
+# SHA-256 of the GPB text of the trivial blocks, which pins block order and
+# every side's spelling.
+TRIVIAL_BLOCKS_GOLDEN = {
+    2: "5ffd6a4266421bf2f517b2a7c0cd3f33e9c9e821eb35669b266fba959d48c8bf",
+    5: "b08a0f2edf3860ed014e50af70de67d9a09821b375df70cadc59c692c4c30839",
+    9: "7a69a713a563b29cb414d150dfa3f046b169b36e31c0df23ccb4cfc9984f1959",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TRIVIAL_BLOCKS_GOLDEN))
+def test_trivial_blocks_round_trip_golden(n):
+    bd = construct_trivial_blocks(n)
+    text = serialize_blocks(bd)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIVIAL_BLOCKS_GOLDEN[n]
+    back = parse_blocks(text)
+    assert back == bd
+    assert serialize_blocks(back) == text
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -148,6 +167,19 @@ def test_block_round_trip():
 def test_parse_blocks_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_blocks(text)
+
+
+@pytest.mark.parametrize("line, part", [
+    ("a:x,1 b:01 ; a:2 b:3", "x,1"),  # the first bad side wins
+    ("a:0 b:01 ; a:2 b:3", "01"),
+    ("a:0 b:1 ; a:-0 b:3", "-0"),
+    ("a: b:1 ; a:2 b:3", ""),
+    ("a:0 b:1 ; a:2 b:3\r", "3\r"),
+])
+def test_parse_blocks_names_the_bad_part(line, part):
+    with pytest.raises(ParseError) as info:
+        parse_blocks(f"GPB 1\nn 4 blocks 1\n{line}\n")
+    assert str(info.value) == f"bad part {part!r}"
 
 
 def test_parse_blocks_reports_the_block_rule():

@@ -21,7 +21,6 @@ from gpdecomp import (
     ParseError,
     construct_baseline,
     construct_even_from_odd,
-    construct_stars,
     construct_theorem1,
     parse_decomposition,
     serialize_decomposition,
@@ -145,7 +144,7 @@ def spread(d: Decomposition, gap: int) -> Decomposition:
 
 
 VALID_TEXTS = [serialize_decomposition(d) for d in (
-    construct_stars(5),
+    construct_baseline(5, 2),
     construct_baseline(7, 5),
     construct_baseline(6, 1),
     construct_even_from_odd(6, 4),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gpdecomp import (
@@ -5,16 +7,14 @@ from gpdecomp import (
     GroundSet,
     RPartiteGraph,
     binomial,
-    canonicalize,
     construct_baseline,
-    construct_stars,
     coverage_histogram,
     verify_decomposition,
 )
 
 
 def test_valid_stars():
-    report = verify_decomposition(construct_stars(6))
+    report = verify_decomposition(construct_baseline(6, 2))
     assert report.valid
     assert report.piece_count == 5
     assert report.edge_count == 15
@@ -49,17 +49,17 @@ def test_structural_failures():
     # Decomposition carries the piece rule: the verifier never sees these.
     g = GroundSet(4, 2)
     with pytest.raises(ValueError, match=r"^piece 0 has 3 parts, expected 2$"):
-        Decomposition(g, (canonicalize([{0}, {1}, {2}]),))
+        Decomposition(g, (RPartiteGraph(((0,), (1,), (2,))),))
     with pytest.raises(ValueError, match=r"^piece 0 has out-of-range vertex 5$"):
-        Decomposition(g, (canonicalize([{0}, {5}]),))
+        Decomposition(g, (RPartiteGraph(((0,), (5,))),))
 
 
 def test_report_carries_census():
     dec = construct_baseline(7, 4)
     assert verify_decomposition(dec).census == binomial(7, 4)
-    dropped = dec.pieces[0]
+    dropped = math.prod(map(len, dec.pieces[0].parts))
     broken = Decomposition(dec.ground, dec.pieces[1:])
-    assert verify_decomposition(broken).census == binomial(7, 4) - dropped.edge_count
+    assert verify_decomposition(broken).census == binomial(7, 4) - dropped
 
 
 def test_census_alone_is_not_trusted():
@@ -67,12 +67,11 @@ def test_census_alone_is_not_trusted():
     # (2,3) never: the census passes while coverage fails.
     g = GroundSet(4, 2)
     pieces = (
-        canonicalize([{0}, {1, 2, 3}]),
-        canonicalize([{1}, {2, 3}]),
-        canonicalize([{1}, {2}]),
+        RPartiteGraph(((0,), (1, 2, 3))),
+        RPartiteGraph(((1,), (2, 3))),
+        RPartiteGraph(((1,), (2,))),
     )
     dec = Decomposition(g, pieces)
-    assert sum(p.edge_count for p in pieces) == binomial(4, 2)
     report = verify_decomposition(dec)
     assert not report.valid
     assert report.census == report.edge_count == 6
@@ -90,7 +89,7 @@ def test_histogram_valid_case():
 def test_histogram_empty_and_doubled():
     g = GroundSet(4, 2)
     assert coverage_histogram(Decomposition(g, ())) == {0: 6}
-    dec = construct_stars(4)
+    dec = construct_baseline(4, 2)
     doubled = Decomposition(dec.ground, dec.pieces + dec.pieces)
     assert coverage_histogram(doubled) == {2: 6}
 
@@ -99,22 +98,21 @@ def test_decomposition_rejects_stray_pieces():
     # No edge outside the r-subsets of 0..n-1 ever reaches the histogram.
     g = GroundSet(4, 2)
     strays = [
-        (canonicalize([{0}, {5}]), "out-of-range vertex 5"),
-        (canonicalize([{0}, {1}, {2}]), "3 parts, expected 2"),
-        # Built without canonicalize: a negative vertex, and overlapping parts.
+        (RPartiteGraph(((0,), (5,))), "out-of-range vertex 5"),
+        (RPartiteGraph(((0,), (1,), (2,))), "3 parts, expected 2"),
         (RPartiteGraph(((-1, 0), (1,))), "out-of-range vertex -1"),
         (RPartiteGraph(((0,), (0, 2))), "overlapping parts at vertex 0"),
     ]
     for stray, reason in strays:
         with pytest.raises(ValueError, match=f"^piece 3 has {reason}$"):
-            Decomposition(g, construct_stars(4).pieces + (stray,))
+            Decomposition(g, construct_baseline(4, 2).pieces + (stray,))
 
 
 def test_report_agrees_with_histogram():
     cases = [
-        construct_stars(5),
+        construct_baseline(5, 2),
         construct_baseline(6, 3),
-        Decomposition(GroundSet(4, 2), construct_stars(4).pieces[1:]),
+        Decomposition(GroundSet(4, 2), construct_baseline(4, 2).pieces[1:]),
     ]
     for dec in cases:
         report = verify_decomposition(dec)
