@@ -19,6 +19,7 @@ from .bounds import (
     corollary2_exact,
     corollary2_value,
     count_c_prime,
+    lower_bound,
     predicted_family_tallies,
     theorem1_coefficient,
     threshold_d,
@@ -49,5 +50,48 @@ from .fileio import (
 )
 from .verifier import VerificationReport, coverage_histogram, verify_decomposition
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BipartiteGraph",
+    "Block",
+    "BlockDecomposition",
+    "BoundReport",
+    "ClassLayout",
+    "Decomposition",
+    "ExactResult",
+    "FamilyTally",
+    "GroundSet",
+    "ParseError",
+    "RPartiteGraph",
+    "SearchBudget",
+    "Signature",
+    "VerificationReport",
+    "alon_lower_coefficient",
+    "base_coefficient",
+    "binomial",
+    "block_to_four_parts",
+    "construct_baseline",
+    "construct_even_from_odd",
+    "construct_star_bipartite",
+    "construct_theorem1",
+    "construct_theorem1_detailed",
+    "construct_trivial_blocks",
+    "corollary2_below_one",
+    "corollary2_exact",
+    "corollary2_value",
+    "count_c_prime",
+    "coverage_histogram",
+    "enumerate_candidate_pieces",
+    "enumerate_signatures",
+    "lower_bound",
+    "parse_blocks",
+    "parse_decomposition",
+    "predicted_family_tallies",
+    "serialize_blocks",
+    "serialize_decomposition",
+    "solve_exact",
+    "theorem1_coefficient",
+    "threshold_d",
+    "verify_blocks",
+    "verify_decomposition",
+]
 __version__ = "0.1.0"

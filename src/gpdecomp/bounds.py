@@ -15,6 +15,10 @@ part.  C' is the sum of one table of partitions into at most d-2 parts,
 ``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, so it costs O(r*d) and
 reaches d in the thousands.  The least d with coefficient < 1 is 147
 (uniformity 295).
+
+``lower_bound(n, r)`` is a certified lower bound on f_r(n) at a given n, in
+integers: the trivial edge count, Graham-Pollak's inertia argument on the
+Kneser matrix for even r, and the link bound f_r(n) >= f_{r-1}(n-1).
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .constructions import ClassLayout, FamilyTally, theorem1_routes
+from .core import GroundSet
 
 DENSITY_RATIO = Fraction(14, 15)
 DEFAULT_PRECISION = 40
@@ -122,11 +127,62 @@ def corollary2_decreasing_at(r: int) -> bool:
 def alon_lower_coefficient(r: int) -> Fraction:
     """2 / binomial(2*floor(r/2), floor(r/2)).
 
-    Asymptotic coefficient only; carries no guarantee for any particular n."""
+    Asymptotic coefficient only; carries no guarantee for any particular n.
+    ``lower_bound(n, r)`` gives a certified lower bound at a given n."""
     if r < 2:
         raise ValueError("need r >= 2")
     h = r // 2
     return Fraction(2, comb(2 * h, h))
+
+
+def _max_piece_edges(n: int, r: int) -> int:
+    """The most r-subsets one complete r-partite piece on 0..n-1 covers: the
+    product of r part sizes summing to n, as equal as they can be."""
+    q, s = divmod(n, r)
+    return (q + 1) ** s * q ** (r - s)
+
+
+def _kneser_inertia_bound(n: int, h: int) -> int:
+    """ceil(2*max(n_+, n_-) / C(2h, h)) for the Kneser matrix on the
+    h-subsets of 0..n-1, n >= 2h.
+
+    Its eigenvalues are (-1)^i C(n-h-i, h-i), i = 0..h, none zero when
+    n >= 2h, with multiplicity C(n, i) - C(n, i-1).  A piece contributes a
+    sum of C(2h, h)/2 matrices x y^T + y x^T, each of inertia (1, 1), and the
+    pieces' contributions sum to the Kneser matrix."""
+    signs = [0, 0]  # multiplicities of the positive and negative eigenvalues
+    for i in range(h + 1):
+        signs[i % 2] += comb(n, i) - (comb(n, i - 1) if i else 0)
+    return -(-2 * max(signs) // comb(2 * h, h))
+
+
+def lower_bound(n: int, r: int) -> Tuple[int, str]:
+    """A certified lower bound on f_r(n), the fewest complete r-partite
+    pieces partitioning the r-subsets of 0..n-1, and the kind of its proof.
+
+    In integers only, the best of:
+
+    - ``trivial``: ceil(C(n, r) / _max_piece_edges(n, r));
+    - ``inertia``, for even r = 2h: Graham-Pollak's argument on the Kneser
+      matrix (``2*max(n_+, n_-) / C(2h, h)``; n - 1 at r = 2);
+    - ``link``: either of the two at (n-j, r-j) for j = 1..r-1, because the
+      pieces holding one vertex, with its part deleted, partition
+      K_{n-1}^(r-1), so f_r(n) >= f_{r-1}(n-1).
+
+    On a tie the smallest j wins, and at equal j ``trivial`` beats
+    ``inertia``.  At r = 3 the link to r = 2 gives n - 2, which the baseline
+    construction meets."""
+    GroundSet(n, r)  # raises unless 1 <= r <= n
+    best, kind = 0, "trivial"
+    for j in range(r):
+        m, s = n - j, r - j
+        terms = [("trivial", -(-comb(m, s) // _max_piece_edges(m, s)))]
+        if s % 2 == 0:
+            terms.append(("inertia", _kneser_inertia_bound(m, s // 2)))
+        for name, value in terms:
+            if value > best:
+                best, kind = value, name if j == 0 else "link"
+    return best, kind
 
 
 def theorem1_coefficient(d: int, k: int) -> BoundReport:

@@ -3,7 +3,8 @@
 Subcommands: construct, verify, exact, bounds.  Exit codes: 0 success/valid,
 1 invalid decomposition, 2 parse error, 3 bad arguments, 4 budget exhausted.
 With ``--porcelain`` reports are emitted as ``key=value`` lines (keys:
-pieces, valid, f_exact, threshold_d, coefficient_num, coefficient_den).
+pieces, valid, f_exact, lower_kind, threshold_d, coefficient_num,
+coefficient_den).
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
+# How ExactResult.lower_kind reads in the human report.
+_PROOF_WORDS = {"bnb": "branch-and-bound", "trivial": "trivial bound",
+                "inertia": "inertia bound", "link": "link bound"}
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
     try:
         budget = SearchBudget(max_nodes=args.max_nodes, wall_clock_s=args.max_seconds)
@@ -110,15 +116,18 @@ def cmd_exact(args: argparse.Namespace) -> int:
             _write_decomposition(result.witness, args.out)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_BAD_ARGS)
+    proof = _PROOF_WORDS[result.lower_kind]
     if args.porcelain:
         if result.optimal:
             print(f"f_exact={result.value}")
         print(f"pieces={result.witness.piece_count}")
+        print(f"lower_kind={result.lower_kind}")
     elif result.optimal:
-        print(f"f_{args.r}({args.n}) = {result.value}  ({result.nodes} nodes)")
+        print(f"f_{args.r}({args.n}) = {result.value}  ({proof}, {result.nodes} nodes)")
     else:
         print(f"budget exhausted after {result.nodes} nodes; "
-              f"best interval [{result.lower_bound}, {result.value}]")
+              f"best interval [{result.lower_bound}, {result.value}] "
+              f"(lower end: {proof})")
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 

@@ -10,14 +10,22 @@ a candidate covering e and a lower edge always overlaps the cover.  Results
 and node counts are reproducible.  The root keeps one candidate per orbit
 of the symmetries fixing edge 0 = {0..r-1}, and the prune rule compares
 integers only.
+
+Stop rule: ``bounds.lower_bound(n, r)`` is a certified floor on the optimum.
+When the baseline seed meets it, the seed is optimal and nothing is
+searched; otherwise the search stops at the first incumbent update that
+reaches it.  Only the incumbent update tests the floor, so no node pays
+for it.  ``_branch_and_bound`` with ``floor=0`` is the plain search, the
+reference for node counts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from .bounds import lower_bound
 from .constructions import construct_baseline
 from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, subset_masks
 
@@ -48,10 +56,20 @@ class ExactResult:
     lower_bound: int
     witness: Decomposition
     nodes: int
+    # What proved lower_bound: "bnb" (the search exhausted its tree) or a
+    # certificate kind of bounds.lower_bound ("trivial", "inertia", "link").
+    lower_kind: str
 
 
 class CandidateCapError(ValueError):
     """n exceeds the soft enumeration cap and no override was given."""
+
+
+def _check_size(n: int, r: int, allow_large: bool) -> None:
+    """Refuse n above the soft cap unless allow_large, then r outside 1..n."""
+    if n > SOFT_CAP_N and not allow_large:
+        raise CandidateCapError(f"n={n} exceeds soft cap {SOFT_CAP_N}")
+    GroundSet(n, r)  # raises unless 1 <= r <= n
 
 
 def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> List[RPartiteGraph]:
@@ -61,9 +79,7 @@ def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> Lis
     part, a new part, or none; parts are opened in order of their minimum, so
     every unordered family appears exactly once, already canonical.
     """
-    if n > SOFT_CAP_N and not allow_large:
-        raise CandidateCapError(f"n={n} exceeds soft cap {SOFT_CAP_N}")
-    GroundSet(n, r)  # raises unless 1 <= r <= n
+    _check_size(n, r, allow_large)
     out: List[RPartiteGraph] = []
 
     def rec(v: int, parts: List[List[int]]) -> None:
@@ -92,19 +108,51 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _FloorReached(Exception):
+    pass
+
+
 def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
                 allow_large: bool = False) -> ExactResult:
     """Exact minimum number of complete r-partite pieces partitioning all
     r-subsets of 0..n-1, with a witness decomposition.
 
-    The search is seeded with the baseline construction, then branch-and-bound
-    looks for anything strictly smaller.  A node with ``used`` pieces chosen
-    and ``uncovered`` edges left is pruned when
+    The certified floor ``bounds.lower_bound(n, r)`` comes first: when the
+    baseline construction already meets it, the baseline is returned as
+    optimal with ``nodes == 0`` and no candidate is enumerated.  Otherwise
+    branch-and-bound searches, seeded with the baseline, and stops as soon
+    as its incumbent meets the floor.  ``lower_kind`` names what proved the
+    lower end: ``bnb`` when the search exhausted its tree, else the floor's
+    kind (``trivial``, ``inertia`` or ``link``).  On budget exhaustion the
+    incumbent and the floor are reported instead of an optimum.
+    """
+    _check_size(n, r, allow_large)
+    floor, kind = lower_bound(n, r)
+    seed = construct_baseline(n, r)
+    if seed.piece_count == floor:
+        return ExactResult(optimal=True, value=floor, lower_bound=floor,
+                           witness=seed, nodes=0, lower_kind=kind)
+    res = _branch_and_bound(n, r, budget, allow_large, floor)
+    return res if res.lower_kind == "bnb" else replace(res, lower_kind=kind)
+
+
+def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
+                      floor: int) -> ExactResult:
+    """The search behind ``solve_exact``, stopping once its incumbent reaches
+    ``floor``; with ``floor=0`` it is the plain search, kept as the
+    reference for node counts, witnesses and intervals.
+
+    The search is seeded with the baseline construction, then looks for
+    anything strictly smaller.  A node with ``used`` pieces chosen and
+    ``uncovered`` edges left is pruned when
     ``uncovered > (incumbent - used - 1) * max_cov``, where ``max_cov`` is the
     largest candidate edge count: then even ``max_cov`` edges per further
-    piece cannot beat the incumbent.  On budget exhaustion the incumbent and
-    the trivial lower bound ``ceil(C(n, r) / max_cov)`` are reported instead
-    of an optimum.
+    piece cannot beat the incumbent.  The result is optimal with
+    ``lower_kind == "bnb"`` when the tree is exhausted.  When the incumbent
+    reaches the floor it is optimal with the floor as its proof, and on
+    budget exhaustion its lower end is ``max(floor, ceil(C(n, r) /
+    max_cov))``.  Both report ``lower_kind == "trivial"``, which is right
+    for ``floor=0``; ``solve_exact`` puts the floor's own kind in its place.
 
     Each candidate is listed once, under its lowest edge (the column rule).
     A node branching on edge e scans only the candidates listed under e.
@@ -161,6 +209,8 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
             if len(chosen) < best_count:
                 best_count = len(chosen)
                 best_pieces = tuple(candidates[masks.index(m)] for m in chosen)
+                if best_count <= floor:
+                    raise _FloorReached
             return
         if total - covered.bit_count() > (best_count - len(chosen) - 1) * max_cov:
             return
@@ -172,18 +222,21 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
                 dfs(covered | mask, chosen)
                 chosen.pop()
 
-    exhausted = False
+    optimal, kind = True, "bnb"
     try:
         dfs(0, [])
+    except _FloorReached:
+        kind = "trivial"
     except _BudgetExhausted:
-        exhausted = True
+        optimal, kind = False, "trivial"
 
     witness = Decomposition(GroundSet(n, r), best_pieces)
-    lower = best_count if not exhausted else -(-total // max_cov)
+    lower = best_count if optimal else max(floor, -(-total // max_cov))
     return ExactResult(
-        optimal=not exhausted,
+        optimal=optimal,
         value=best_count,
         lower_bound=lower,
         witness=witness,
         nodes=nodes,
+        lower_kind=kind,
     )

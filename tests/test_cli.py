@@ -109,10 +109,58 @@ def test_exact_command(tmp_path, capsys):
 
 
 def test_exact_budget_exhaustion_exit_code(capsys):
-    code, stdout, _ = run(capsys, "exact", "--n", "6", "--r", "2", "--max-nodes", "5")
+    # (6,4): the certified floor, 4, is below the baseline's 6, so the
+    # search runs into the budget.
+    code, stdout, _ = run(capsys, "exact", "--n", "6", "--r", "4", "--max-nodes", "5")
     assert code == 4
     assert "budget exhausted" in stdout
     assert "interval" in stdout
+
+
+def test_exact_refuses_over_cap_before_the_floor(capsys, monkeypatch):
+    # The refusal comes before the floor and the baseline seed, which at
+    # (40, 20) would have C(30, 10) pieces; a regression fails here instead.
+    def refuse(*args):
+        raise AssertionError("work done before the soft-cap check")
+
+    monkeypatch.setattr("gpdecomp.exact.lower_bound", refuse)
+    monkeypatch.setattr("gpdecomp.exact.construct_baseline", refuse)
+    code, stdout, err = run(capsys, "exact", "--n", "40", "--r", "20")
+    assert (code, stdout) == (3, "")
+    assert err == "error: n=40 exceeds soft cap 9\n"
+
+
+@pytest.mark.parametrize(
+    "n,r,line",
+    [
+        ("8", "3", "f_3(8) = 6  (link bound, 0 nodes)"),
+        ("9", "7", "f_7(9) = 9  (trivial bound, 51 nodes)"),
+        ("6", "4", "f_4(6) = 6  (branch-and-bound, 5874 nodes)"),
+    ],
+)
+def test_exact_reports_how_the_optimum_was_proved(capsys, n, r, line):
+    code, stdout, _ = run(capsys, "exact", "--n", n, "--r", r)
+    assert (code, stdout) == (0, line + "\n")
+
+
+def test_exact_budget_line_names_the_lower_end(capsys):
+    code, stdout, _ = run(capsys, "exact", "--n", "8", "--r", "4", "--max-nodes", "1000")
+    assert code == 4
+    assert stdout == ("budget exhausted after 1001 nodes; best interval [7, 15] "
+                      "(lower end: inertia bound)\n")
+
+
+@pytest.mark.parametrize(
+    "args,lines",
+    [
+        (["--n", "8", "--r", "3"], ["f_exact=6", "pieces=6", "lower_kind=link"]),
+        (["--n", "6", "--r", "4"], ["f_exact=6", "pieces=6", "lower_kind=bnb"]),
+        (["--n", "8", "--r", "4", "--max-nodes", "1000"], ["pieces=15", "lower_kind=inertia"]),
+    ],
+)
+def test_exact_porcelain_lower_kind(capsys, args, lines):
+    _, stdout, _ = run(capsys, "exact", *args, "--porcelain")
+    assert stdout.splitlines() == lines
 
 
 def test_exact_writes_witness(tmp_path, capsys):

@@ -10,7 +10,7 @@ from gpdecomp import (
     solve_exact,
     verify_decomposition,
 )
-from gpdecomp.exact import DEADLINE_TICK, CandidateCapError
+from gpdecomp.exact import DEADLINE_TICK, CandidateCapError, _branch_and_bound
 from gpdecomp.fileio import serialize_decomposition
 
 
@@ -72,25 +72,76 @@ def test_triple_system_values(n):
     assert verify_decomposition(res.witness).valid
 
 
+def reference_search(n, r, budget=SearchBudget()):
+    """The plain search, without the certified floor."""
+    return _branch_and_bound(n, r, budget, False, 0)
+
+
 def test_f4_values_frozen():
-    # no published claim for these; values fixed by full branch-and-bound
-    res = solve_exact(5, 4)
-    assert res.optimal and res.value == 3
-    assert verify_decomposition(res.witness).valid
-    res = solve_exact(4, 4)
-    assert res.optimal and res.value == 1
+    # no published claim for these; values fixed by full branch-and-bound,
+    # and the trivial floor now closes both at the root
+    for n, value in [(5, 3), (4, 1)]:
+        res = solve_exact(n, 4)
+        assert res.optimal and res.value == value
+        assert verify_decomposition(res.witness).valid
+        assert reference_search(n, 4).value == value
 
 
 @pytest.mark.parametrize(
     "n,r,nodes,value", [(6, 3, 98, 4), (6, 4, 5874, 6), (7, 3, 11708, 5), (9, 7, 133, 9)]
 )
 def test_pinned_node_counts(n, r, nodes, value):
-    res = solve_exact(n, r)
+    res = reference_search(n, r)
     assert res.optimal
+    assert res.lower_kind == "bnb"
     assert res.lower_bound == res.value == value
     assert res.nodes == nodes
     assert res.witness.piece_count == value
     assert verify_decomposition(res.witness).valid
+
+
+@pytest.mark.parametrize(
+    "n,r,nodes,value,kind",
+    [
+        # the baseline meets the floor: proved at the root
+        (6, 3, 0, 4, "link"),
+        (7, 3, 0, 5, "link"),
+        (8, 3, 0, 6, "link"),
+        (5, 2, 0, 4, "inertia"),
+        # the search stops at its first 9-piece incumbent (133 nodes without)
+        (9, 7, 51, 9, "trivial"),
+        # the floor, 4, is below f_4(6): the search proves the optimum
+        (6, 4, 5874, 6, "bnb"),
+    ],
+)
+def test_solve_exact_stops_at_certified_floor(n, r, nodes, value, kind):
+    res = solve_exact(n, r)
+    assert res.optimal
+    assert (res.nodes, res.value, res.lower_bound, res.lower_kind) == (nodes, value, value, kind)
+    assert res.witness.piece_count == value
+    assert verify_decomposition(res.witness).valid
+
+
+@pytest.mark.parametrize(
+    "n,r,lower,value,kind",
+    [(7, 4, 5, 10, "trivial"), (8, 4, 7, 15, "inertia")],
+)
+def test_capped_solve_reports_certified_lower_end(n, r, lower, value, kind):
+    res = solve_exact(n, r, SearchBudget(max_nodes=100_000))
+    assert not res.optimal
+    assert res.nodes == 100_001
+    assert (res.lower_bound, res.value, res.lower_kind) == (lower, value, kind)
+    assert verify_decomposition(res.witness).valid
+
+
+def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("candidates enumerated")
+
+    monkeypatch.setattr("gpdecomp.exact.enumerate_candidate_pieces", refuse)
+    res = solve_exact(8, 3)
+    assert (res.optimal, res.value, res.nodes) == (True, 6, 0)
+    assert res.witness == construct_baseline(8, 3)
 
 
 def test_capped_interval_contains_known_value():
@@ -113,10 +164,12 @@ def test_capped_interval_contains_known_value():
 )
 def test_pinned_capped_search_order(n, r, lower, value, sha256):
     # The benchmark's capped solves, pinned by nodes, interval and serialized
-    # witness.  At this budget the (7,4) and (8,4) witnesses are still the
-    # baseline seed; the (8,3) one is found by the search.
-    res = solve_exact(n, r, SearchBudget(max_nodes=100_000))
+    # witness, through the plain search.  At this budget the (7,4) and (8,4)
+    # witnesses are still the baseline seed; the (8,3) one is found by the
+    # search.
+    res = reference_search(n, r, SearchBudget(max_nodes=100_000))
     assert not res.optimal
+    assert res.lower_kind == "trivial"
     assert res.nodes == 100_001
     assert (res.lower_bound, res.value) == (lower, value)
     text = serialize_decomposition(res.witness)
@@ -155,8 +208,11 @@ def test_determinism():
 
 
 def test_budget_exhaustion():
-    res = solve_exact(6, 2, SearchBudget(max_nodes=10))
+    # (6,4): the certified floor, 4, is below the baseline's 6, so the
+    # search runs and meets the budget.
+    res = solve_exact(6, 4, SearchBudget(max_nodes=10))
     assert not res.optimal
+    assert res.nodes == 11
     assert res.lower_bound <= res.value
     # incumbent is still a valid decomposition (the baseline seed or better)
     assert verify_decomposition(res.witness).valid

@@ -4,8 +4,9 @@ The reference below is the branch-and-bound that root-orbit symmetry
 breaking replaced: it branches on every candidate covering the smallest
 uncovered edge, at the root too, and prunes with the same bound.  It builds
 its own edge index from tuples, so it shares only the candidate list and
-the baseline seed with the library.  The library must find the same
-optimum, with a valid witness, in no more nodes.
+the baseline seed with the library.  The library's search, run without
+the certified floor, must find the same optimum, with a valid witness, in
+no more nodes; ``solve_exact``, floor included, must find the same optimum.
 """
 
 from itertools import combinations, product
@@ -15,11 +16,13 @@ import pytest
 from gpdecomp import (
     Decomposition,
     GroundSet,
+    SearchBudget,
     construct_baseline,
     enumerate_candidate_pieces,
     solve_exact,
     verify_decomposition,
 )
+from gpdecomp.exact import _branch_and_bound
 
 
 def reference_solve(n, r):
@@ -76,9 +79,13 @@ def test_root_orbits_match_plain_search(n, r):
     assert verify_decomposition(witness).valid
     if (n, r) in REFERENCE_NODES:
         assert nodes == REFERENCE_NODES[(n, r)]
-    res = solve_exact(n, r)
+    res = _branch_and_bound(n, r, SearchBudget(), False, 0)
     assert res.optimal
     assert res.value == res.lower_bound == value
     assert res.witness.piece_count == value
     assert verify_decomposition(res.witness).valid
     assert res.nodes <= nodes
+    res = solve_exact(n, r)
+    assert res.optimal
+    assert res.value == res.lower_bound == value
+    assert verify_decomposition(res.witness).valid
