@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact minimum piece count on a tiny instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=50_000_000)
+    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--allow-large", action="store_true",
                    help="override the candidate enumeration soft cap")

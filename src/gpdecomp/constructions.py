@@ -89,33 +89,25 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     Each piece is indexed by fixed vertices a_1 < ... < a_m (m = floor(r/2))
     sitting at the even sorted positions; its parts are the singletons {a_i}
     together with the open intervals between consecutive fixed points (plus,
-    for odd r, the interval above a_m).  Index tuples forcing an empty
-    interval are skipped, leaving binomial(n - ceil(r/2), floor(r/2)) pieces.
-    The parts come out ascending and ordered by minimum, so canonical.
+    for odd r, the interval above a_m).  Every interval is nonempty exactly
+    when a_i = b_i + i for some 0 <= b_1 < ... < b_m < n - ceil(r/2), so the
+    pieces are indexed by those b, binomial(n - ceil(r/2), floor(r/2)) of
+    them.  The parts come out ascending and ordered by minimum, so
+    canonical.
     """
     ground = GroundSet(n, r)
-    m = r // 2
     pieces: List[RPartiteGraph] = []
-    for fixed in combinations(range(n), m):
+    for b in combinations(range(n - (r + 1) // 2), r // 2):
         parts: List[Tuple[int, ...]] = []
         prev = -1
-        ok = True
-        for a in fixed:
-            gap = tuple(range(prev + 1, a))
-            if not gap:
-                ok = False
-                break
-            parts.append(gap)
+        for i, bi in enumerate(b):
+            a = bi + i + 1
+            parts.append(tuple(range(prev + 1, a)))
             parts.append((a,))
             prev = a
-        if ok and r % 2 == 1:
-            tail = tuple(range(prev + 1, n))
-            if not tail:
-                ok = False
-            else:
-                parts.append(tail)
-        if ok:
-            pieces.append(RPartiteGraph(tuple(parts)))
+        if r % 2 == 1:
+            parts.append(tuple(range(prev + 1, n)))
+        pieces.append(RPartiteGraph(tuple(parts)))
     return Decomposition(ground, tuple(pieces))
 
 

@@ -15,14 +15,15 @@ Stop rule: ``bounds.lower_bound(n, r)`` is a certified floor on the optimum.
 When the baseline seed meets it, the seed is optimal and nothing is
 searched; otherwise the search stops at the first incumbent update that
 reaches it.  Only the incumbent update tests the floor, so no node pays
-for it.  ``_branch_and_bound`` with ``floor=0`` is the plain search, the
-reference for node counts.
+for it.  ``solve_exact`` alone decides the proof; ``_branch_and_bound``
+returns its pieces, its node count and why it stopped, and with ``floor=0``
+it is the plain search, the reference for node counts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bounds import lower_bound
@@ -104,12 +105,8 @@ def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> Lis
     return out
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _FloorReached(Exception):
-    pass
+class _Stop(Exception):
+    """Ends the search early; its one argument says why: "floor" or "budget"."""
 
 
 def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
@@ -132,27 +129,29 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     if seed.piece_count == floor:
         return ExactResult(optimal=True, value=floor, lower_bound=floor,
                            witness=seed, nodes=0, lower_kind=kind)
-    res = _branch_and_bound(n, r, budget, allow_large, floor)
-    return res if res.lower_kind == "bnb" else replace(res, lower_kind=kind)
+    pieces, nodes, stop = _branch_and_bound(seed, budget, allow_large, floor)
+    value = len(pieces)
+    return ExactResult(optimal=stop != "budget", value=value,
+                       lower_bound=floor if stop else value,
+                       witness=Decomposition(seed.ground, pieces), nodes=nodes,
+                       lower_kind=kind if stop else "bnb")
 
 
-def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
-                      floor: int) -> ExactResult:
-    """The search behind ``solve_exact``, stopping once its incumbent reaches
-    ``floor``; with ``floor=0`` it is the plain search, kept as the
-    reference for node counts, witnesses and intervals.
+def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bool,
+                      floor: int) -> Tuple[Tuple[RPartiteGraph, ...], int, Optional[str]]:
+    """The search behind ``solve_exact``: the pieces of the best
+    decomposition of ``seed.ground`` it finds, its node count, and why it
+    stopped: ``None`` when it exhausted the tree (the pieces are optimal),
+    ``"floor"`` when its incumbent reached ``floor``, or ``"budget"``.
+    With ``floor=0`` it is the plain search, kept as the reference for node
+    counts and witnesses.
 
-    The search is seeded with the baseline construction, then looks for
+    The search starts from ``seed`` as its incumbent, then looks for
     anything strictly smaller.  A node with ``used`` pieces chosen and
     ``uncovered`` edges left is pruned when
     ``uncovered > (incumbent - used - 1) * max_cov``, where ``max_cov`` is the
     largest candidate edge count: then even ``max_cov`` edges per further
-    piece cannot beat the incumbent.  The result is optimal with
-    ``lower_kind == "bnb"`` when the tree is exhausted.  When the incumbent
-    reaches the floor it is optimal with the floor as its proof, and on
-    budget exhaustion its lower end is ``max(floor, ceil(C(n, r) /
-    max_cov))``.  Both report ``lower_kind == "trivial"``, which is right
-    for ``floor=0``; ``solve_exact`` puts the floor's own kind in its place.
+    piece cannot beat the incumbent.
 
     Each candidate is listed once, under its lowest edge (the column rule).
     A node branching on edge e scans only the candidates listed under e.
@@ -161,6 +160,7 @@ def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
     and are never taken.  So the same candidates are tried in the same order
     and the node counts, optima and witnesses are those of the full listing.
     """
+    n, r = seed.ground.n, seed.ground.r
     # The candidates come first: enumerating them enforces the soft cap
     # before the C(n, r) edge index is built.
     candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
@@ -188,9 +188,8 @@ def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
             root.setdefault(tuple(sorted(map(len, c.parts))), mask)
     by_edge[0] = list(root.values())
 
-    seed = construct_baseline(n, r)
     best_count = seed.piece_count
-    best_pieces: Tuple[RPartiteGraph, ...] = seed.pieces
+    best_pieces = seed.pieces
     nodes = 0
     max_nodes = budget.max_nodes
     deadline = (
@@ -200,17 +199,15 @@ def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
     def dfs(covered: int, chosen: List[int]) -> None:
         nonlocal nodes, best_count, best_pieces
         nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
-        if (deadline is not None and not nodes % DEADLINE_TICK
-                and time.monotonic() > deadline):
-            raise _BudgetExhausted
+        if nodes > max_nodes or (deadline is not None and not nodes % DEADLINE_TICK
+                                 and time.monotonic() > deadline):
+            raise _Stop("budget")
         if covered == full_mask:
             if len(chosen) < best_count:
                 best_count = len(chosen)
                 best_pieces = tuple(candidates[masks.index(m)] for m in chosen)
                 if best_count <= floor:
-                    raise _FloorReached
+                    raise _Stop("floor")
             return
         if total - covered.bit_count() > (best_count - len(chosen) - 1) * max_cov:
             return
@@ -222,21 +219,8 @@ def _branch_and_bound(n: int, r: int, budget: SearchBudget, allow_large: bool,
                 dfs(covered | mask, chosen)
                 chosen.pop()
 
-    optimal, kind = True, "bnb"
     try:
         dfs(0, [])
-    except _FloorReached:
-        kind = "trivial"
-    except _BudgetExhausted:
-        optimal, kind = False, "trivial"
-
-    witness = Decomposition(GroundSet(n, r), best_pieces)
-    lower = best_count if optimal else max(floor, -(-total // max_cov))
-    return ExactResult(
-        optimal=optimal,
-        value=best_count,
-        lower_bound=lower,
-        witness=witness,
-        nodes=nodes,
-        lower_kind=kind,
-    )
+    except _Stop as stop:
+        return best_pieces, nodes, stop.args[0]
+    return best_pieces, nodes, None

@@ -48,6 +48,16 @@ def test_baseline_special_cases():
     assert construct_baseline(7, 5).piece_count == 6
 
 
+def test_baseline_bytes_golden():
+    # The serialized baseline for every 1 <= r <= n <= 12, in (n, r) order,
+    # hashed as one stream: pins the pieces and their order, not only counts.
+    h = hashlib.sha256()
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            h.update(serialize_decomposition(construct_baseline(n, r)).encode())
+    assert h.hexdigest() == "6fe1ddba77db408fcb72b7ed727335d6b141e33034adf6bbd9af2dc8898c2e1b"
+
+
 def test_baseline_rejects_bad_uniformity():
     with pytest.raises(ValueError):
         construct_baseline(3, 4)

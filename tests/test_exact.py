@@ -4,12 +4,15 @@ from math import comb
 import pytest
 
 from gpdecomp import (
+    Decomposition,
     SearchBudget,
     construct_baseline,
     enumerate_candidate_pieces,
+    exact,
     solve_exact,
     verify_decomposition,
 )
+from gpdecomp.bounds import _max_piece_edges
 from gpdecomp.exact import DEADLINE_TICK, CandidateCapError, _branch_and_bound
 from gpdecomp.fileio import serialize_decomposition
 
@@ -73,8 +76,12 @@ def test_triple_system_values(n):
 
 
 def reference_search(n, r, budget=SearchBudget()):
-    """The plain search, without the certified floor."""
-    return _branch_and_bound(n, r, budget, False, 0)
+    """The plain search, without the certified floor, from the baseline
+    seed: (witness, nodes, stop), where stop is None when the tree was
+    exhausted and "budget" when the budget ran out."""
+    seed = construct_baseline(n, r)
+    pieces, nodes, stop = _branch_and_bound(seed, budget, False, 0)
+    return Decomposition(seed.ground, pieces), nodes, stop
 
 
 def test_f4_values_frozen():
@@ -84,20 +91,20 @@ def test_f4_values_frozen():
         res = solve_exact(n, 4)
         assert res.optimal and res.value == value
         assert verify_decomposition(res.witness).valid
-        assert reference_search(n, 4).value == value
+        witness, _, stop = reference_search(n, 4)
+        assert stop is None and witness.piece_count == value
 
 
 @pytest.mark.parametrize(
     "n,r,nodes,value", [(6, 3, 98, 4), (6, 4, 5874, 6), (7, 3, 11708, 5), (9, 7, 133, 9)]
 )
 def test_pinned_node_counts(n, r, nodes, value):
-    res = reference_search(n, r)
-    assert res.optimal
-    assert res.lower_kind == "bnb"
-    assert res.lower_bound == res.value == value
-    assert res.nodes == nodes
-    assert res.witness.piece_count == value
-    assert verify_decomposition(res.witness).valid
+    witness, res_nodes, stop = reference_search(n, r)
+    # an exhausted tree: the witness is optimal, proved by the search
+    assert stop is None
+    assert res_nodes == nodes
+    assert witness.piece_count == value
+    assert verify_decomposition(witness).valid
 
 
 @pytest.mark.parametrize(
@@ -134,6 +141,27 @@ def test_capped_solve_reports_certified_lower_end(n, r, lower, value, kind):
     assert verify_decomposition(res.witness).valid
 
 
+def test_solve_builds_baseline_and_floor_once(monkeypatch):
+    # (6,4) is searched: the floor, 4, is below the baseline's 6.  The seed
+    # handed to the search is the baseline solve_exact built for its root
+    # check, and the floor is computed once.
+    calls = {"construct_baseline": 0, "lower_bound": 0}
+
+    def counting(name):
+        wrapped = getattr(exact, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return wrapped(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(exact, name, counting(name))
+    res = solve_exact(6, 4)
+    assert (res.optimal, res.value, res.nodes, res.lower_kind) == (True, 6, 5874, "bnb")
+    assert calls == {"construct_baseline": 1, "lower_bound": 1}
+
+
 def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("candidates enumerated")
@@ -166,15 +194,14 @@ def test_pinned_capped_search_order(n, r, lower, value, sha256):
     # The benchmark's capped solves, pinned by nodes, interval and serialized
     # witness, through the plain search.  At this budget the (7,4) and (8,4)
     # witnesses are still the baseline seed; the (8,3) one is found by the
-    # search.
-    res = reference_search(n, r, SearchBudget(max_nodes=100_000))
-    assert not res.optimal
-    assert res.lower_kind == "trivial"
-    assert res.nodes == 100_001
-    assert (res.lower_bound, res.value) == (lower, value)
-    text = serialize_decomposition(res.witness)
+    # search.  The plain search's lower end is the trivial bound.
+    witness, nodes, stop = reference_search(n, r, SearchBudget(max_nodes=100_000))
+    assert stop == "budget"
+    assert nodes == 100_001
+    assert (-(-comb(n, r) // _max_piece_edges(n, r)), witness.piece_count) == (lower, value)
+    text = serialize_decomposition(witness)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
-    assert verify_decomposition(res.witness).valid
+    assert verify_decomposition(witness).valid
 
 
 def test_wall_clock_deadline_stops_search():

@@ -79,12 +79,13 @@ def test_root_orbits_match_plain_search(n, r):
     assert verify_decomposition(witness).valid
     if (n, r) in REFERENCE_NODES:
         assert nodes == REFERENCE_NODES[(n, r)]
-    res = _branch_and_bound(n, r, SearchBudget(), False, 0)
-    assert res.optimal
-    assert res.value == res.lower_bound == value
-    assert res.witness.piece_count == value
-    assert verify_decomposition(res.witness).valid
-    assert res.nodes <= nodes
+    seed = construct_baseline(n, r)
+    pieces, lib_nodes, stop = _branch_and_bound(seed, SearchBudget(), False, 0)
+    assert stop is None  # the tree was exhausted, so the pieces are optimal
+    lib_witness = Decomposition(seed.ground, pieces)
+    assert lib_witness.piece_count == value
+    assert verify_decomposition(lib_witness).valid
+    assert lib_nodes <= nodes
     res = solve_exact(n, r)
     assert res.optimal
     assert res.value == res.lower_bound == value
