@@ -3,8 +3,8 @@
 Subcommands: construct, verify, exact, bounds.  Exit codes: 0 success/valid,
 1 invalid decomposition, 2 parse error, 3 bad arguments, 4 budget exhausted.
 With ``--porcelain`` reports are emitted as ``key=value`` lines (keys:
-pieces, valid, f_exact, lower_kind, threshold_d, coefficient_num,
-coefficient_den).
+pieces, valid, f_exact, lower_bound, lower_kind, nodes, threshold_d,
+coefficient_num, coefficient_den).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .constructions import (
     construct_even_from_odd,
     construct_theorem1_detailed,
 )
-from .core import Decomposition
+from .core import Decomposition, binomial
 from .exact import SearchBudget, solve_exact
 from .fileio import ParseError, parse_decomposition, serialize_decomposition
-from .verifier import verify_decomposition
+from .verifier import SOFT_CAP_EDGES, SOFT_CAP_N, verify_decomposition
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -89,6 +89,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_PARSE)
     except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"parse error: {exc}", EXIT_PARSE)
+    n, r = dec.ground.n, dec.ground.r
+    if not args.allow_large and (n > SOFT_CAP_N or binomial(n, r) > SOFT_CAP_EDGES):
+        return _fail(f"n={n} r={r} exceeds soft cap n <= {SOFT_CAP_N}, C(n, r) <= "
+                     f"{SOFT_CAP_EDGES} (pass --allow-large to verify it anyway)",
+                     EXIT_BAD_ARGS)
     report = verify_decomposition(dec)
     if args.porcelain:
         print(f"pieces={report.piece_count}")
@@ -121,7 +126,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
         if result.optimal:
             print(f"f_exact={result.value}")
         print(f"pieces={result.witness.piece_count}")
+        print(f"lower_bound={result.lower_bound}")
         print(f"lower_kind={result.lower_kind}")
+        print(f"nodes={result.nodes}")
     elif result.optimal:
         print(f"f_{args.r}({args.n}) = {result.value}  ({proof}, {result.nodes} nodes)")
     else:
@@ -243,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a decomposition file exhaustively")
     p.add_argument("path")
+    p.add_argument("--allow-large", action="store_true",
+                   help="override the soft cap on the file's n and C(n, r)")
     p.add_argument("--porcelain", action="store_true")
     p.set_defaults(func=cmd_verify)
 

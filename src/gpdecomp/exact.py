@@ -1,15 +1,16 @@
 """Exact minimum decomposition sizes on tiny instances.
 
 Branch-and-bound exact cover: the universe is all r-subsets of 0..n-1 and
-the candidates are all complete r-partite pieces.  A node is one call of the
-search on a set of pairwise disjoint chosen candidates; it branches on the
-lexicographically smallest uncovered edge e and tries, in canonical order,
-the disjoint candidates whose lowest edge is e.  That is the column rule of
-exact-cover search (Knuth's Algorithm X): every edge below e is covered, so
-a candidate covering e and a lower edge always overlaps the cover.  Results
-and node counts are reproducible.  The root keeps one candidate per orbit
-of the symmetries fixing edge 0 = {0..r-1}, and the prune rule compares
-integers only.
+the candidates are all complete r-partite pieces.  A node is one candidate
+tried on a disjoint cover (the root, the empty cover, is node 1), counted
+where it is tried.  A node that is neither pruned nor a full cover branches
+on the lexicographically smallest uncovered edge e and tries, in canonical
+order, the disjoint candidates whose lowest edge is e.  That is the column
+rule of exact-cover search (Knuth's Algorithm X): every edge below e is
+covered, so a candidate covering e and a lower edge always overlaps the
+cover.  Results and node counts are reproducible.  The root keeps one
+candidate per orbit of the symmetries fixing edge 0 = {0..r-1}, and the
+prune rule compares integers only.
 
 Stop rule: ``bounds.lower_bound(n, r)`` is a certified floor on the optimum.
 When the baseline seed meets it, the seed is optimal and nothing is
@@ -32,8 +33,9 @@ from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, subset_ma
 
 SOFT_CAP_N = 9
 # The wall-clock deadline is read once every DEADLINE_TICK nodes, not at
-# every node, so it is overshot by at most that many nodes (about 1-2 ms with
-# Python 3.11 on one core of a 2-core Linux host).
+# every node, so it is overshot by at most that many nodes (about 0.5 ms
+# with Python 3.11 on one core of a 2-core Linux host, where the f_3(8)
+# search costs about 0.48 us of CPU per node).
 DEADLINE_TICK = 1024
 
 
@@ -81,12 +83,12 @@ def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> Lis
     every unordered family appears exactly once, already canonical.
     """
     _check_size(n, r, allow_large)
-    out: List[RPartiteGraph] = []
+    out: List[Tuple[Tuple[int, ...], ...]] = []
 
     def rec(v: int, parts: List[List[int]]) -> None:
         if v == n:
             if len(parts) == r:
-                out.append(RPartiteGraph(tuple(tuple(p) for p in parts)))
+                out.append(tuple(map(tuple, parts)))
             return
         if len(parts) + (n - v) < r:
             return  # not enough vertices left to open the remaining parts
@@ -101,8 +103,8 @@ def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> Lis
             parts.pop()
 
     rec(0, [])
-    out.sort(key=lambda p: p.parts)
-    return out
+    out.sort()
+    return list(map(RPartiteGraph, out))
 
 
 class _Stop(Exception):
@@ -137,6 +139,39 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
                        lower_kind=kind if stop else "bnb")
 
 
+def _candidate_index(n: int, r: int, allow_large: bool
+                     ) -> Tuple[List[RPartiteGraph], List[int], List[List[int]], int]:
+    """The candidates of ``(n, r)``, their edge masks, the masks listed by
+    lowest edge (``by_edge``) and the largest candidate edge count.
+
+    Edge i is the i-th r-subset in lexicographic order; a candidate's mask
+    has bit i set when it covers edge i.  ``by_edge[i]`` lists, in canonical
+    order, the masks of the candidates whose lowest edge is i, except that
+    the root's list ``by_edge[0]`` keeps one candidate per orbit.
+    """
+    # The candidates come first: enumerating them enforces the soft cap
+    # before the C(n, r) edge index is built.
+    candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
+    edge_bit = {m: 1 << i for i, m in enumerate(subset_masks(n, r))}
+    masks = [sum(map(edge_bit.__getitem__, edge_masks(c))) for c in candidates]
+    by_edge: List[List[int]] = [[] for _ in range(len(edge_bit))]
+    for mask in masks:
+        by_edge[(mask & -mask).bit_length() - 1].append(mask)
+    # Only the root branches on edge 0 = {0..r-1}; every later node has it
+    # covered.  Sym(0..r-1) x Sym(r..n-1) fixes that edge and maps candidates
+    # to candidates, and its orbits on the candidates covering edge 0 are
+    # keyed by sorted part sizes.  An optimum's piece covering edge 0 can be
+    # mapped onto the first member of its orbit, so the root keeps only those.
+    # Edge 0 is the lowest edge of every candidate covering it, so replacing
+    # by_edge[0] drops no candidate listed under another edge.
+    root = {}
+    for c, mask in zip(candidates, masks):
+        if mask & 1:
+            root.setdefault(tuple(sorted(map(len, c.parts))), mask)
+    by_edge[0] = list(root.values())
+    return candidates, masks, by_edge, max(mask.bit_count() for mask in masks)
+
+
 def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bool,
                       floor: int) -> Tuple[Tuple[RPartiteGraph, ...], int, Optional[str]]:
     """The search behind ``solve_exact``: the pieces of the best
@@ -159,68 +194,61 @@ def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bo
     candidates that also cover an edge below e, and those overlap the cover
     and are never taken.  So the same candidates are tried in the same order
     and the node counts, optima and witnesses are those of the full listing.
-    """
-    n, r = seed.ground.n, seed.ground.r
-    # The candidates come first: enumerating them enforces the soft cap
-    # before the C(n, r) edge index is built.
-    candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
-    # Edge i is the i-th r-subset in lexicographic order; a candidate's mask
-    # has bit i set when it covers edge i.  by_edge[i] lists, in canonical
-    # order, the masks of the candidates whose lowest edge is i.
-    edge_bit = {m: 1 << i for i, m in enumerate(subset_masks(n, r))}
-    total = len(edge_bit)
-    full_mask = (1 << total) - 1
-    masks = [sum(map(edge_bit.__getitem__, edge_masks(c))) for c in candidates]
-    by_edge: List[List[int]] = [[] for _ in range(total)]
-    for mask in masks:
-        by_edge[(mask & -mask).bit_length() - 1].append(mask)
-    max_cov = max(mask.bit_count() for mask in masks)
-    # Only the root branches on edge 0 = {0..r-1}; every later node has it
-    # covered.  Sym(0..r-1) x Sym(r..n-1) fixes that edge and maps candidates
-    # to candidates, and its orbits on the candidates covering edge 0 are
-    # keyed by sorted part sizes.  An optimum's piece covering edge 0 can be
-    # mapped onto the first member of its orbit, so the root keeps only those.
-    # Edge 0 is the lowest edge of every candidate covering it, so replacing
-    # by_edge[0] drops no candidate listed under another edge.
-    root = {}
-    for c, mask in zip(candidates, masks):
-        if mask & 1:
-            root.setdefault(tuple(sorted(map(len, c.parts))), mask)
-    by_edge[0] = list(root.values())
 
+    A node is counted, budget-checked and prune-tested in its parent's
+    loop, where it is tried; only a node that survives and is not a full
+    cover costs a call, to branch.
+    """
+    candidates, masks, by_edge, max_cov = _candidate_index(
+        seed.ground.n, seed.ground.r, allow_large)
+    total = len(by_edge)
+    full_mask = (1 << total) - 1
     best_count = seed.piece_count
     best_pieces = seed.pieces
-    nodes = 0
     max_nodes = budget.max_nodes
     deadline = (
         time.monotonic() + budget.wall_clock_s if budget.wall_clock_s else None
     )
+    # The root is node 1, pruned like any other node.
+    nodes = 1
+    if total > (best_count - 1) * max_cov:
+        return best_pieces, nodes, None
+    chosen: List[int] = []
 
-    def dfs(covered: int, chosen: List[int]) -> None:
+    def branch(covered: int, depth: int) -> None:
+        # Tries each candidate under the smallest uncovered edge that is
+        # disjoint from covered.  The child at depth + 1 survives the prune
+        # when it covers at least need = total - (best_count - depth - 2) *
+        # max_cov edges; a full cover survives only when it beats the
+        # incumbent.  need follows best_count, so it is recomputed after
+        # every incumbent update and every return.
         nonlocal nodes, best_count, best_pieces
-        nodes += 1
-        if nodes > max_nodes or (deadline is not None and not nodes % DEADLINE_TICK
-                                 and time.monotonic() > deadline):
-            raise _Stop("budget")
-        if covered == full_mask:
-            if len(chosen) < best_count:
-                best_count = len(chosen)
-                best_pieces = tuple(candidates[masks.index(m)] for m in chosen)
-                if best_count <= floor:
-                    raise _Stop("floor")
-            return
-        if total - covered.bit_count() > (best_count - len(chosen) - 1) * max_cov:
-            return
+        need = total - (best_count - depth - 2) * max_cov
         # The lowest clear bit of covered: the smallest uncovered edge.
         e = (~covered & (covered + 1)).bit_length() - 1
         for mask in by_edge[e]:
-            if mask & covered == 0:
+            if mask & covered:
+                continue
+            nodes += 1
+            if nodes > max_nodes or (deadline is not None and not nodes % DEADLINE_TICK
+                                     and time.monotonic() > deadline):
+                raise _Stop("budget")
+            child = covered | mask
+            if child.bit_count() < need:
+                continue
+            if child == full_mask:
+                best_count = depth + 1
+                best_pieces = tuple(candidates[masks.index(m)] for m in chosen + [mask])
+                if best_count <= floor:
+                    raise _Stop("floor")
+            else:
                 chosen.append(mask)
-                dfs(covered | mask, chosen)
+                branch(child, depth + 1)
                 chosen.pop()
+            need = total - (best_count - depth - 2) * max_cov
 
     try:
-        dfs(0, [])
+        branch(0, 0)
     except _Stop as stop:
         return best_pieces, nodes, stop.args[0]
     return best_pieces, nodes, None

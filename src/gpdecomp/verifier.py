@@ -17,6 +17,13 @@ from .core import (
     Decomposition, Edge, binomial, edge_masks, edge_of_mask, first_miscovered, subset_masks,
 )
 
+# ``gpdecomp verify`` refuses, unless --allow-large, a file whose header
+# asks for more: the verifier's memory is set by the header's n and r, not
+# by the file's size (a 30-byte file naming n = 20000 peaked at 26 MiB,
+# growing as n^2).  Baseline (40,7), 18.6M edges, is within the caps.
+SOFT_CAP_N = 1024
+SOFT_CAP_EDGES = 20_000_000
+
 
 @dataclass(frozen=True)
 class VerificationReport:

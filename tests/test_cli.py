@@ -153,14 +153,34 @@ def test_exact_budget_line_names_the_lower_end(capsys):
 @pytest.mark.parametrize(
     "args,lines",
     [
-        (["--n", "8", "--r", "3"], ["f_exact=6", "pieces=6", "lower_kind=link"]),
-        (["--n", "6", "--r", "4"], ["f_exact=6", "pieces=6", "lower_kind=bnb"]),
-        (["--n", "8", "--r", "4", "--max-nodes", "1000"], ["pieces=15", "lower_kind=inertia"]),
+        (["--n", "8", "--r", "3"],
+         ["f_exact=6", "pieces=6", "lower_bound=6", "lower_kind=link", "nodes=0"]),
+        (["--n", "6", "--r", "4"],
+         ["f_exact=6", "pieces=6", "lower_bound=6", "lower_kind=bnb", "nodes=5874"]),
+        (["--n", "8", "--r", "4", "--max-nodes", "1000"],
+         ["pieces=15", "lower_bound=7", "lower_kind=inertia", "nodes=1001"]),
     ],
 )
 def test_exact_porcelain_lower_kind(capsys, args, lines):
     _, stdout, _ = run(capsys, "exact", *args, "--porcelain")
     assert stdout.splitlines() == lines
+
+
+def test_exact_porcelain_proved_run_prints_nodes_and_lower_bound(capsys):
+    # The search stops at its first incumbent on the trivial floor.
+    code, stdout, _ = run(capsys, "exact", "--n", "9", "--r", "7", "--porcelain")
+    assert code == 0
+    assert stdout.splitlines() == [
+        "f_exact=9", "pieces=9", "lower_bound=9", "lower_kind=trivial", "nodes=51"]
+
+
+def test_exact_porcelain_capped_run_prints_its_interval(capsys):
+    # No f_exact line: the interval is [lower_bound, pieces].
+    code, stdout, _ = run(capsys, "exact", "--n", "7", "--r", "4", "--max-nodes", "100000",
+                          "--porcelain")
+    assert code == 4
+    assert stdout.splitlines() == [
+        "pieces=10", "lower_bound=5", "lower_kind=trivial", "nodes=100001"]
 
 
 def test_exact_writes_witness(tmp_path, capsys):
@@ -400,3 +420,37 @@ def test_python_m_gpdecomp_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "threshold_d=147\n", "")
+
+
+# The header alone names n = 20000; the verifier's memory grows as n^2.
+HUGE_HEADER = "GPD 1\nn 20000 r 1 pieces 1\n19999\n"
+
+
+def _refuse_to_verify(*args):
+    raise AssertionError("verified before the soft-cap check")
+
+
+def test_verify_refuses_over_cap_before_verifying(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gpdecomp.cli.verify_decomposition", _refuse_to_verify)
+    path = tmp_path / "huge.gpd"
+    path.write_text(HUGE_HEADER)
+    code, stdout, err = run(capsys, "verify", str(path), "--porcelain")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: n=20000 r=1 exceeds soft cap") and "--allow-large" in err
+
+
+def test_verify_refuses_too_many_edges(tmp_path, capsys, monkeypatch):
+    # n = 60 is under the n cap, but C(60, 7) = 386,206,920 edges is not.
+    monkeypatch.setattr("gpdecomp.cli.verify_decomposition", _refuse_to_verify)
+    path = tmp_path / "wide.gpd"
+    path.write_text("GPD 1\nn 60 r 7 pieces 1\n0 | 1 | 2 | 3 | 4 | 5 | 6\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "C(n, r) <= 20000000" in err
+
+
+def test_verify_allow_large_lifts_the_cap(tmp_path, capsys):
+    path = tmp_path / "huge.gpd"
+    path.write_text(HUGE_HEADER)
+    code, stdout, _ = run(capsys, "verify", str(path), "--porcelain", "--allow-large")
+    assert code == 1
+    assert stdout.splitlines() == ["pieces=1", "valid=0"]
