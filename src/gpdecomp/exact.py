@@ -8,9 +8,11 @@ on the lexicographically smallest uncovered edge e and tries, in canonical
 order, the disjoint candidates whose lowest edge is e.  That is the column
 rule of exact-cover search (Knuth's Algorithm X): every edge below e is
 covered, so a candidate covering e and a lower edge always overlaps the
-cover.  Results and node counts are reproducible.  The root keeps one
-candidate per orbit of the symmetries fixing edge 0 = {0..r-1}, and the
-prune rule compares integers only.
+cover.  A candidate's lowest edge is the set of its part minima, so the
+list under e is generated from e alone, the first time the search branches
+on e; an edge it never branches on costs nothing.  Results and node counts
+are reproducible.  The root keeps one candidate per orbit of the symmetries
+fixing edge 0 = {0..r-1}, and the prune rule compares integers only.
 
 Stop rule: ``bounds.lower_bound(n, r)`` is a certified floor on the optimum.
 When the baseline seed meets it, the seed is optimal and nothing is
@@ -24,18 +26,20 @@ it is the plain search, the reference for node counts.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .bounds import lower_bound
+from .bounds import _max_piece_edges, lower_bound
 from .constructions import construct_baseline
-from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, subset_masks
+from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask, subset_masks
 
 SOFT_CAP_N = 9
 # The wall-clock deadline is read once every DEADLINE_TICK nodes, not at
-# every node, so it is overshot by at most that many nodes (about 0.5 ms
-# with Python 3.11 on one core of a 2-core Linux host, where the f_3(8)
-# search costs about 0.48 us of CPU per node).
+# every node, so it is overshot by at most that many nodes and the
+# candidate lists first built among them.  With Python 3.11 on one core of
+# a 2-core Linux host, the f_3(8) search costs about 0.45 us of CPU per
+# node, so 0.46 ms per tick; one list at n = 9 takes up to about 30 ms.
 DEADLINE_TICK = 1024
 
 
@@ -131,7 +135,7 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     if seed.piece_count == floor:
         return ExactResult(optimal=True, value=floor, lower_bound=floor,
                            witness=seed, nodes=0, lower_kind=kind)
-    pieces, nodes, stop = _branch_and_bound(seed, budget, allow_large, floor)
+    pieces, nodes, stop = _branch_and_bound(seed, budget, floor)
     value = len(pieces)
     return ExactResult(optimal=stop != "budget", value=value,
                        lower_bound=floor if stop else value,
@@ -139,40 +143,64 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
                        lower_kind=kind if stop else "bnb")
 
 
-def _candidate_index(n: int, r: int, allow_large: bool
-                     ) -> Tuple[List[RPartiteGraph], List[int], List[List[int]], int]:
-    """The candidates of ``(n, r)``, their edge masks, the masks listed by
-    lowest edge (``by_edge``) and the largest candidate edge count.
+def _lowest_edge_parts(n: int, low: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The canonical parts of every candidate on 0..n-1 whose lowest edge is
+    ``low``, in canonical order.
+
+    A candidate's lowest edge is the set of its part minima: an edge of the
+    piece takes one vertex per part, each at least that part's minimum.  So
+    part j starts as ``(low[j],)``, and each vertex outside ``low`` joins no
+    part or a part whose minimum is below it: the product of those choices,
+    expanded one vertex at a time.
+    """
+    families = [tuple((m,) for m in low)]
+    for v in range(n):
+        if v not in low:
+            below = range(bisect(low, v))
+            families += [f[:j] + (f[j] + (v,),) + f[j + 1:] for f in families for j in below]
+    families.sort()
+    return families
+
+
+class _LowestEdgeLists(dict):
+    """Edge index i -> the edge masks of the candidates of ``(n, r)`` whose
+    lowest edge is edge i, in canonical order; a list is built the first
+    time it is looked up.
 
     Edge i is the i-th r-subset in lexicographic order; a candidate's mask
-    has bit i set when it covers edge i.  ``by_edge[i]`` lists, in canonical
-    order, the masks of the candidates whose lowest edge is i, except that
-    the root's list ``by_edge[0]`` keeps one candidate per orbit.
+    has bit i set when it covers edge i.  ``piece_of`` maps each mask built
+    so far back to its piece.  The root's list, under edge 0, keeps one
+    candidate per orbit.
     """
-    # The candidates come first: enumerating them enforces the soft cap
-    # before the C(n, r) edge index is built.
-    candidates = enumerate_candidate_pieces(n, r, allow_large=allow_large)
-    edge_bit = {m: 1 << i for i, m in enumerate(subset_masks(n, r))}
-    masks = [sum(map(edge_bit.__getitem__, edge_masks(c))) for c in candidates]
-    by_edge: List[List[int]] = [[] for _ in range(len(edge_bit))]
-    for mask in masks:
-        by_edge[(mask & -mask).bit_length() - 1].append(mask)
-    # Only the root branches on edge 0 = {0..r-1}; every later node has it
-    # covered.  Sym(0..r-1) x Sym(r..n-1) fixes that edge and maps candidates
-    # to candidates, and its orbits on the candidates covering edge 0 are
-    # keyed by sorted part sizes.  An optimum's piece covering edge 0 can be
-    # mapped onto the first member of its orbit, so the root keeps only those.
-    # Edge 0 is the lowest edge of every candidate covering it, so replacing
-    # by_edge[0] drops no candidate listed under another edge.
-    root = {}
-    for c, mask in zip(candidates, masks):
-        if mask & 1:
-            root.setdefault(tuple(sorted(map(len, c.parts))), mask)
-    by_edge[0] = list(root.values())
-    return candidates, masks, by_edge, max(mask.bit_count() for mask in masks)
+
+    def __init__(self, n: int, r: int) -> None:
+        super().__init__()
+        self.n = n
+        self.edges = list(subset_masks(n, r))
+        self.edge_bit = {m: 1 << i for i, m in enumerate(self.edges)}
+        self.piece_of: Dict[int, RPartiteGraph] = {}
+
+    def __missing__(self, i: int) -> List[int]:
+        listed = _lowest_edge_parts(self.n, edge_of_mask(self.edges[i]))
+        if i == 0:
+            # Only the root branches on edge 0 = {0..r-1}; every later node
+            # has it covered.  Sym(0..r-1) x Sym(r..n-1) fixes that edge and
+            # maps candidates to candidates, and its orbits on the candidates
+            # covering edge 0 are keyed by sorted part sizes.  An optimum's
+            # piece covering edge 0 can be mapped onto the first member of
+            # its orbit, so the root keeps only those.
+            root: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+            for parts in listed:
+                root.setdefault(tuple(sorted(map(len, parts))), parts)
+            listed = list(root.values())
+        pieces = list(map(RPartiteGraph, listed))
+        bit = self.edge_bit.__getitem__
+        masks = self[i] = [sum(map(bit, edge_masks(piece))) for piece in pieces]
+        self.piece_of.update(zip(masks, pieces))
+        return masks
 
 
-def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bool,
+def _branch_and_bound(seed: Decomposition, budget: SearchBudget,
                       floor: int) -> Tuple[Tuple[RPartiteGraph, ...], int, Optional[str]]:
     """The search behind ``solve_exact``: the pieces of the best
     decomposition of ``seed.ground`` it finds, its node count, and why it
@@ -185,23 +213,27 @@ def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bo
     anything strictly smaller.  A node with ``used`` pieces chosen and
     ``uncovered`` edges left is pruned when
     ``uncovered > (incumbent - used - 1) * max_cov``, where ``max_cov`` is the
-    largest candidate edge count: then even ``max_cov`` edges per further
-    piece cannot beat the incumbent.
+    largest candidate edge count, ``bounds._max_piece_edges(n, r)``: then
+    even ``max_cov`` edges per further piece cannot beat the incumbent.
 
-    Each candidate is listed once, under its lowest edge (the column rule).
-    A node branching on edge e scans only the candidates listed under e.
-    Listing every candidate under every edge it covers would add only
-    candidates that also cover an edge below e, and those overlap the cover
-    and are never taken.  So the same candidates are tried in the same order
-    and the node counts, optima and witnesses are those of the full listing.
+    Each candidate is listed once, under its lowest edge (the column rule),
+    which is the set of its part minima.  A node branching on edge e scans
+    only the candidates listed under e, and that list is built the first
+    time the search branches on e.  Listing every candidate under every edge
+    it covers would add only candidates that also cover an edge below e, and
+    those overlap the cover and are never taken.  So the same candidates are
+    tried in the same order and the node counts, optima and witnesses are
+    those of the full listing.
 
     A node is counted, budget-checked and prune-tested in its parent's
     loop, where it is tried; only a node that survives and is not a full
     cover costs a call, to branch.
     """
-    candidates, masks, by_edge, max_cov = _candidate_index(
-        seed.ground.n, seed.ground.r, allow_large)
-    total = len(by_edge)
+    n, r = seed.ground.n, seed.ground.r
+    by_edge = _LowestEdgeLists(n, r)
+    piece_of = by_edge.piece_of
+    total = len(by_edge.edges)
+    max_cov = _max_piece_edges(n, r)
     full_mask = (1 << total) - 1
     best_count = seed.piece_count
     best_pieces = seed.pieces
@@ -238,7 +270,7 @@ def _branch_and_bound(seed: Decomposition, budget: SearchBudget, allow_large: bo
                 continue
             if child == full_mask:
                 best_count = depth + 1
-                best_pieces = tuple(candidates[masks.index(m)] for m in chosen + [mask])
+                best_pieces = tuple(piece_of[m] for m in chosen + [mask])
                 if best_count <= floor:
                     raise _Stop("floor")
             else:

@@ -80,7 +80,7 @@ def reference_search(n, r, budget=SearchBudget()):
     seed: (witness, nodes, stop), where stop is None when the tree was
     exhausted and "budget" when the budget ran out."""
     seed = construct_baseline(n, r)
-    pieces, nodes, stop = _branch_and_bound(seed, budget, False, 0)
+    pieces, nodes, stop = _branch_and_bound(seed, budget, 0)
     return Decomposition(seed.ground, pieces), nodes, stop
 
 
@@ -142,24 +142,25 @@ def test_capped_solve_reports_certified_lower_end(n, r, lower, value, kind):
 
 
 def test_solve_builds_baseline_and_floor_once(monkeypatch):
-    # (6,4) is searched: the floor, 4, is below the baseline's 6.  The seed
-    # handed to the search is the baseline solve_exact built for its root
-    # check, and the floor is computed once.
-    calls = {"construct_baseline": 0, "lower_bound": 0}
+    # (6,4) is searched: the floor, 4, is below the baseline's 6.  The soft
+    # cap is checked once, before anything else; the seed handed to the
+    # search is the baseline solve_exact built for its root check; the floor
+    # is computed once; and the search's C(n, r) edge map comes last.
+    calls = []
 
-    def counting(name):
+    def logged(name):
         wrapped = getattr(exact, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls.append(name)
             return wrapped(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(exact, name, counting(name))
+    for name in ["_check_size", "construct_baseline", "lower_bound", "_LowestEdgeLists"]:
+        monkeypatch.setattr(exact, name, logged(name))
     res = solve_exact(6, 4)
     assert (res.optimal, res.value, res.nodes, res.lower_kind) == (True, 6, 5874, "bnb")
-    assert calls == {"construct_baseline": 1, "lower_bound": 1}
+    assert calls == ["_check_size", "lower_bound", "construct_baseline", "_LowestEdgeLists"]
 
 
 def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
@@ -167,9 +168,27 @@ def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
         raise AssertionError("candidates enumerated")
 
     monkeypatch.setattr("gpdecomp.exact.enumerate_candidate_pieces", refuse)
+    monkeypatch.setattr("gpdecomp.exact._LowestEdgeLists", refuse)
     res = solve_exact(8, 3)
     assert (res.optimal, res.value, res.nodes) == (True, 6, 0)
     assert res.witness == construct_baseline(8, 3)
+
+
+def test_lists_built_only_where_the_search_branches(monkeypatch):
+    # (9,7) stops at its floor after 51 nodes that branch on 9 of its 36
+    # edges; a list is built once, the first time its edge is branched on.
+    built = []
+    missing = exact._LowestEdgeLists.__missing__
+
+    def logged(lists, i):
+        built.append(i)
+        return missing(lists, i)
+
+    monkeypatch.setattr(exact._LowestEdgeLists, "__missing__", logged)
+    res = solve_exact(9, 7)
+    assert (res.optimal, res.value, res.nodes, res.lower_kind) == (True, 9, 51, "trivial")
+    assert len(built) == len(set(built)) <= 9
+    assert built[0] == 0
 
 
 def test_capped_interval_contains_known_value():

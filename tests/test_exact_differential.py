@@ -8,14 +8,20 @@ the baseline seed with the library.  The library's search, run without
 the certified floor, must find the same optimum, with a valid witness, in
 no more nodes; ``solve_exact``, floor included, must find the same optimum.
 
-The second reference is the library's search written as one call per
-node, on the library's own candidate index.  The library handles each
-child inside its parent's loop instead; under every budget and floor the
-two must return the same pieces, node count and stop reason.
+The second reference is the eager candidate index the library used to
+build: every candidate from ``enumerate_candidate_pieces``, its mask through
+``edge_masks``, listed under its lowest edge.  The library builds each
+lowest-edge list from the edge itself, the first time the search branches
+there; every list must equal the reference's, in the same order.
+
+The third reference is the library's search written as one call per node,
+over the reference index.  The library handles each child inside its
+parent's loop instead; under every budget and floor the two must return the
+same pieces, node count and stop reason.
 """
 
-import functools
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -25,12 +31,12 @@ from gpdecomp import (
     SearchBudget,
     construct_baseline,
     enumerate_candidate_pieces,
-    exact,
     lower_bound,
     solve_exact,
     verify_decomposition,
 )
-from gpdecomp.exact import _branch_and_bound
+from gpdecomp.core import edge_masks, subset_masks
+from gpdecomp.exact import _branch_and_bound, _LowestEdgeLists
 
 
 def reference_solve(n, r):
@@ -88,7 +94,7 @@ def test_root_orbits_match_plain_search(n, r):
     if (n, r) in REFERENCE_NODES:
         assert nodes == REFERENCE_NODES[(n, r)]
     seed = construct_baseline(n, r)
-    pieces, lib_nodes, stop = _branch_and_bound(seed, SearchBudget(), False, 0)
+    pieces, lib_nodes, stop = _branch_and_bound(seed, SearchBudget(), 0)
     assert stop is None  # the tree was exhausted, so the pieces are optimal
     lib_witness = Decomposition(seed.ground, pieces)
     assert lib_witness.piece_count == value
@@ -98,6 +104,41 @@ def test_root_orbits_match_plain_search(n, r):
     assert res.optimal
     assert res.value == res.lower_bound == value
     assert verify_decomposition(res.witness).valid
+
+
+def reference_index(n, r):
+    """(candidates, masks, by_edge, max_cov): every candidate of (n, r), its
+    edge mask (bit i for the i-th r-subset in lexicographic order), the
+    masks listed in canonical order under each candidate's lowest edge, the
+    root's list keeping the first candidate of each sorted part-size tuple,
+    and the largest candidate edge count."""
+    candidates = enumerate_candidate_pieces(n, r)
+    edge_bit = {m: 1 << i for i, m in enumerate(subset_masks(n, r))}
+    masks = [sum(map(edge_bit.__getitem__, edge_masks(c))) for c in candidates]
+    by_edge = [[] for _ in range(len(edge_bit))]
+    for mask in masks:
+        by_edge[(mask & -mask).bit_length() - 1].append(mask)
+    root = {}
+    for c, mask in zip(candidates, masks):
+        if mask & 1:
+            root.setdefault(tuple(sorted(map(len, c.parts))), mask)
+    by_edge[0] = list(root.values())
+    return candidates, masks, by_edge, max(mask.bit_count() for mask in masks)
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in range(1, 9) for r in range(1, n + 1)] + [(9, 5), (9, 6), (9, 7)],
+)
+def test_lowest_edge_lists_match_reference_index(n, r):
+    candidates, masks, by_edge, _ = reference_index(n, r)
+    piece_of = dict(zip(masks, candidates))
+    lists = _LowestEdgeLists(n, r)
+    assert len(lists.edges) == len(by_edge) == comb(n, r)
+    for i, expected in enumerate(by_edge):
+        assert lists[i] == expected, i
+        assert [lists.piece_of[m] for m in lists[i]] == [piece_of[m] for m in expected], i
+    assert len(lists.piece_of) == sum(map(len, by_edge))
 
 
 class _Stop(Exception):
@@ -146,14 +187,11 @@ BUDGETS = list(range(1, 301)) + [1_000, 5_000, 100_000]
 # stops at its floor (51 nodes); (7,4) and (8,4) run out of every budget.
 @pytest.mark.parametrize("n,r", [(6, 4), (9, 7), (7, 4), (8, 4)])
 @pytest.mark.parametrize("certified", [False, True], ids=["floor0", "certified"])
-def test_inline_children_match_one_call_per_node(monkeypatch, n, r, certified):
-    # The index is built once and shared, so only the two searches differ.
-    index_of = functools.lru_cache(maxsize=None)(exact._candidate_index)
-    monkeypatch.setattr(exact, "_candidate_index", index_of)
-    index = index_of(n, r, False)
+def test_inline_children_match_one_call_per_node(n, r, certified):
+    index = reference_index(n, r)
     seed = construct_baseline(n, r)
     floor = lower_bound(n, r)[0] if certified else 0
     for max_nodes in BUDGETS:
         expected = one_call_per_node(seed, max_nodes, floor, index)
-        got = _branch_and_bound(seed, SearchBudget(max_nodes=max_nodes), False, floor)
+        got = _branch_and_bound(seed, SearchBudget(max_nodes=max_nodes), floor)
         assert got == expected, max_nodes

@@ -105,7 +105,9 @@ def test_piece_matrices_sum_to_kneser(dec):
     assert +total == Counter({(a, b): 1 for a in sets for b in sets if not a & b})
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+# The exact search prunes with _max_piece_edges as its max_cov at every n
+# up to the soft cap, 9.
+@pytest.mark.parametrize("n", range(1, 10))
 def test_max_piece_edges_is_the_candidate_maximum(n):
     for r in range(1, n + 1):
         best = max(prod(map(len, c.parts)) for c in enumerate_candidate_pieces(n, r))
