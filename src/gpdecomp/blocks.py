@@ -118,7 +118,8 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     total = binomial(n, 2) ** 2
     count = len(bd.blocks)
     # Class two shifted up by n makes each block a four-part piece on 2n
-    # vertices whose edges are its pairs, all inside the pair universe.
+    # vertices whose edges are its pairs, all inside the pair universe; the
+    # pairs in lexicographic order are those 4-sets in lexicographic order.
     pieces = [RPartiteGraph(block_to_four_parts(blk, 0, n)) for blk in bd.blocks]
     masks = list(chain.from_iterable(map(edge_masks, pieces)))
     one = list(subset_masks(n, 2))

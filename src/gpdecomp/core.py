@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, ...]
@@ -121,24 +121,46 @@ def piece_problem(parts: Sequence[Sequence[int]], n: int | None = None) -> Optio
     return None
 
 
-def edge_masks(piece: RPartiteGraph) -> Iterator[int]:
-    """All edges of a piece as vertex bitmasks, bit v set for vertex v.
+def edge_masks(piece: RPartiteGraph) -> List[int]:
+    """All edges of a piece as vertex bitmasks, bit v set for vertex v, in a
+    new list.
 
     This is the one coverage kernel: the verifier, the histogram, the block
     checker and the exact solver all count edges through it.  Vertices must
-    be nonnegative.  Masks come in ``itertools.product`` order over the parts;
-    with r disjoint parts each mask has exactly r bits set.
+    be nonnegative.  The list is in ``itertools.product`` order over the
+    parts; with r disjoint parts each mask has exactly r bits set.
+
+    Every one-vertex part is ORed into one base mask, and each larger part
+    is folded in, in part order, by ORing each of its vertex bits onto every
+    mask so far, so a mask is built by one operation per part of two or
+    more vertices rather than by summing a tuple.  The parts are disjoint,
+    so ``|`` equals ``+``; it is ``|`` because CPython's ``+`` on
+    multi-digit ints allocates one spare digit, which every mask with a
+    vertex above 29 (30-bit digits) would then keep.
     """
-    # A one-vertex part skips the inner comprehension: before Python 3.12 a
-    # comprehension is a function call, which outweighs the few edges of the
-    # small pieces that exact search and its witnesses' mutants check.
-    bits = [(1 << part[0],) if len(part) == 1 else [1 << v for v in part] for part in piece.parts]
-    return map(sum, product(*bits))
+    base = 0
+    folds = []
+    for part in piece.parts:
+        if len(part) == 1:
+            base |= 1 << part[0]
+        else:
+            folds.append([1 << v for v in part])
+    masks = [base]
+    for bits in folds:
+        masks = [m | b for m in masks for b in bits]
+    return masks
 
 
 def edge_of_mask(mask: int) -> Edge:
     """The vertices of a bitmask, ascending."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    # One step per set bit, not per bit below the highest: this is the key
+    # of the over-cover witness in first_miscovered.
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vertices)
 
 
 def subset_masks(n: int, r: int) -> Iterator[int]:
@@ -150,10 +172,19 @@ def first_miscovered(masks: List[int], universe: Iterable[int],
                      total: int) -> Optional[Tuple[int, int]]:
     """The one coverage verdict: the first ``universe`` mask not counted
     exactly once in ``masks`` (all inside that universe of ``total`` masks),
-    with its count, or None.  The census alone is never trusted."""
+    with its count, or None.  The census alone is never trusted.
+
+    ``universe`` must list its masks in the lexicographic order of their
+    vertex tuples (:func:`edge_of_mask`), as :func:`subset_masks` does.  It
+    is read only when some mask of it is missing from ``masks``: when every
+    one is there, the first miscovered mask is the lexicographically
+    smallest of those counted more than once."""
     if len(masks) == total and len(set(masks)) == total:
         return None
     counts = Counter(masks)
+    if len(counts) == total:
+        m = min((m for m, c in counts.items() if c != 1), key=edge_of_mask)
+        return m, counts[m]
     return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
 
 

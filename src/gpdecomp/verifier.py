@@ -3,7 +3,9 @@
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
 carries the piece rule, so each edge mask from :func:`gpdecomp.core.edge_masks`
 is an r-subset of 0..n-1 and the coverage verdict
-:func:`gpdecomp.core.first_miscovered` over those r-subsets decides.
+:func:`gpdecomp.core.first_miscovered` over those r-subsets decides.  The
+verdict walks the r-subsets in lexicographic order only when one of them is
+missing; an over-cover alone is found among the counted masks.
 """
 
 from __future__ import annotations

@@ -85,6 +85,16 @@ def test_verify_blocks_detects_duplication():
     assert report.witness_multiplicity == 2
 
 
+def test_verify_blocks_reports_the_first_pair_of_duplicated_blocks():
+    # Block 2 is star 0 x star 2 and block 3 is star 1 x star 0.  The first
+    # pair of block 2 comes first although block 3's has the smaller mask.
+    bd = construct_trivial_blocks(4)
+    assert verify_blocks(BlockDecomposition(4, bd.blocks + (bd.blocks[3],))).witness == (
+        (1, 2), (0, 1))
+    report = verify_blocks(BlockDecomposition(4, bd.blocks + (bd.blocks[3], bd.blocks[2])))
+    assert (report.witness, report.witness_multiplicity) == (((0, 1), (2, 3)), 2)
+
+
 STAR = BipartiteGraph((0,), (1,))
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from gpdecomp import (
     construct_trivial_blocks,
     parse_decomposition,
 )
-from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition, block_to_four_parts
 from gpdecomp.constructions import _sorted_parts
 from gpdecomp.core import (
     RPartiteGraph,
@@ -90,6 +92,52 @@ def test_edge_masks_are_the_edges(parts):
     assert all(m.bit_count() == len(parts) for m in masks)
 
 
+@st.composite
+def wide_pieces(draw):
+    """Disjoint parts in any order over vertices up to 95, so masks take
+    one to four 30-bit digits, with at most 36 edges."""
+    verts = draw(st.lists(st.integers(0, 95), min_size=1, max_size=10, unique=True))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(verts), max_size=len(verts)))
+    parts = [tuple(v for v, lab in zip(verts, labels) if lab == k) for k in range(4)]
+    return RPartiteGraph(tuple(p for p in parts if p))
+
+
+def product_sum_masks(piece):
+    """The kernel's reference: one sum per edge, in ``product`` order."""
+    return map(sum, itertools.product(*[[1 << v for v in part] for part in piece.parts]))
+
+
+@given(st.one_of(wide_pieces(), disjoint_families().map(
+    lambda parts: RPartiteGraph(tuple(map(tuple, parts))))))
+def test_edge_masks_match_product_sum_in_order(piece):
+    masks = edge_masks(piece)
+    assert isinstance(masks, list)
+    assert masks == list(product_sum_masks(piece))
+    assert list(map(edge_of_mask, masks)) == [
+        tuple(sorted(e)) for e in itertools.product(*piece.parts)]
+
+
+def test_edge_masks_allocate_no_more_than_product_sum():
+    # The masks of the 841 block pieces of n = 30 placed at (0, 30) are two
+    # 30-bit digits each.  Summing them (or folding with +) keeps a spare
+    # digit per mask, about 0.75 MB more here; the | fold must not.
+    pieces = [RPartiteGraph(block_to_four_parts(b, 0, 30))
+              for b in construct_trivial_blocks(30).blocks]
+
+    def traced_peak(kernel):
+        tracemalloc.start()
+        try:
+            masks = list(itertools.chain.from_iterable(map(kernel, pieces)))
+            return len(masks), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    count, peak = traced_peak(edge_masks)
+    ref_count, ref_peak = traced_peak(product_sum_masks)
+    assert count == ref_count == binomial(30, 2) ** 2
+    assert peak <= ref_peak
+
+
 def test_edge_masks_examples():
     def edges(parts):
         return sorted(map(edge_of_mask, edge_masks(RPartiteGraph(parts))))
@@ -156,13 +204,45 @@ def test_subset_masks_are_the_lexicographic_r_subsets(n):
 
 
 def test_first_miscovered():
-    universe = list(subset_masks(4, 2))  # 0b11, 0b101, 0b110, 0b1001, ...
+    universe = list(subset_masks(4, 2))  # 0b11, 0b101, 0b1001, 0b110, ...
     assert first_miscovered(universe[::-1], universe, 6) is None
     # a missing mask is found with count 0, a repeated one with its count
     assert first_miscovered(universe[1:], universe, 6) == (0b11, 0)
     assert first_miscovered(universe + [0b110], universe, 6) == (0b110, 2)
     # the census matches but a mask repeats in place of another
     assert first_miscovered(universe[:-1] + [0b101], universe, 6) == (0b101, 2)
+    # Only repeats: {0,3} = 0b1001 comes before {1,2} = 0b110 although its
+    # mask is larger, and the universe is not read at all.
+    assert first_miscovered(universe + [0b0110, 0b1001], universe, 6) == (0b1001, 2)
+    assert first_miscovered(universe + [0b0110, 0b1001, 0b0110], iter(()), 6) == (0b1001, 2)
+
+
+def scanned_verdict(masks, universe, total):
+    """The verdict as a full scan of the universe gives it."""
+    if len(masks) == total and len(set(masks)) == total:
+        return None
+    counts = Counter(masks)
+    return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
+
+
+@st.composite
+def universe_multisets(draw):
+    """The r-subsets of 0..n-1 each repeated 0-3 times, shuffled: some
+    with missing masks only, some with repeats only, some with both."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    universe = list(subset_masks(n, r))
+    low = draw(st.sampled_from([0, 1]))
+    copies = draw(st.lists(st.integers(low, 3), min_size=len(universe), max_size=len(universe)))
+    masks = [m for m, c in zip(universe, copies) for _ in range(c)]
+    return draw(st.permutations(masks)), universe
+
+
+@given(universe_multisets())
+def test_first_miscovered_matches_the_full_scan(drawn):
+    masks, universe = drawn
+    assert first_miscovered(masks, universe, len(universe)) == scanned_verdict(
+        masks, universe, len(universe))
 
 
 # One bad piece planted through every public way a piece can enter, each
