@@ -115,26 +115,22 @@ def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
     """Every assignment of positive sizes (each <= n) to classes summing to r.
 
     Deterministic: lexicographic in the full size vector (s_0, ..., s_{k-1}).
+    The vectors are expanded one class at a time: each prefix with ``left``
+    of r still to place, and ``room`` = n per class after this one, is
+    extended by every size s_i from ``max(0, left - room)`` to
+    ``min(n, left)``, so every prefix kept completes to at least one vector
+    and nothing is built that is thrown away.  Each new list takes the
+    prefixes in order and, within a prefix, s_i ascending, which is the
+    lexicographic order again.
     """
     if r > layout.total:
         raise ValueError("r exceeds ground set size")
     k, n = layout.k, layout.n
-    out: List[Signature] = []
-
-    def rec(i: int, remaining: int, cur: List[int]) -> None:
-        if i == k:
-            if remaining == 0:
-                out.append(Signature.of({j: s for j, s in enumerate(cur) if s}))
-            return
-        # remaining must be placeable in the classes left
-        for s in range(0, min(n, remaining) + 1):
-            if remaining - s <= (k - i - 1) * n:
-                cur.append(s)
-                rec(i + 1, remaining - s, cur)
-                cur.pop()
-
-    rec(0, r, [])
-    return out
+    vectors = [((), r)]  # (sizes so far, left to place)
+    for room in range((k - 1) * n, -1, -n):
+        vectors = [(v + (s,), left - s) for v, left in vectors
+                   for s in range(max(0, left - room), min(n, left) + 1)]
+    return [Signature(tuple((c, s) for c, s in enumerate(v) if s)) for v, _ in vectors]
 
 
 @dataclass(frozen=True, order=True)

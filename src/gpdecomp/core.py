@@ -104,16 +104,16 @@ def piece_fault(i: int, parts: Sequence[Sequence[int]], n: int, r: int) -> Optio
     return None if problem is None else f"piece {i} has {problem}"
 
 
-def piece_problem(parts: Sequence[Sequence[int]], n: int | None = None) -> Optional[str]:
+def piece_problem(parts: Sequence[Sequence[int]], n: int) -> Optional[str]:
     """The one piece rule: why ``parts`` are not pairwise-disjoint nonempty
-    subsets of 0..n-1 (nonnegative integers if ``n`` is None), or None.  A
-    vertex repeated within a part counts as overlapping."""
+    subsets of 0..n-1, or None.  A vertex repeated within a part counts as
+    overlapping."""
     seen: set = set()
     for part in parts:
         if not part:
             return "an empty part"
         for v in part:
-            if v < 0 or (n is not None and v >= n):
+            if not 0 <= v < n:
                 return f"out-of-range vertex {v}"
             if v in seen:
                 return f"overlapping parts at vertex {v}"

@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import _max_piece_edges, lower_bound
@@ -80,35 +81,16 @@ def _check_size(n: int, r: int, allow_large: bool) -> None:
 
 
 def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> List[RPartiteGraph]:
-    """All canonical families of r disjoint nonempty subsets of 0..n-1.
+    """All canonical families of r disjoint nonempty subsets of 0..n-1, in
+    canonical order.
 
-    Generated by scanning vertices in order and assigning each to an existing
-    part, a new part, or none; parts are opened in order of their minimum, so
-    every unordered family appears exactly once, already canonical.
+    Each candidate has one lowest edge, the set of its part minima, so the
+    lists of :func:`_lowest_edge_parts` over every r-subset hold every
+    candidate exactly once, already canonical; merged, they are sorted.
     """
     _check_size(n, r, allow_large)
-    out: List[Tuple[Tuple[int, ...], ...]] = []
-
-    def rec(v: int, parts: List[List[int]]) -> None:
-        if v == n:
-            if len(parts) == r:
-                out.append(tuple(map(tuple, parts)))
-            return
-        if len(parts) + (n - v) < r:
-            return  # not enough vertices left to open the remaining parts
-        rec(v + 1, parts)  # skip vertex v
-        for p in parts:
-            p.append(v)
-            rec(v + 1, parts)
-            p.pop()
-        if len(parts) < r:
-            parts.append([v])
-            rec(v + 1, parts)
-            parts.pop()
-
-    rec(0, [])
-    out.sort()
-    return list(map(RPartiteGraph, out))
+    lists = (_lowest_edge_parts(n, low) for low in combinations(range(n), r))
+    return list(map(RPartiteGraph, sorted(chain.from_iterable(lists))))
 
 
 class _Stop(Exception):

@@ -82,17 +82,26 @@ def test_stars():
 # -- signatures ---------------------------------------------------------
 
 def brute_force_signatures(k, n, r):
-    out = []
-    for vec in product(range(n + 1), repeat=k):
-        if sum(vec) == r:
-            out.append(tuple(sorted((i, s) for i, s in enumerate(vec) if s)))
-    return sorted(out)
+    """The profiles of every size vector in ``product`` order, which is the
+    lexicographic order of the vectors."""
+    return [
+        tuple((i, s) for i, s in enumerate(vec) if s)
+        for vec in product(range(n + 1), repeat=k)
+        if sum(vec) == r
+    ]
 
 
-@pytest.mark.parametrize("k,n,r", [(3, 3, 5), (2, 3, 5), (1, 4, 4), (4, 2, 7), (3, 4, 6)])
+# (10, 2, 19) puts r far above n: 10 profiles, against C(28, 9) = 6.9M
+# splits of 19 into 10 unbounded sizes.  At r < 0 there is no profile, and
+# at r = 0 there is one, the empty profile.
+@pytest.mark.parametrize(
+    "k,n,r",
+    [(3, 3, 5), (2, 3, 5), (1, 4, 4), (4, 2, 7), (3, 4, 6), (10, 2, 19)]
+    + [(k, 2, r) for k in (1, 2, 3) for r in (-2, -1, 0)],
+)
 def test_enumerate_signatures_matches_brute_force(k, n, r):
     sigs = enumerate_signatures(ClassLayout(k=k, n=n), r)
-    got = sorted(s.assignments for s in sigs)
+    got = [s.assignments for s in sigs]
     assert got == brute_force_signatures(k, n, r)
     assert len(got) == len(set(got))
 

@@ -179,11 +179,6 @@ def test_piece_problem_reasons(parts, reason):
     assert piece_problem(parts, 4) == reason
 
 
-def test_piece_problem_without_n_checks_only_the_sign():
-    assert piece_problem(((0,), (99,))) is None
-    assert piece_problem(((0,), (-1,))) == "out-of-range vertex -1"
-
-
 @pytest.mark.parametrize(
     "parts",
     [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3))],

@@ -168,6 +168,7 @@ def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
         raise AssertionError("candidates enumerated")
 
     monkeypatch.setattr("gpdecomp.exact.enumerate_candidate_pieces", refuse)
+    monkeypatch.setattr("gpdecomp.exact._lowest_edge_parts", refuse)
     monkeypatch.setattr("gpdecomp.exact._LowestEdgeLists", refuse)
     res = solve_exact(8, 3)
     assert (res.optimal, res.value, res.nodes) == (True, 6, 0)

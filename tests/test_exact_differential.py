@@ -3,16 +3,18 @@
 The first reference is the branch-and-bound that root-orbit symmetry
 breaking replaced: it branches on every candidate covering the smallest
 uncovered edge, at the root too, and prunes with the same bound.  It builds
-its own edge index from tuples, so it shares only the candidate list and
-the baseline seed with the library.  The library's search, run without
-the certified floor, must find the same optimum, with a valid witness, in
-no more nodes; ``solve_exact``, floor included, must find the same optimum.
+its own edge index from tuples, so it shares only the baseline seed with
+the library.  The library's search, run without the certified floor, must
+find the same optimum, with a valid witness, in no more nodes;
+``solve_exact``, floor included, must find the same optimum.
 
-The second reference is the eager candidate index the library used to
-build: every candidate from ``enumerate_candidate_pieces``, its mask through
-``edge_masks``, listed under its lowest edge.  The library builds each
-lowest-edge list from the edge itself, the first time the search branches
-there; every list must equal the reference's, in the same order.
+The second reference is ``reference_candidates``, the recursive generator
+the library used to enumerate candidates, and the eager candidate index
+built from it: every candidate, its mask through ``edge_masks``, listed
+under its lowest edge.  The library builds each lowest-edge list from the
+edge itself, the first time the search branches there, and
+``enumerate_candidate_pieces`` merges those lists; both must equal the
+reference's, in the same order.
 
 The third reference is the library's search written as one call per node,
 over the reference index.  The library handles each child inside its
@@ -28,6 +30,7 @@ import pytest
 from gpdecomp import (
     Decomposition,
     GroundSet,
+    RPartiteGraph,
     SearchBudget,
     construct_baseline,
     enumerate_candidate_pieces,
@@ -35,13 +38,50 @@ from gpdecomp import (
     solve_exact,
     verify_decomposition,
 )
+from gpdecomp import exact
 from gpdecomp.core import edge_masks, subset_masks
 from gpdecomp.exact import _branch_and_bound, _LowestEdgeLists
 
 
+def reference_candidates(n, r):
+    """The canonical parts of every candidate of (n, r), sorted.
+
+    Scans the vertices in order and assigns each to an existing part, a new
+    part, or none; parts are opened in order of their minimum, so every
+    unordered family appears exactly once, already canonical.
+    """
+    out = []
+
+    def rec(v, parts):
+        if v == n:
+            if len(parts) == r:
+                out.append(tuple(map(tuple, parts)))
+            return
+        if len(parts) + (n - v) < r:
+            return  # not enough vertices left to open the remaining parts
+        rec(v + 1, parts)  # skip vertex v
+        for p in parts:
+            p.append(v)
+            rec(v + 1, parts)
+            p.pop()
+        if len(parts) < r:
+            parts.append([v])
+            rec(v + 1, parts)
+            parts.pop()
+
+    rec(0, [])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_candidates_match_reference_generator(n):
+    for r in range(1, n + 1):
+        assert enumerate_candidate_pieces(n, r) == list(map(RPartiteGraph, reference_candidates(n, r)))
+
+
 def reference_solve(n, r):
     """(optimum, node count, witness) by plain branch-and-bound."""
-    candidates = enumerate_candidate_pieces(n, r)
+    candidates = list(map(RPartiteGraph, reference_candidates(n, r)))
     index = {e: i for i, e in enumerate(combinations(range(n), r))}
     total = len(index)
     covers = [[index[tuple(sorted(e))] for e in product(*c.parts)] for c in candidates]
@@ -112,7 +152,7 @@ def reference_index(n, r):
     masks listed in canonical order under each candidate's lowest edge, the
     root's list keeping the first candidate of each sorted part-size tuple,
     and the largest candidate edge count."""
-    candidates = enumerate_candidate_pieces(n, r)
+    candidates = list(map(RPartiteGraph, reference_candidates(n, r)))
     edge_bit = {m: 1 << i for i, m in enumerate(subset_masks(n, r))}
     masks = [sum(map(edge_bit.__getitem__, edge_masks(c))) for c in candidates]
     by_edge = [[] for _ in range(len(edge_bit))]
@@ -185,10 +225,16 @@ BUDGETS = list(range(1, 301)) + [1_000, 5_000, 100_000]
 
 # (6,4) and (9,7) exhaust their trees (5,874 and 133 nodes) and (9,7) also
 # stops at its floor (51 nodes); (7,4) and (8,4) run out of every budget.
+# Every budget's search reads one set of lists, built in full up front: a
+# list depends on its edge alone, so sharing them changes no result, and
+# the lists are not rebuilt for each of the budgets.
 @pytest.mark.parametrize("n,r", [(6, 4), (9, 7), (7, 4), (8, 4)])
 @pytest.mark.parametrize("certified", [False, True], ids=["floor0", "certified"])
-def test_inline_children_match_one_call_per_node(n, r, certified):
+def test_inline_children_match_one_call_per_node(n, r, certified, monkeypatch):
     index = reference_index(n, r)
+    lists = _LowestEdgeLists(n, r)
+    assert [lists[i] for i in range(len(lists.edges))] == index[2]
+    monkeypatch.setattr(exact, "_LowestEdgeLists", lambda *args: lists)
     seed = construct_baseline(n, r)
     floor = lower_bound(n, r)[0] if certified else 0
     for max_nodes in BUDGETS:
