@@ -53,7 +53,6 @@ class BoundReport:
     c_prime: int
     alon_lower_coefficient: Fraction
     corollary2_value: Decimal
-    corollary2_exact: Optional[Fraction]  # set when r/4 is an integer
     precision_digits: int
     coefficient_below_one: bool
 
@@ -201,7 +200,6 @@ def theorem1_coefficient(d: int, k: int) -> BoundReport:
         c_prime=cp,
         alon_lower_coefficient=alon_lower_coefficient(r),
         corollary2_value=corollary2_value(r),
-        corollary2_exact=corollary2_exact(r),
         precision_digits=DEFAULT_PRECISION,
         coefficient_below_one=coef < 1,
     )

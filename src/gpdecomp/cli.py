@@ -5,6 +5,12 @@ Subcommands: construct, verify, exact, bounds.  Exit codes: 0 success/valid,
 With ``--porcelain`` reports are emitted as ``key=value`` lines (keys:
 pieces, valid, f_exact, lower_bound, lower_kind, nodes, threshold_d,
 coefficient_num, coefficient_den).
+
+A bad argument has one path: argparse's own errors, the commands' checks,
+the soft caps and an unwritable ``--out`` all raise ``ValueError`` or
+``OSError``, and :func:`main` prints ``error: <message>`` to stderr and
+returns 3.  Only ``verify`` reports its file's read and parse errors
+itself, as exit 2.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NoReturn, Optional
 
 from . import bounds as bounds_mod
 from .constructions import (
@@ -21,7 +27,7 @@ from .constructions import (
     construct_theorem1_detailed,
 )
 from .core import Decomposition, binomial
-from .exact import SearchBudget, solve_exact
+from .exact import SOFT_CAP_N as EXACT_CAP_N, SearchBudget, solve_exact
 from .fileio import ParseError, parse_decomposition, serialize_decomposition
 from .verifier import SOFT_CAP_EDGES, SOFT_CAP_N, verify_decomposition
 
@@ -32,9 +38,23 @@ EXIT_BAD_ARGS = 3
 EXIT_BUDGET = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that
+    :func:`main` reports them like any other bad argument: exit 3, one
+    ``error:`` line and no usage text.  ``add_subparsers`` makes the
+    subcommand parsers of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _over_cap(what: str, cap: object) -> ValueError:
+    return ValueError(f"{what} exceeds soft cap {cap} (pass --allow-large to run it anyway)")
 
 
 def _write_decomposition(d: Decomposition, path: str) -> None:
@@ -45,28 +65,21 @@ def _write_decomposition(d: Decomposition, path: str) -> None:
 def cmd_construct(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     tally = None
-    try:
-        if args.method == "stars":
-            if r is not None and r != 2:
-                return _fail("stars implies r=2", EXIT_BAD_ARGS)
-            dec = construct_baseline(n, 2)
-        elif args.method == "baseline":
-            if r is None:
-                return _fail("baseline requires --r", EXIT_BAD_ARGS)
-            dec = construct_baseline(n, r)
-        elif args.method == "theorem1":
-            if r is None or args.k is None:
-                return _fail("theorem1 requires --r and --k", EXIT_BAD_ARGS)
-            dec, tally = construct_theorem1_detailed(n, args.k, r)
-        elif args.method == "even-from-odd":
-            if r is None:
-                return _fail("even-from-odd requires --r", EXIT_BAD_ARGS)
-            dec = construct_even_from_odd(n, r)
-        else:  # pragma: no cover - argparse restricts choices
-            return _fail(f"unknown method {args.method}", EXIT_BAD_ARGS)
-        _write_decomposition(dec, args.out)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_ARGS)
+    if args.method == "stars":
+        if r not in (None, 2):
+            raise ValueError("stars implies r=2")
+        dec = construct_baseline(n, 2)
+    elif args.method == "theorem1":
+        if r is None or args.k is None:
+            raise ValueError("theorem1 requires --r and --k")
+        dec, tally = construct_theorem1_detailed(n, args.k, r)
+    elif r is None:
+        raise ValueError(f"{args.method} requires --r")
+    elif args.method == "baseline":
+        dec = construct_baseline(n, r)
+    else:
+        dec = construct_even_from_odd(n, r)
+    _write_decomposition(dec, args.out)
 
     if args.porcelain:
         print(f"pieces={dec.piece_count}")
@@ -91,9 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(f"parse error: {exc}", EXIT_PARSE)
     n, r = dec.ground.n, dec.ground.r
     if not args.allow_large and (n > SOFT_CAP_N or binomial(n, r) > SOFT_CAP_EDGES):
-        return _fail(f"n={n} r={r} exceeds soft cap n <= {SOFT_CAP_N}, C(n, r) <= "
-                     f"{SOFT_CAP_EDGES} (pass --allow-large to verify it anyway)",
-                     EXIT_BAD_ARGS)
+        raise _over_cap(f"n={n} r={r}", f"n <= {SOFT_CAP_N}, C(n, r) <= {SOFT_CAP_EDGES}")
     report = verify_decomposition(dec)
     if args.porcelain:
         print(f"pieces={report.piece_count}")
@@ -114,13 +125,12 @@ _PROOF_WORDS = {"bnb": "branch-and-bound", "trivial": "trivial bound",
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    try:
-        budget = SearchBudget(max_nodes=args.max_nodes, wall_clock_s=args.max_seconds)
-        result = solve_exact(args.n, args.r, budget, allow_large=args.allow_large)
-        if args.out:
-            _write_decomposition(result.witness, args.out)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_BAD_ARGS)
+    if args.n > EXACT_CAP_N and not args.allow_large:
+        raise _over_cap(f"n={args.n}", EXACT_CAP_N)
+    budget = SearchBudget(max_nodes=args.max_nodes, wall_clock_s=args.max_seconds)
+    result = solve_exact(args.n, args.r, budget, allow_large=args.allow_large)
+    if args.out:
+        _write_decomposition(result.witness, args.out)
     proof = _PROOF_WORDS[result.lower_kind]
     if args.porcelain:
         if result.optimal:
@@ -173,8 +183,7 @@ def _print_report(rep: bounds_mod.BoundReport, porcelain: bool) -> None:
         ("C'", rep.c_prime),
         ("epsilon_k = d!*C'/k", rep.epsilon_k),
         ("alon lower coefficient", rep.alon_lower_coefficient),
-        ("decay bound (r/2)(14/15)^(r/4)",
-         rep.corollary2_exact if rep.corollary2_exact is not None else rep.corollary2_value),
+        ("decay bound (r/2)(14/15)^(r/4)", rep.corollary2_value),
         ("decay bound precision (digits)", rep.precision_digits),
     ]
     width = max(len(str(name)) for name, _ in rows)
@@ -182,21 +191,16 @@ def _print_report(rep: bounds_mod.BoundReport, porcelain: bool) -> None:
         print(f"{name:<{width}}  {value}")
 
 
-def _over_cap(label: str, d: int) -> str:
-    return (f"{label}={d} exceeds soft cap {bounds_mod.SOFT_CAP_D} "
-            "(pass --allow-large to run it anyway)")
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.scan_range:
         try:
             lo, hi = (int(x) for x in args.scan_range.split(":"))
         except ValueError:
-            return _fail("scan-range must look like 140:160", EXIT_BAD_ARGS)
+            raise ValueError("scan-range must look like 140:160") from None
         if not 1 <= lo <= hi:
-            return _fail("scan-range needs 1 <= LO <= HI", EXIT_BAD_ARGS)
+            raise ValueError("scan-range needs 1 <= LO <= HI")
         if hi > bounds_mod.SOFT_CAP_D and not args.allow_large:
-            return _fail(_over_cap("scan-range HI", hi), EXIT_BAD_ARGS)
+            raise _over_cap(f"scan-range HI={hi}", bounds_mod.SOFT_CAP_D)
         td = bounds_mod.threshold_d()
         if args.porcelain:
             print(f"threshold_d={td}")
@@ -209,77 +213,71 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"threshold d = {td}, uniformity r = {2 * td + 1}")
         return EXIT_OK
     if args.d is None and args.r is None:
-        return _fail("give --d or --r (or --scan-range)", EXIT_BAD_ARGS)
+        raise ValueError("give --d or --r (or --scan-range)")
     if args.d is not None and args.r is not None and args.r != 2 * args.d + 1:
-        return _fail("inconsistent --d and --r (need r = 2d+1)", EXIT_BAD_ARGS)
+        raise ValueError("inconsistent --d and --r (need r = 2d+1)")
     if args.d is not None:
         d = args.d
+    elif args.r % 2 == 0 or args.r < 3:
+        raise ValueError("--r must be odd and >= 3 (or give --d)")
     else:
-        if args.r % 2 == 0 or args.r < 3:
-            return _fail("--r must be odd and >= 3 (or give --d)", EXIT_BAD_ARGS)
         d = (args.r - 1) // 2
     if d > bounds_mod.SOFT_CAP_D and not args.allow_large:
-        return _fail(_over_cap("d", d), EXIT_BAD_ARGS)
-    try:
-        rep = bounds_mod.theorem1_coefficient(d, args.k)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_ARGS)
+        raise _over_cap(f"d={d}", bounds_mod.SOFT_CAP_D)
+    rep = bounds_mod.theorem1_coefficient(d, args.k)
     with _exact_digits():
         _print_report(rep, args.porcelain)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpdecomp",
         description="Construct, verify, and bound partitions of complete "
         "r-uniform hypergraphs into complete r-partite r-graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a decomposition and write it to a file")
-    p.add_argument("--method", required=True,
-                   choices=["stars", "baseline", "theorem1", "even-from-odd"])
-    p.add_argument("--n", type=int, required=True,
-                   help="vertex count (class size for theorem1)")
-    p.add_argument("--r", type=int, default=None, help="uniformity")
-    p.add_argument("--k", type=int, default=None, help="class count (theorem1)")
-    p.add_argument("--out", required=True, help="output decomposition file")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=cmd_construct)
+    construct = sub.add_parser("construct", help="build a decomposition and write it to a file")
+    construct.add_argument("--method", required=True,
+                           choices=["stars", "baseline", "theorem1", "even-from-odd"])
+    construct.add_argument("--n", type=int, required=True,
+                           help="vertex count (class size for theorem1)")
+    construct.add_argument("--r", type=int, default=None, help="uniformity")
+    construct.add_argument("--k", type=int, default=None, help="class count (theorem1)")
+    construct.add_argument("--out", required=True, help="output decomposition file")
 
-    p = sub.add_parser("verify", help="verify a decomposition file exhaustively")
-    p.add_argument("path")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the soft cap on the file's n and C(n, r)")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="verify a decomposition file exhaustively")
+    verify.add_argument("path")
 
-    p = sub.add_parser("exact", help="exact minimum piece count on a tiny instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
-    p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the candidate enumeration soft cap")
-    p.add_argument("--out", default=None, help="write the witness here")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=cmd_exact)
+    exact = sub.add_parser("exact", help="exact minimum piece count on a tiny instance")
+    exact.add_argument("--n", type=int, required=True)
+    exact.add_argument("--r", type=int, required=True)
+    exact.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+    exact.add_argument("--max-seconds", type=float, default=None)
+    exact.add_argument("--out", default=None, help="write the witness here")
 
-    p = sub.add_parser("bounds", help="evaluate the bound formulas")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--scan-range", default=None, metavar="LO:HI",
-                   help="print the coefficient over a range of d and the threshold")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the soft cap on d (and on HI of --scan-range)")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=cmd_bounds)
+    bounds = sub.add_parser("bounds", help="evaluate the bound formulas")
+    bounds.add_argument("--d", type=int, default=None)
+    bounds.add_argument("--r", type=int, default=None)
+    bounds.add_argument("--k", type=int, default=1)
+    bounds.add_argument("--scan-range", default=None, metavar="LO:HI",
+                        help="print the coefficient over a range of d and the threshold")
+
+    for p, capped in ((verify, "the file's n and C(n, r)"), (exact, "n"),
+                      (bounds, "d (and on HI of --scan-range)")):
+        p.add_argument("--allow-large", action="store_true",
+                       help=f"override the soft cap on {capped}")
+    for p, func in ((construct, cmd_construct), (verify, cmd_verify),
+                    (exact, cmd_exact), (bounds, cmd_bounds)):
+        p.add_argument("--porcelain", action="store_true")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc), EXIT_BAD_ARGS)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .blocks import (
     Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
@@ -67,11 +67,6 @@ class Signature:
     """
 
     assignments: Tuple[Tuple[int, int], ...]  # sorted (class, size) pairs
-
-    @staticmethod
-    def of(mapping: Dict[int, int]) -> "Signature":
-        items = tuple(sorted((c, s) for c, s in mapping.items() if s > 0))
-        return Signature(items)
 
 
 @dataclass
@@ -193,15 +188,18 @@ def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
     return paired + [rt for rt in routes if rt.family != "paired_two_classes"]
 
 
-def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...], problem: str) -> None:
+def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...],
+                  problem: Callable[[], str] = lambda: "") -> None:
     """Raise ValueError naming the provider call unless its output is for
-    ``want`` (``(n,)`` or ``(n, r)``) and its verifier reported no
-    ``problem`` (the witness in words)."""
+    ``want`` (``(n,)`` or ``(n, r)``) and then ``problem()``, its verifier's
+    witness in words, is empty.  The size is checked first, so an output of
+    the wrong size is refused without being verified."""
     if ground != want:
         got = ", ".join(f"{name}={v}" for name, v in zip("nr", ground))
         raise ValueError(f"{call} returned an output for {got}")
-    if problem:
-        raise ValueError(f"{call} is invalid: {problem}")
+    message = problem()
+    if message:
+        raise ValueError(f"{call} is invalid: {message}")
 
 
 def _sorted_parts(parts: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -227,12 +225,12 @@ def _route_pieces(
     blocks: Tuple[Block, ...] = ()
     if any(rt.pairs for rt in routes):
         bd = block_provider(n)
-        _check_output(f"block_provider({n})", (bd.n,), (n,), verify_blocks(bd).message)
+        _check_output(f"block_provider({n})", (bd.n,), (n,), lambda: verify_blocks(bd).message)
         blocks = bd.blocks
     subs = {s: sub_provider(n, s) for s in sorted({s for rt in routes for _, s in rt.singles})}
     for s, dec in subs.items():
         _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
-                      verify_decomposition(dec).message)
+                      lambda: verify_decomposition(dec).message)
     pair_factors = {
         (ci, cj): [_sorted_parts(block_to_four_parts(b, ci * n, cj * n)) for b in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
@@ -303,11 +301,11 @@ def construct_even_from_odd(
     # Checked before deriving: the source carries the piece rule for its own
     # ground, so once that is (n+1, r+1) each derived piece has r disjoint
     # parts inside 0..n-1, and only the derived coverage is left to verify.
-    _check_output(call, (odd.ground.n, odd.ground.r), want, "")
+    _check_output(call, (odd.ground.n, odd.ground.r), want)
     v = n
     derived = Decomposition._from_checked(ground, tuple(
         RPartiteGraph(_sorted_parts(part for part in p.parts if v not in part))
         for p in odd.pieces if any(v in part for part in p.parts)
     ))
-    _check_output(call, want, want, verify_decomposition(derived).message)
+    _check_output(call, want, want, lambda: verify_decomposition(derived).message)
     return derived

@@ -132,18 +132,13 @@ class _Parts(dict):
         self.value = tokens.__getitem__
 
     def __missing__(self, chunk: str) -> Tuple[Tuple[int, ...], int]:
-        n = self.n
         try:
-            if "," not in chunk:  # most parts of small files: one vertex
-                v = self.value(chunk)
-                entry = self[chunk] = (v,), (_BIT(_WRAP(v)) if 0 <= v < n else 0)
-                return entry
             part = tuple(map(self.value, chunk.split(",")))
         except ValueError as exc:
             raise ParseError(f"bad part {chunk!r}") from exc
         if sorted(part) != list(part):
             mask = -1
-        elif part[0] < 0 or part[-1] >= n:
+        elif part[0] < 0 or part[-1] >= self.n:
             mask = 0
         else:
             mask = sum(map(_BIT, map(_WRAP, part)))

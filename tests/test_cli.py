@@ -127,7 +127,7 @@ def test_exact_refuses_over_cap_before_the_floor(capsys, monkeypatch):
     monkeypatch.setattr("gpdecomp.exact.construct_baseline", refuse)
     code, stdout, err = run(capsys, "exact", "--n", "40", "--r", "20")
     assert (code, stdout) == (3, "")
-    assert err == "error: n=40 exceeds soft cap 9\n"
+    assert err == "error: n=40 exceeds soft cap 9 (pass --allow-large to run it anyway)\n"
 
 
 @pytest.mark.parametrize(
@@ -411,6 +411,40 @@ def test_exact_unwritable_out_is_bad_args(tmp_path, capsys):
     code, _, err = run(capsys, "exact", "--n", "4", "--r", "2", "--out", str(out))
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exact", "--n", "abc", "--r", "3"], "argument --n: invalid int value: 'abc'"),
+    (["exact", "--n", "5"], "the following arguments are required: --r"),
+    (["construct", "--method", "nope", "--n", "3", "--out", "x.gpd"],
+     "argument --method: invalid choice: 'nope'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command"),
+], ids=["non-integer", "missing-option", "unknown-method", "unknown-command", "no-command"])
+def test_argparse_errors_take_the_bad_argument_path(capsys, argv, message):
+    # argparse's own errors are bad arguments like any other: exit 3 and one
+    # "error: " line, not SystemExit(2), which is verify's parse-error code.
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["exact", "--help"]], ids=["top", "command"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gpdecomp")
+
+
+def test_python_m_gpdecomp_bad_argument_exits_3():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "gpdecomp", "exact", "--n", "abc", "--r", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: argument --n: invalid int value: 'abc'\n"
 
 
 def test_python_m_gpdecomp_runs_the_cli():

@@ -158,7 +158,7 @@ def edges_with_profile(layout, profile):
 
 def test_decompose_signature_paired_family_with_complement():
     layout = ClassLayout(k=3, n=3)
-    sig = Signature.of({0: 2, 1: 2})  # the lone extra vertex lives elsewhere
+    sig = Signature(((0, 2), (1, 2)))  # the lone extra vertex lives elsewhere
     pieces = signature_pieces(layout, sig)
     assert len(pieces) == 4
     comp = (6, 7, 8)
@@ -173,7 +173,7 @@ def test_decompose_signature_paired_family_with_complement():
 
 def test_decompose_signature_two_three():
     layout = ClassLayout(k=3, n=3)
-    pieces = signature_pieces(layout, Signature.of({0: 3, 1: 2}))
+    pieces = signature_pieces(layout, Signature(((0, 3), (1, 2))))
     assert len(pieces) == 2
     covered = [e for p in pieces for e in piece_edges(p)]
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 2}))
@@ -182,7 +182,7 @@ def test_decompose_signature_two_three():
 
 def test_decompose_signature_generic():
     layout = ClassLayout(k=3, n=3)
-    pieces = signature_pieces(layout, Signature.of({0: 3, 1: 1, 2: 1}))
+    pieces = signature_pieces(layout, Signature(((0, 3), (1, 1), (2, 1))))
     assert len(pieces) == 1
     covered = list(piece_edges(pieces[0]))
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 1, 2: 1}))
@@ -191,12 +191,12 @@ def test_decompose_signature_generic():
 
 def test_decompose_signature_vacuous_when_no_complement():
     layout = ClassLayout(k=2, n=3)
-    assert route_signature(layout, Signature.of({0: 2, 1: 2})) is None
+    assert route_signature(layout, Signature(((0, 2), (1, 2)))) is None
 
 
 def test_decompose_signature_rejects_oversized():
     with pytest.raises(ValueError):
-        signature_pieces(ClassLayout(k=2, n=3), Signature.of({0: 4, 1: 1}))
+        signature_pieces(ClassLayout(k=2, n=3), Signature(((0, 4), (1, 1))))
 
 
 # -- theorem 1 ----------------------------------------------------------
@@ -310,6 +310,28 @@ FIRST_TRIVIAL = construct_trivial_blocks(3).blocks[0]
          "short-sub", "sub-of-wrong-ground"],
 )
 def test_theorem1_rejects_bad_provider(providers, message):
+    with pytest.raises(ValueError, match=message):
+        construct_theorem1(3, 3, 5, **providers)
+
+
+def _verified(*args):
+    raise AssertionError("an output of the wrong size was verified")
+
+
+@pytest.mark.parametrize(
+    "verifier,providers,message",
+    [
+        ("verify_decomposition", dict(sub_provider=lambda m, s: construct_baseline(m + 1, s)),
+         r"sub_provider\(3, 1\) returned an output for n=4, r=1$"),
+        ("verify_blocks", dict(block_provider=lambda m: construct_trivial_blocks(m + 1)),
+         r"block_provider\(3\) returned an output for n=4$"),
+    ],
+    ids=["sub", "blocks"],
+)
+def test_theorem1_refuses_wrong_size_before_verifying(monkeypatch, verifier, providers, message):
+    # The O(1) size check comes first: a full verification of K_4^(1) or of
+    # the blocks for 4 would be wasted on an output that is refused anyway.
+    monkeypatch.setattr(f"gpdecomp.constructions.{verifier}", _verified)
     with pytest.raises(ValueError, match=message):
         construct_theorem1(3, 3, 5, **providers)
 
