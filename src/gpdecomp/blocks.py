@@ -18,6 +18,7 @@ is the default with (n-1)^2 blocks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import List, Optional, Tuple
@@ -122,9 +123,11 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     # pairs in lexicographic order are those 4-sets in lexicographic order.
     pieces = [RPartiteGraph(block_to_four_parts(blk, 0, n)) for blk in bd.blocks]
     masks = list(chain.from_iterable(map(edge_masks, pieces)))
-    one = list(subset_masks(n, 2))
-    found = first_miscovered(masks, map(sum, product(one, [m << n for m in one])), total)
-    if found is None:
+    if len(masks) == total and len(set(masks)) == total:
         return BlockReport(True, count, total)
-    e = edge_of_mask(found[0])
-    return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), found[1])
+    one = list(subset_masks(n, 2))
+    # Not accepted, so some pair is covered other than once.
+    bad, times = first_miscovered(
+        Counter(masks), map(sum, product(one, [m << n for m in one])), total)
+    e = edge_of_mask(bad)
+    return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), times)

@@ -62,23 +62,35 @@ def _write_decomposition(d: Decomposition, path: str) -> None:
         fh.write(serialize_decomposition(d))
 
 
+def _check_ground(args: argparse.Namespace, what: str, n: int, r: int) -> None:
+    """Refuse, unless --allow-large, a ground set above the verifier's caps."""
+    if not args.allow_large and (n > SOFT_CAP_N or binomial(n, r) > SOFT_CAP_EDGES):
+        raise _over_cap(what, f"n <= {SOFT_CAP_N}, C(n, r) <= {SOFT_CAP_EDGES}")
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
-    n, r = args.n, args.r
+    n, r, k = args.n, args.r, args.k
     tally = None
     if args.method == "stars":
         if r not in (None, 2):
             raise ValueError("stars implies r=2")
-        dec = construct_baseline(n, 2)
+        r = 2
     elif args.method == "theorem1":
-        if r is None or args.k is None:
+        if r is None or k is None:
             raise ValueError("theorem1 requires --r and --k")
-        dec, tally = construct_theorem1_detailed(n, args.k, r)
     elif r is None:
         raise ValueError(f"{args.method} requires --r")
-    elif args.method == "baseline":
-        dec = construct_baseline(n, r)
-    else:
+    # Capped on the ground set built: theorem1's n*k vertices, and for
+    # even-from-odd the K_{n+1}^(r+1) it derives its output from.
+    if args.method == "theorem1":
+        _check_ground(args, f"n*k={n * k} r={r}", n * k, r)
+        dec, tally = construct_theorem1_detailed(n, k, r)
+    elif args.method == "even-from-odd":
+        _check_ground(args, f"source n+1={n + 1} r+1={r + 1}", n + 1, r + 1)
         dec = construct_even_from_odd(n, r)
+    else:
+        _check_ground(args, f"n={n} r={r}", n, r)
+        dec = construct_baseline(n, r)
     _write_decomposition(dec, args.out)
 
     if args.porcelain:
@@ -103,8 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         return _fail(f"parse error: {exc}", EXIT_PARSE)
     n, r = dec.ground.n, dec.ground.r
-    if not args.allow_large and (n > SOFT_CAP_N or binomial(n, r) > SOFT_CAP_EDGES):
-        raise _over_cap(f"n={n} r={r}", f"n <= {SOFT_CAP_N}, C(n, r) <= {SOFT_CAP_EDGES}")
+    _check_ground(args, f"n={n} r={r}", n, r)
     report = verify_decomposition(dec)
     if args.porcelain:
         print(f"pieces={report.piece_count}")
@@ -264,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--scan-range", default=None, metavar="LO:HI",
                         help="print the coefficient over a range of d and the threshold")
 
-    for p, capped in ((verify, "the file's n and C(n, r)"), (exact, "n"),
+    for p, capped in ((construct, "the output's n and C(n, r) (for even-from-odd, its source's)"),
+                      (verify, "the file's n and C(n, r)"), (exact, "n"),
                       (bounds, "d (and on HI of --scan-range)")):
         p.add_argument("--allow-large", action="store_true",
                        help=f"override the soft cap on {capped}")

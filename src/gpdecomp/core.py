@@ -168,23 +168,23 @@ def subset_masks(n: int, r: int) -> Iterator[int]:
     return map(sum, combinations([1 << v for v in range(n)], r))
 
 
-def first_miscovered(masks: List[int], universe: Iterable[int],
+def first_miscovered(counts: Counter, universe: Iterable[int],
                      total: int) -> Optional[Tuple[int, int]]:
     """The one coverage verdict: the first ``universe`` mask not counted
-    exactly once in ``masks`` (all inside that universe of ``total`` masks),
-    with its count, or None.  The census alone is never trusted.
+    exactly once in ``counts``, a Counter of masks all inside that universe
+    of ``total`` masks, with its count, or None.  Every mask is counted, so
+    the census alone is never trusted.
 
     ``universe`` must list its masks in the lexicographic order of their
     vertex tuples (:func:`edge_of_mask`), as :func:`subset_masks` does.  It
-    is read only when some mask of it is missing from ``masks``: when every
+    is read only when some mask of it is missing from ``counts``: when every
     one is there, the first miscovered mask is the lexicographically
-    smallest of those counted more than once."""
-    if len(masks) == total and len(set(masks)) == total:
-        return None
-    counts = Counter(masks)
+    smallest of those counted more than once.  A caller holding the masks
+    as a list accepts first when the census and the distinct masks both
+    equal ``total``, and builds the Counter only to reject."""
     if len(counts) == total:
-        m = min((m for m, c in counts.items() if c != 1), key=edge_of_mask)
-        return m, counts[m]
+        m = min((m for m, c in counts.items() if c != 1), key=edge_of_mask, default=None)
+        return None if m is None else (m, counts[m])
     return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
 
 

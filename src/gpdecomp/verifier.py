@@ -2,10 +2,18 @@
 
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
 carries the piece rule, so each edge mask from :func:`gpdecomp.core.edge_masks`
-is an r-subset of 0..n-1 and the coverage verdict
-:func:`gpdecomp.core.first_miscovered` over those r-subsets decides.  The
+is an r-subset of 0..n-1.  A decomposition whose census and distinct masks
+both equal C(n, r) is accepted from the mask list alone; any other is
+counted into a Counter of masks, and the coverage verdict
+:func:`gpdecomp.core.first_miscovered` over those counts decides.  The
 verdict walks the r-subsets in lexicographic order only when one of them is
 missing; an over-cover alone is found among the counted masks.
+
+A decomposition's Counter is built at most once: a reject keeps it on the
+instance, and :func:`coverage_histogram` reads it from there (or builds and
+keeps it), so a histogram after a verify, or a verify after a histogram,
+counts no edge again.  The instance is frozen and its pieces are tuples, so
+the counts cannot go stale.  An accept keeps nothing.
 """
 
 from __future__ import annotations
@@ -39,15 +47,26 @@ class VerificationReport:
     witness_pieces: Tuple[int, ...] = ()
 
 
+# The instance __dict__ key of a decomposition's Counter of edge masks.
+_COUNTS = "_edge_counts"
+
+
 def verify_decomposition(d: Decomposition) -> VerificationReport:
     """Check the edge census and exact single coverage of every r-subset.
     On failure the report carries the first bad edge in lexicographic order,
     its multiplicity, and the covering piece indices."""
     n, r = d.ground.n, d.ground.r
     total = binomial(n, r)
-    masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
-    census = len(masks)  # one mask per edge of each piece
-    found = first_miscovered(masks, subset_masks(n, r), total)
+    counts = d.__dict__.get(_COUNTS)
+    if counts is None:
+        masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
+        census = len(masks)  # one mask per edge of each piece
+        if census == total and len(set(masks)) == total:
+            return VerificationReport(True, len(d.pieces), total, census)
+        counts = d.__dict__[_COUNTS] = Counter(masks)
+    else:
+        census = sum(counts.values())
+    found = first_miscovered(counts, subset_masks(n, r), total)
     if found is None:
         return VerificationReport(True, len(d.pieces), total, census)
     e = edge_of_mask(found[0])
@@ -71,8 +90,11 @@ def coverage_histogram(d: Decomposition) -> Dict[int, int]:
     """Map multiplicity -> number of edges covered that many times.
 
     A valid decomposition yields exactly {1: binomial(n, r)}."""
-    counts = Counter(Counter(chain.from_iterable(map(edge_masks, d.pieces))).values())
-    missing = binomial(d.ground.n, d.ground.r) - sum(counts.values())
+    counts = d.__dict__.get(_COUNTS)
+    if counts is None:
+        counts = d.__dict__[_COUNTS] = Counter(chain.from_iterable(map(edge_masks, d.pieces)))
+    hist = Counter(counts.values())
+    missing = binomial(d.ground.n, d.ground.r) - len(counts)
     if missing:
-        counts[0] = missing
-    return dict(counts)
+        hist[0] = missing
+    return dict(hist)

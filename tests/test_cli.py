@@ -488,3 +488,42 @@ def test_verify_allow_large_lifts_the_cap(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(path), "--porcelain", "--allow-large")
     assert code == 1
     assert stdout.splitlines() == ["pieces=1", "valid=0"]
+
+
+_BUILDERS = ("construct_baseline", "construct_theorem1_detailed", "construct_even_from_odd")
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["--method", "baseline", "--n", "60", "--r", "30"], "n=60 r=30"),
+    (["--method", "stars", "--n", "2000"], "n=2000 r=2"),
+    (["--method", "theorem1", "--n", "300", "--k", "5", "--r", "5"], "n*k=1500 r=5"),
+    (["--method", "theorem1", "--n", "20", "--k", "5", "--r", "7"], "n*k=100 r=7"),
+    # C(40, 6) = 3,838,380 is under the edge cap; the source's C(41, 7) is not.
+    (["--method", "even-from-odd", "--n", "40", "--r", "6"], "source n+1=41 r+1=7"),
+], ids=["baseline", "stars", "theorem1-n", "theorem1-edges", "even-from-odd"])
+def test_construct_refuses_over_cap_before_building(tmp_path, capsys, monkeypatch, argv, what):
+    for name in _BUILDERS:
+        monkeypatch.setattr(f"gpdecomp.cli.{name}", _refuse)
+    out = tmp_path / "big.gpd"
+    code, stdout, err = run(capsys, "construct", *argv, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == (f"error: {what} exceeds soft cap n <= 1024, C(n, r) <= 20000000 "
+                   "(pass --allow-large to run it anyway)\n")
+    assert not out.exists()
+
+
+def test_construct_allow_large_lifts_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gpdecomp.cli.SOFT_CAP_EDGES", 10)
+    out = str(tmp_path / "d.gpd")
+    # At the cap itself nothing is refused: C(5, 3) = 10.
+    assert run(capsys, "construct", "--method", "baseline", "--n", "5", "--r", "3",
+               "--out", out, "--porcelain")[:2] == (0, "pieces=3\n")
+    assert run(capsys, "construct", "--method", "baseline", "--n", "6", "--r", "3",
+               "--out", out)[0] == 3
+    # even-from-odd (5, 2) has C(5, 2) = 10 edges but is built from C(6, 3) = 20.
+    assert run(capsys, "construct", "--method", "even-from-odd", "--n", "5", "--r", "2",
+               "--out", out)[0] == 3
+    for argv in (["baseline", "--n", "6", "--r", "3"], ["even-from-odd", "--n", "5", "--r", "2"]):
+        code, _, _ = run(capsys, "construct", "--method", *argv, "--out", out, "--allow-large")
+        assert code == 0
+        assert run(capsys, "verify", out, "--porcelain", "--allow-large")[1].endswith("valid=1\n")

@@ -200,16 +200,17 @@ def test_subset_masks_are_the_lexicographic_r_subsets(n):
 
 def test_first_miscovered():
     universe = list(subset_masks(4, 2))  # 0b11, 0b101, 0b1001, 0b110, ...
-    assert first_miscovered(universe[::-1], universe, 6) is None
+    assert first_miscovered(Counter(universe[::-1]), universe, 6) is None
     # a missing mask is found with count 0, a repeated one with its count
-    assert first_miscovered(universe[1:], universe, 6) == (0b11, 0)
-    assert first_miscovered(universe + [0b110], universe, 6) == (0b110, 2)
+    assert first_miscovered(Counter(universe[1:]), universe, 6) == (0b11, 0)
+    assert first_miscovered(Counter(universe + [0b110]), universe, 6) == (0b110, 2)
     # the census matches but a mask repeats in place of another
-    assert first_miscovered(universe[:-1] + [0b101], universe, 6) == (0b101, 2)
+    assert first_miscovered(Counter(universe[:-1] + [0b101]), universe, 6) == (0b101, 2)
     # Only repeats: {0,3} = 0b1001 comes before {1,2} = 0b110 although its
     # mask is larger, and the universe is not read at all.
-    assert first_miscovered(universe + [0b0110, 0b1001], universe, 6) == (0b1001, 2)
-    assert first_miscovered(universe + [0b0110, 0b1001, 0b0110], iter(()), 6) == (0b1001, 2)
+    assert first_miscovered(Counter(universe + [0b0110, 0b1001]), universe, 6) == (0b1001, 2)
+    assert first_miscovered(
+        Counter(universe + [0b0110, 0b1001, 0b0110]), iter(()), 6) == (0b1001, 2)
 
 
 def scanned_verdict(masks, universe, total):
@@ -236,7 +237,7 @@ def universe_multisets(draw):
 @given(universe_multisets())
 def test_first_miscovered_matches_the_full_scan(drawn):
     masks, universe = drawn
-    assert first_miscovered(masks, universe, len(universe)) == scanned_verdict(
+    assert first_miscovered(Counter(masks), universe, len(universe)) == scanned_verdict(
         masks, universe, len(universe))
 
 

@@ -236,6 +236,22 @@ def test_verifier_and_histogram_match_reference(drawn):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(random_piece_sets(), construction_mutants()), st.booleans())
+def test_counts_kept_between_calls_change_no_answer(drawn, histogram_first):
+    # A reject or a histogram keeps its Counter on the decomposition; every
+    # later answer must equal the reference's and a fresh copy's.
+    if reference_structural_problem(*drawn) is not None:
+        return
+    d = Decomposition(*drawn)
+    fresh = verify_decomposition(Decomposition(*drawn))
+    if histogram_first:
+        assert coverage_histogram(d) == reference_histogram(d)
+    assert verify_decomposition(d) == fresh
+    assert coverage_histogram(d) == reference_histogram(d)
+    assert verify_decomposition(d) == fresh
+
+
+@settings(max_examples=200, deadline=None)
 @given(block_sets())
 def test_verify_blocks_matches_reference(bd):
     assert verify_blocks(bd) == reference_verify_blocks(bd)

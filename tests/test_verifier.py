@@ -118,3 +118,31 @@ def test_report_agrees_with_histogram():
         report = verify_decomposition(dec)
         hist = coverage_histogram(dec)
         assert report.valid == (hist == {1: binomial(dec.ground.n, dec.ground.r)})
+
+
+def _no_edge_masks(piece):
+    raise AssertionError("edges counted again")
+
+
+def test_a_reject_and_the_histogram_count_the_edges_once(monkeypatch):
+    dec = construct_baseline(7, 4)
+    e = math.prod(map(len, dec.pieces[0].parts))
+    doubled = Decomposition(dec.ground, dec.pieces[:1] + dec.pieces)
+    dropped = Decomposition(dec.ground, dec.pieces[1:])
+    report = verify_decomposition(doubled)
+    assert not report.valid
+    dropped_hist = coverage_histogram(dropped)
+    expected = verify_decomposition(Decomposition(dec.ground, dropped.pieces))
+    monkeypatch.setattr("gpdecomp.verifier.edge_masks", _no_edge_masks)
+    # Each reads the Counter the other built; a repeat call does too.
+    assert coverage_histogram(doubled) == {1: 35 - e, 2: e}
+    assert verify_decomposition(doubled) == report
+    assert verify_decomposition(dropped) == expected
+    assert coverage_histogram(dropped) == dropped_hist == {0: e, 1: 35 - e}
+
+
+def test_an_accept_keeps_nothing():
+    d = construct_baseline(7, 4)
+    before = dict(vars(d))
+    assert verify_decomposition(d).valid
+    assert vars(d) == before
