@@ -7,8 +7,15 @@ class-local labels 0..n-1).  :class:`BlockDecomposition` applies the piece
 rule to every bipartite factor when it is built, so each side holds distinct
 vertices of 0..n-1 and the two sides are disjoint.  :func:`block_to_four_parts`
 is the one placement: it shifts class one and class two up by two offsets, so
-one block decomposition serves every class pair of the main construction, and
-:func:`verify_blocks` checks a block as the piece placed at offsets 0 and n.
+one block decomposition serves every class pair of the main construction.
+
+:func:`verify_blocks` counts through the product structure instead of placing
+blocks: the layer is a partition exactly when, for every edge e1 of K_n, the
+second factors of the blocks whose first factor holds e1 partition E(K_n).
+It checks each distinct such group of second factors once, in the order of
+e1, so its witness is still the lexicographically first bad pair; it costs
+the first factors' edges plus C(n,2) per distinct group, and at worst (every
+group distinct) the C(n,2)^2 pairs themselves.
 
 Any function ``n -> BlockDecomposition`` can serve as a block provider for
 the main construction, which rejects with ``ValueError`` an output that is
@@ -18,10 +25,10 @@ is the default with (n-1)^2 blocks.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, piece_problem, subset_masks,
@@ -114,20 +121,50 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     """Exhaustively check that every ordered pair of 2-sets is covered once.
 
     On failure the witness is the first pair in lexicographic order covered
-    other than once."""
+    other than once.
+
+    A pair (e1, e2) is covered once by each block whose first factor holds
+    e1 and whose second factor holds e2, so the blocks partition the pairs
+    exactly when, for every e1, the second factors of the blocks whose first
+    factor holds e1 (its group) partition E(K_n).  One walk over the blocks
+    records each e1's group as indices of distinct factors; then each e1, in
+    lexicographic order, has its group checked through the coverage kernel,
+    with the verdict cached by the group's tuple of indices.  The first e1
+    whose group fails, with the group's first e2 covered other than once, is
+    the lexicographically first bad pair, as a scan of all pairs would find.
+
+    Each distinct factor's edges are built once, so the cost is the sum of
+    the first factors' sizes plus one C(n,2) check per distinct group; at
+    worst, every group distinct, that is the C(n,2)^2 pair census itself.
+    """
     n = bd.n
-    total = binomial(n, 2) ** 2
-    count = len(bd.blocks)
-    # Class two shifted up by n makes each block a four-part piece on 2n
-    # vertices whose edges are its pairs, all inside the pair universe; the
-    # pairs in lexicographic order are those 4-sets in lexicographic order.
-    pieces = [RPartiteGraph(block_to_four_parts(blk, 0, n)) for blk in bd.blocks]
-    masks = list(chain.from_iterable(map(edge_masks, pieces)))
-    if len(masks) == total and len(set(masks)) == total:
-        return BlockReport(True, count, total)
-    one = list(subset_masks(n, 2))
-    # Not accepted, so some pair is covered other than once.
-    bad, times = first_miscovered(
-        Counter(masks), map(sum, product(one, [m << n for m in one])), total)
-    e = edge_of_mask(bad)
-    return BlockReport(False, count, total, (e[:2], tuple(v - n for v in e[2:])), times)
+    edges = binomial(n, 2)
+    index: Dict[BipartiteGraph, int] = {}  # each distinct factor to its index in masks
+    masks: List[List[int]] = []
+
+    def edges_of(g: BipartiteGraph) -> int:
+        i = index.get(g)
+        if i is None:
+            i = index[g] = len(masks)
+            masks.append(edge_masks(RPartiteGraph((g.side_a, g.side_b))))
+        return i
+
+    groups: Dict[int, List[int]] = defaultdict(list)
+    for blk in bd.blocks:
+        j = edges_of(blk.second)
+        for e1 in masks[edges_of(blk.first)]:
+            groups[e1].append(j)
+    verdicts: Dict[Tuple[int, ...], Optional[Tuple[int, int]]] = {}
+    for e1 in subset_masks(n, 2):
+        key = tuple(groups.get(e1, ()))
+        if key not in verdicts:
+            got = list(chain.from_iterable(map(masks.__getitem__, key)))
+            accept = len(got) == edges and len(set(got)) == edges
+            # Not accepted, so some e2 is covered other than once.
+            verdicts[key] = None if accept else first_miscovered(
+                Counter(got), subset_masks(n, 2), edges)
+        bad = verdicts[key]
+        if bad is not None:
+            return BlockReport(False, len(bd.blocks), edges ** 2,
+                               (edge_of_mask(e1), edge_of_mask(bad[0])), bad[1])
+    return BlockReport(True, len(bd.blocks), edges ** 2)

@@ -25,7 +25,9 @@ Block files (magic ``GPB 1``)::
 
 the two sides of each bipartite factor holding distinct vertices of 0..n-1,
 a rule that :class:`BlockDecomposition` itself enforces; the block parser
-reports its refusal as a ParseError.
+reports its refusal as a ParseError.  :func:`parse_blocks` parses each
+distinct half-line once, through a table per file, so equal factors are one
+object; :func:`serialize_blocks` joins each distinct side once.
 
 In both formats every number, header values included, is spelled exactly as
 ``str(v)`` of its value v; any other spelling (``02``, ``+2``, ``-0``,
@@ -194,29 +196,49 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bipartite(text: str, tokens: _Tokens) -> BipartiteGraph:
-    chunks = text.split(" ")
-    if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
-        raise ParseError(f"bad bipartite factor {text!r}")
-    sides = []
-    for chunk in (chunks[0][2:], chunks[1][2:]):
-        try:
-            sides.append(tuple(map(tokens.__getitem__, chunk.split(","))))
-        except ValueError as exc:
-            raise ParseError(f"bad part {chunk!r}") from exc
-    return BipartiteGraph(*sides)
+class _Factors(dict):
+    """One GPB file's table from a half-line (the text on one side of
+    `` ; ``) to its :class:`BipartiteGraph`, so each distinct factor is
+    parsed and built once however many lines repeat it, and equal halves
+    share one object.  A lookup of a bad half raises ParseError and caches
+    nothing.
+    """
+
+    def __init__(self, tokens: _Tokens) -> None:
+        super().__init__()
+        self.value = tokens.__getitem__
+
+    def __missing__(self, text: str) -> BipartiteGraph:
+        chunks = text.split(" ")
+        if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
+            raise ParseError(f"bad bipartite factor {text!r}")
+        sides = []
+        for chunk in (chunks[0][2:], chunks[1][2:]):
+            try:
+                sides.append(tuple(map(self.value, chunk.split(","))))
+            except ValueError as exc:
+                raise ParseError(f"bad part {chunk!r}") from exc
+        factor = self[text] = BipartiteGraph(*sides)
+        return factor
 
 
 def parse_blocks(text: str) -> BlockDecomposition:
+    """The block decomposition in a GPB file, in one pass over its lines.
+
+    Faults are reported in a fixed order: the first line that is not two
+    halves joined by `` ; `` or has a bad half (its first half first); else
+    the first factor breaking the piece rule, in
+    :class:`BlockDecomposition`'s words.  Each half costs one table lookup.
+    """
     tokens = _Tokens()
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)
+    factor = _Factors(tokens).__getitem__
     blocks: List[Block] = []
     for line in lines:
         halves = line.split(" ; ")
         if len(halves) != 2:
             raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(_parse_bipartite(halves[0], tokens),
-                            _parse_bipartite(halves[1], tokens)))
+        blocks.append(Block(factor(halves[0]), factor(halves[1])))
     try:
         return BlockDecomposition(n=n, blocks=tuple(blocks))
     except ValueError as exc:

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+import gpdecomp.blocks
 from gpdecomp import (
     binomial,
     block_to_four_parts,
@@ -10,6 +11,7 @@ from gpdecomp import (
     verify_blocks,
 )
 from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from test_constructions import split_trivial_blocks
 
 
 def bipartite_edges(g):
@@ -93,6 +95,34 @@ def test_verify_blocks_reports_the_first_pair_of_duplicated_blocks():
         (1, 2), (0, 1))
     report = verify_blocks(BlockDecomposition(4, bd.blocks + (bd.blocks[3], bd.blocks[2])))
     assert (report.witness, report.witness_multiplicity) == (((0, 1), (2, 3)), 2)
+
+
+def test_verify_blocks_counts_through_the_product_structure(monkeypatch):
+    # The first factors' edges plus one C(n,2) check per distinct group:
+    # at most 2 * 39 * 780 masks for n = 40, where placing every block as a
+    # four-part piece builds all C(40,2)^2 = 608,400 pairs.
+    built = 0
+    real = gpdecomp.blocks.edge_masks
+
+    def counted(piece):
+        nonlocal built
+        masks = real(piece)
+        built += len(masks)
+        return masks
+
+    monkeypatch.setattr(gpdecomp.blocks, "edge_masks", counted)
+    report = verify_blocks(construct_trivial_blocks(40))
+    assert report.valid and report.pair_count == 608_400
+    assert 0 < built <= 2 * 39 * 780
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_split_trivial_blocks_still_verify(n):
+    # Cutting a first factor in two gives its edges groups of other shapes;
+    # reversing the blocks reorders every group.
+    bd = split_trivial_blocks(n)
+    assert verify_blocks(bd).valid
+    assert verify_blocks(BlockDecomposition(n, bd.blocks[::-1])).valid
 
 
 STAR = BipartiteGraph((0,), (1,))

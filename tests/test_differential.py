@@ -7,7 +7,7 @@ lexicographic order.  They are slow and simple on purpose.  On random piece
 sets and mutants of the constructions, ``Decomposition`` must refuse exactly
 the piece lists the reference structural check refuses, with its message,
 and the library must give identical reports on every list it accepts and on
-random block sets.
+random block sets, trivial or relabelled so that their groups differ.
 """
 
 from functools import lru_cache
@@ -25,6 +25,7 @@ from gpdecomp import (
     binomial,
     construct_baseline,
     construct_even_from_odd,
+    construct_star_bipartite,
     construct_theorem1,
     construct_trivial_blocks,
     coverage_histogram,
@@ -201,12 +202,28 @@ def bipartite_graphs(draw, n: int) -> BipartiteGraph:
     return BipartiteGraph(tuple(side_a), tuple(side_b))
 
 
+def relabelled_layer(n: int, perms) -> Tuple[Block, ...]:
+    """The valid layer of blocks ``S_i x pi_i(S_j)`` over the stars S of
+    K_n, with its own vertex relabelling ``pi_i`` for each first star: the
+    blocks whose first factor holds an edge of S_i have second factors
+    ``pi_i(S)``, so the groups of different first stars differ."""
+    stars = construct_star_bipartite(n)
+    return tuple(
+        Block(s, BipartiteGraph(tuple(pi[v] for v in t.side_a), tuple(pi[v] for v in t.side_b)))
+        for s, pi in zip(stars, perms) for t in stars)
+
+
 @st.composite
 def block_sets(draw) -> BlockDecomposition:
-    """The trivial blocks of n <= 5 with some deleted or duplicated, plus a
-    few random blocks."""
+    """The trivial blocks of n <= 5, or a relabelled layer whose groups
+    differ, with some blocks deleted or duplicated, plus a few random
+    blocks."""
     n = draw(st.integers(2, 5))
-    blocks = list(construct_trivial_blocks(n).blocks)
+    if draw(st.booleans()):
+        blocks = list(construct_trivial_blocks(n).blocks)
+    else:
+        perms = draw(st.lists(st.permutations(range(n)), min_size=n - 1, max_size=n - 1))
+        blocks = list(relabelled_layer(n, perms))
     for kind in draw(st.lists(st.sampled_from(["delete", "duplicate"]), max_size=2)):
         if blocks:
             i = draw(st.integers(0, len(blocks) - 1))
@@ -251,10 +268,27 @@ def test_counts_kept_between_calls_change_no_answer(drawn, histogram_first):
     assert verify_decomposition(d) == fresh
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(block_sets())
 def test_verify_blocks_matches_reference(bd):
     assert verify_blocks(bd) == reference_verify_blocks(bd)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relabelled_layers_are_partitions_with_distinct_groups(n):
+    # The cyclic shifts pi_i(v) = v + i give every first star its own group,
+    # and the layer is valid; dropping a block of the last first star puts
+    # the reject in the last group the check reaches.
+    perms = [[(v + i) % n for v in range(n)] for i in range(n - 1)]
+    blocks = relabelled_layer(n, perms)
+    assert len({blk.second for blk in blocks}) > n - 1
+    bd = BlockDecomposition(n, blocks)
+    assert verify_blocks(bd) == reference_verify_blocks(bd) == BlockReport(
+        True, (n - 1) ** 2, binomial(n, 2) ** 2)
+    broken = BlockDecomposition(n, blocks[:-1])
+    report = verify_blocks(broken)
+    assert report == reference_verify_blocks(broken)
+    assert report.witness[0] == (n - 2, n - 1) and report.witness_multiplicity == 0
 
 
 def test_relabel_then_move_reaches_both_oracles():

@@ -1,13 +1,16 @@
-"""Differential tests of the one-pass GPD parser against a plain reference.
+"""Differential tests of the one-pass GPD parser and the GPB parser against
+plain references.
 
-The reference below is the parser that the one-pass version replaced: it
-converts every part of a line, tests canonical order by sorting each part
+The GPD reference below is the parser that the one-pass version replaced:
+it converts every part of a line, tests canonical order by sorting each part
 and then all parts, and leaves the part count and the piece rule to the
 public :class:`Decomposition` constructor, which walks every vertex again.
-It keeps its own copy of the number table and the header reader.  On valid
-texts and on mutants with faults on one or several lines, the library must
-return the same decomposition or raise ParseError with the same message,
-so which fault wins is pinned too.
+The GPB reference is the line-by-line block parser that the factor table
+replaced: it parses and builds every half of every line afresh.  Both keep
+their own copy of the number table and the header reader.  On valid texts
+and on mutants with faults on one or several lines, the library must return
+the same decomposition or raise ParseError with the same message, so which
+fault wins is pinned too.
 """
 
 from typing import List, Tuple
@@ -22,9 +25,13 @@ from gpdecomp import (
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
+    construct_trivial_blocks,
+    parse_blocks,
     parse_decomposition,
+    serialize_blocks,
     serialize_decomposition,
 )
+from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
 from gpdecomp.cli import main
 from gpdecomp.core import RPartiteGraph
 
@@ -42,14 +49,15 @@ class ReferenceTokens(dict):
         return value
 
 
-def reference_header(text, tokens) -> Tuple[List[int], List[str]]:
+def reference_header(text, tokens, magic="GPD 1",
+                     names=("n", "r", "pieces")) -> Tuple[List[int], List[str]]:
     lines = text.split("\n")
-    if lines[0] != "GPD 1":
-        raise ParseError("missing GPD 1 magic line")
+    if lines[0] != magic:
+        raise ParseError(f"missing {magic} magic line")
     if len(lines) < 2:
         raise ParseError("missing header line")
     fields = lines[1].split(" ")
-    if len(fields) != 6 or tuple(fields[::2]) != ("n", "r", "pieces"):
+    if len(fields) != 2 * len(names) or tuple(fields[::2]) != names:
         raise ParseError(f"bad header {lines[1]!r}")
     try:
         values = list(map(tokens.__getitem__, fields[1::2]))
@@ -57,7 +65,7 @@ def reference_header(text, tokens) -> Tuple[List[int], List[str]]:
         raise ParseError(f"bad header {lines[1]!r}") from exc
     body = lines[2:]
     if body[-1:] != [""] or len(body) != values[-1] + 1:
-        raise ParseError(f"expected {values[-1]} piece lines and a trailing newline")
+        raise ParseError(f"expected {values[-1]} {names[-1][:-1]} lines and a trailing newline")
     return values, body[:-1]
 
 
@@ -78,6 +86,37 @@ def reference_parse(text: str) -> Decomposition:
         pieces.append(RPartiteGraph(parts))
     try:
         return Decomposition(GroundSet(n, r), tuple(pieces))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_bipartite(text, tokens) -> BipartiteGraph:
+    chunks = text.split(" ")
+    if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
+        raise ParseError(f"bad bipartite factor {text!r}")
+    sides = []
+    for chunk in (chunks[0][2:], chunks[1][2:]):
+        try:
+            sides.append(tuple(map(tokens.__getitem__, chunk.split(","))))
+        except ValueError as exc:
+            raise ParseError(f"bad part {chunk!r}") from exc
+    return BipartiteGraph(*sides)
+
+
+def reference_parse_blocks(text: str) -> BlockDecomposition:
+    """The GPB parser that the one-table version replaced: every half of
+    every line parsed and built afresh."""
+    tokens = ReferenceTokens()
+    (n, _), lines = reference_header(text, tokens, "GPB 1", ("n", "blocks"))
+    blocks = []
+    for line in lines:
+        halves = line.split(" ; ")
+        if len(halves) != 2:
+            raise ParseError(f"bad block line {line!r}")
+        blocks.append(Block(reference_bipartite(halves[0], tokens),
+                            reference_bipartite(halves[1], tokens)))
+    try:
+        return BlockDecomposition(n=n, blocks=tuple(blocks))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -235,3 +274,101 @@ def test_parser_matches_reference_on_valid_texts(text):
     d = parse_decomposition(text)
     assert d == reference_parse(text)
     assert serialize_decomposition(d) == text
+
+
+# -- block files ---------------------------------------------------------------
+
+def _relabelled(bd: BlockDecomposition, shift: int) -> BlockDecomposition:
+    """``bd`` with each second factor's vertices shifted by ``shift`` mod n,
+    so its sides need not ascend and its first and second halves differ."""
+    n = bd.n
+    return BlockDecomposition(n, tuple(
+        Block(b.first, BipartiteGraph(tuple((v + shift) % n for v in b.second.side_a),
+                                      tuple((v + shift) % n for v in b.second.side_b)))
+        for b in bd.blocks))
+
+
+VALID_GPB_TEXTS = [serialize_blocks(bd) for bd in (
+    construct_trivial_blocks(2),
+    construct_trivial_blocks(4),
+    construct_trivial_blocks(6),
+    _relabelled(construct_trivial_blocks(5), 2),
+)]
+GPB_NOISE = "0123456789-,:; ab\n\r\u0663"
+GPB_LINE_EDITS = ("swap-halves", "swap-sides", "vertex", "copy-vertex", "repeat-vertex",
+                  "bad-token", "drop-separator", "drop-prefix", "copy-half")
+
+
+def _edit_block_line(draw, line: str, n: int) -> str:
+    halves = line.split(" ; ")
+    h = draw(st.integers(0, len(halves) - 1))
+    sides = halves[h].split(" ")
+    kind = draw(st.sampled_from(GPB_LINE_EDITS))
+    s = draw(st.integers(0, len(sides) - 1))
+    prefix, _, body = sides[s].partition(":")
+    vertices = body.split(",")
+    i = draw(st.integers(0, len(vertices) - 1))
+    if kind == "swap-halves":
+        halves.reverse()
+    elif kind == "swap-sides":
+        sides.reverse()
+    elif kind == "vertex":
+        vertices[i] = str(draw(st.integers(-2, n + 2)))
+    elif kind == "copy-vertex":
+        other = sides[-1 - s].partition(":")[2].split(",")
+        vertices.insert(i, draw(st.sampled_from(other)))
+    elif kind == "repeat-vertex":
+        vertices.insert(i, vertices[i])
+    elif kind == "bad-token":
+        vertices[i] = draw(st.sampled_from(BAD_TOKENS))
+    elif kind == "drop-separator":
+        return line.replace(" ; ", draw(st.sampled_from([" ", ";", "  ; ", " ;"])), 1)
+    elif kind == "drop-prefix":
+        prefix = draw(st.sampled_from(["", "a", "b", "c"]))
+    else:
+        return " ; ".join([halves[h], halves[h]])
+    if kind not in ("swap-halves", "swap-sides"):
+        sides[s] = f"{prefix}:{','.join(vertices)}"
+    halves[h] = " ".join(sides)
+    return " ; ".join(halves)
+
+
+@st.composite
+def mutated_gpb_texts(draw) -> str:
+    """A valid GPB text with one to four body lines edited, at times a
+    header value changed, and at times a short span replaced by noise."""
+    lines = draw(st.sampled_from(VALID_GPB_TEXTS)).split("\n")
+    header = lines[1].split(" ")
+    n = int(header[1])
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(2, len(lines) - 2))
+        lines[k] = _edit_block_line(draw, lines[k], n)
+    if draw(st.booleans()):
+        header[1] = str(draw(st.integers(0, n + 2)))
+        lines[1] = " ".join(header)
+    text = "\n".join(lines)
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 3, len(text))))
+        text = text[:i] + draw(st.text(GPB_NOISE, max_size=3)) + text[j:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_gpb_texts())
+def test_block_parser_matches_reference_on_mutants(text):
+    assert outcome(parse_blocks, text) == outcome(reference_parse_blocks, text)
+
+
+@pytest.mark.parametrize("text", VALID_GPB_TEXTS, ids=range(len(VALID_GPB_TEXTS)))
+def test_block_parser_matches_reference_on_valid_texts(text):
+    bd = parse_blocks(text)
+    assert bd == reference_parse_blocks(text)
+    assert serialize_blocks(bd) == text
+
+
+def test_equal_halves_of_a_parsed_layer_are_one_object():
+    bd = parse_blocks(serialize_blocks(construct_trivial_blocks(6)))
+    factors = [g for blk in bd.blocks for g in (blk.first, blk.second)]
+    assert len(set(factors)) == 5
+    assert len(set(map(id, factors))) == 5
