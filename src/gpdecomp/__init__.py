@@ -3,7 +3,6 @@ r-graphs: constructions, exhaustive verification, exact minima on tiny
 instances, and exact bound-formula evaluation."""
 
 from .blocks import (
-    BipartiteGraph,
     Block,
     BlockDecomposition,
     block_to_four_parts,
@@ -16,7 +15,6 @@ from .bounds import (
     alon_lower_coefficient,
     base_coefficient,
     corollary2_below_one,
-    corollary2_exact,
     corollary2_value,
     count_c_prime,
     lower_bound,
@@ -34,12 +32,7 @@ from .constructions import (
     construct_theorem1_detailed,
     enumerate_signatures,
 )
-from .core import (
-    Decomposition,
-    GroundSet,
-    RPartiteGraph,
-    binomial,
-)
+from .core import Decomposition, GroundSet, RPartiteGraph
 from .exact import ExactResult, SearchBudget, enumerate_candidate_pieces, solve_exact
 from .fileio import (
     ParseError,
@@ -51,7 +44,6 @@ from .fileio import (
 from .verifier import VerificationReport, coverage_histogram, verify_decomposition
 
 __all__ = [
-    "BipartiteGraph",
     "Block",
     "BlockDecomposition",
     "BoundReport",
@@ -67,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "alon_lower_coefficient",
     "base_coefficient",
-    "binomial",
     "block_to_four_parts",
     "construct_baseline",
     "construct_even_from_odd",
@@ -76,7 +67,6 @@ __all__ = [
     "construct_theorem1_detailed",
     "construct_trivial_blocks",
     "corollary2_below_one",
-    "corollary2_exact",
     "corollary2_value",
     "count_c_prime",
     "coverage_histogram",

@@ -3,11 +3,15 @@ complete bipartite graphs.
 
 A block is an ordered product of two complete bipartite graphs, the first
 over class one and the second over class two (both classes of size n, with
-class-local labels 0..n-1).  :class:`BlockDecomposition` applies the piece
-rule to every bipartite factor when it is built, so each side holds distinct
-vertices of 0..n-1 and the two sides are disjoint.  :func:`block_to_four_parts`
-is the one placement: it shifts class one and class two up by two offsets, so
-one block decomposition serves every class pair of the main construction.
+class-local labels 0..n-1).  A bipartite factor is a two-part
+:class:`~gpdecomp.core.RPartiteGraph`, and :class:`BlockDecomposition`
+applies the one piece rule, :func:`~gpdecomp.core.piece_problem` with r = 2,
+to every distinct factor when it is built: each factor has two disjoint
+ascending sides of 0..n-1, the side with the smaller minimum first.
+:func:`block_to_four_parts` is the one placement: it shifts class one and
+class two up by two offsets, so one block decomposition serves every class
+pair of the main construction, and on classes ci < cj the four parts it
+gives are canonical as they stand.
 
 :func:`verify_blocks` counts through the product structure instead of placing
 blocks: the layer is a partition exactly when, for every edge e1 of K_n, the
@@ -28,35 +32,30 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
-    RPartiteGraph, binomial, edge_masks, edge_of_mask, first_miscovered, piece_problem, subset_masks,
+    RPartiteGraph, edge_masks, edge_of_mask, first_miscovered, piece_problem, subset_masks,
 )
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    """Complete bipartite graph: all 2-sets with one vertex per side."""
-
-    side_a: Tuple[int, ...]
-    side_b: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Block:
-    """Product of the edge sets of two complete bipartite graphs."""
+    """Product of the edge sets of two complete bipartite graphs, each a
+    two-part piece."""
 
-    first: BipartiteGraph
-    second: BipartiteGraph
+    first: RPartiteGraph
+    second: RPartiteGraph
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks.
 
-    Built only from bipartite factors passing the piece rule over 0..n-1;
-    anything else raises ValueError with the first factor's problem."""
+    Built only from factors passing the piece rule for r = 2 over 0..n-1;
+    anything else raises ValueError naming the first bad one, as ``block i
+    first factor has <problem>`` (or ``second``)."""
 
     n: int
     blocks: Tuple[Block, ...]
@@ -64,11 +63,16 @@ class BlockDecomposition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
-        # Each distinct factor once: the trivial blocks reuse n-1 stars.
-        for g in dict.fromkeys(chain.from_iterable((b.first, b.second) for b in self.blocks)):
-            problem = piece_problem((g.side_a, g.side_b), self.n)
-            if problem is not None:
-                raise ValueError(problem)
+        # Each distinct factor object once, by identity: the trivial blocks
+        # reuse n-1 stars, and a parsed layer shares its equal halves.
+        checked = set()
+        for i, blk in enumerate(self.blocks):
+            for side, g in (("first", blk.first), ("second", blk.second)):
+                if id(g) not in checked:
+                    problem = piece_problem(g.parts, self.n, 2)
+                    if problem is not None:
+                        raise ValueError(f"block {i} {side} factor has {problem}")
+                    checked.add(id(g))
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,11 @@ class BlockReport:
         return f"pair {self.witness} covered {self.witness_multiplicity} times"
 
 
-def construct_star_bipartite(n: int) -> List[BipartiteGraph]:
+def construct_star_bipartite(n: int) -> List[RPartiteGraph]:
     """Star partition of E(K_n): n-1 bipartite graphs ({i}, {i+1..n-1})."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return [BipartiteGraph((i,), tuple(range(i + 1, n))) for i in range(n - 1)]
+    return [RPartiteGraph(((i,), tuple(range(i + 1, n)))) for i in range(n - 1)]
 
 
 def construct_trivial_blocks(n: int) -> BlockDecomposition:
@@ -107,13 +111,15 @@ def block_to_four_parts(b: Block, one: int, two: int) -> Tuple[Tuple[int, ...], 
     ``one`` and class two by ``two``.
 
     When the shifted classes do not overlap, the 4-sets taking one vertex per
-    part are exactly the pairs (e1, e2) of the block.
+    part are exactly the pairs (e1, e2) of the block, and when class one
+    lies below class two the four parts are in canonical order.
     """
+    (a1, b1), (a2, b2) = b.first.parts, b.second.parts
     return (
-        tuple(v + one for v in b.first.side_a),
-        tuple(v + one for v in b.first.side_b),
-        tuple(v + two for v in b.second.side_a),
-        tuple(v + two for v in b.second.side_b),
+        tuple(v + one for v in a1),
+        tuple(v + one for v in b1),
+        tuple(v + two for v in a2),
+        tuple(v + two for v in b2),
     )
 
 
@@ -138,15 +144,15 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     worst, every group distinct, that is the C(n,2)^2 pair census itself.
     """
     n = bd.n
-    edges = binomial(n, 2)
-    index: Dict[BipartiteGraph, int] = {}  # each distinct factor to its index in masks
+    edges = comb(n, 2)
+    index: Dict[RPartiteGraph, int] = {}  # each distinct factor to its index in masks
     masks: List[List[int]] = []
 
-    def edges_of(g: BipartiteGraph) -> int:
+    def edges_of(g: RPartiteGraph) -> int:
         i = index.get(g)
         if i is None:
             i = index[g] = len(masks)
-            masks.append(edge_masks(RPartiteGraph((g.side_a, g.side_b))))
+            masks.append(edge_masks(g))
         return i
 
     groups: Dict[int, List[int]] = defaultdict(list)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .constructions import ClassLayout, FamilyTally, theorem1_routes
 from .core import GroundSet
@@ -94,13 +94,6 @@ def corollary2_value(r: int) -> Decimal:
         ctx.prec = DEFAULT_PRECISION
         q = Decimal(14) / Decimal(15)
         return Decimal(r) / 2 * (q.ln() * Decimal(r) / 4).exp()
-
-
-def corollary2_exact(r: int) -> Optional[Fraction]:
-    """Exact value of (r/2)*(14/15)**(r/4) when r/4 is an integer."""
-    if r % 4 == 0:
-        return Fraction(r, 2) * DENSITY_RATIO ** (r // 4)
-    return None
 
 
 def corollary2_below_one(r: int) -> bool:

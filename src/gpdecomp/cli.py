@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from math import comb
 from typing import Iterator, List, NoReturn, Optional
 
 from . import bounds as bounds_mod
@@ -26,7 +27,7 @@ from .constructions import (
     construct_even_from_odd,
     construct_theorem1_detailed,
 )
-from .core import Decomposition, binomial
+from .core import Decomposition
 from .exact import SOFT_CAP_N as EXACT_CAP_N, SearchBudget, solve_exact
 from .fileio import ParseError, parse_decomposition, serialize_decomposition
 from .verifier import SOFT_CAP_EDGES, SOFT_CAP_N, verify_decomposition
@@ -63,8 +64,9 @@ def _write_decomposition(d: Decomposition, path: str) -> None:
 
 
 def _check_ground(args: argparse.Namespace, what: str, n: int, r: int) -> None:
-    """Refuse, unless --allow-large, a ground set above the verifier's caps."""
-    if not args.allow_large and (n > SOFT_CAP_N or binomial(n, r) > SOFT_CAP_EDGES):
+    """Refuse, unless --allow-large, a ground set above the verifier's caps.
+    An r outside 0..n has no C(n, r) to cap; the construction refuses it."""
+    if not args.allow_large and (n > SOFT_CAP_N or 0 <= r <= n and comb(n, r) > SOFT_CAP_EDGES):
         raise _over_cap(what, f"n <= {SOFT_CAP_N}, C(n, r) <= {SOFT_CAP_EDGES}")
 
 

@@ -3,7 +3,7 @@
 Three families of algorithms live here:
 
 * the baseline construction fixing the even-position vertices of each sorted
-  r-set (binomial(n - ceil(r/2), floor(r/2)) pieces);
+  r-set (C(n - ceil(r/2), floor(r/2)) pieces);
 * the class-split construction for odd r = 2d+1 over k classes of size n,
   which routes the all-2s and 2s-plus-3 intersection profiles through block
   decompositions and everything else through products of smaller
@@ -18,19 +18,23 @@ verified when it is called (an ``odd_provider`` output through the
 decomposition derived from it), and one that is not raises ValueError.
 Defaults are the baseline and the trivial (n-1)^2 blocks.
 
-Every construction builds its pieces in canonical form directly: provider
-parts are sorted once, and verified factors sit on disjoint class ranges.
-So the class-split and even-from-odd outputs, made only from checked pieces,
-are built with ``Decomposition._from_checked`` and not checked again; the
-baseline goes through the public, checking constructor.  The n-1 star pieces
-of K_n are ``construct_baseline(n, 2)``.
+Every construction builds its pieces in canonical form directly, sorting
+nothing it was given: a provider's pieces and block factors are canonical on
+entry (the piece rule includes the order), shifting a canonical piece by a
+class offset keeps it canonical, a block placed on classes ci < cj is
+canonical as placed, and dropping a part keeps the rest in order.  Only the
+merge of one combination's factors, which sit on disjoint class ranges,
+orders parts by minimum.  So the class-split and even-from-odd outputs, made
+only from checked pieces, are built with ``Decomposition._from_checked`` and
+not checked again; the baseline goes through the public, checking
+constructor.  The n-1 star pieces of K_n are ``construct_baseline(n, 2)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .blocks import (
     Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
@@ -86,7 +90,7 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     together with the open intervals between consecutive fixed points (plus,
     for odd r, the interval above a_m).  Every interval is nonempty exactly
     when a_i = b_i + i for some 0 <= b_1 < ... < b_m < n - ceil(r/2), so the
-    pieces are indexed by those b, binomial(n - ceil(r/2), floor(r/2)) of
+    pieces are indexed by those b, C(n - ceil(r/2), floor(r/2)) of
     them.  The parts come out ascending and ordered by minimum, so
     canonical.
     """
@@ -202,11 +206,6 @@ def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...],
         raise ValueError(f"{call} is invalid: {message}")
 
 
-def _sorted_parts(parts: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Each part sorted, then the parts: for disjoint parts, the canonical order."""
-    return tuple(sorted(tuple(sorted(part)) for part in parts))
-
-
 def _route_pieces(
     layout: ClassLayout,
     routes: Sequence[Route],
@@ -217,10 +216,12 @@ def _route_pieces(
 
     ``block_provider`` is called at most once and ``sub_provider`` once per
     size, and each output is verified there; each factor list is built once
-    per class pair or (class, size), each part sorted.  Verified factors sit
-    on disjoint class ranges, so placing them by class offset drops nothing
-    and overlaps nothing, and sorting a piece's disjoint ascending parts
-    orders them by minimum: each piece is canonical as built."""
+    per class pair or (class, size).  The factors are canonical on entry and
+    stay so when placed by class offset, a block's on classes ci < cj.
+    Verified factors sit on disjoint class ranges, so placing them drops
+    nothing and overlaps nothing, and sorting one combination's disjoint
+    ascending parts orders them by minimum: each piece is canonical as
+    built."""
     n = layout.n
     blocks: Tuple[Block, ...] = ()
     if any(rt.pairs for rt in routes):
@@ -232,11 +233,11 @@ def _route_pieces(
         _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
                       lambda: verify_decomposition(dec).message)
     pair_factors = {
-        (ci, cj): [_sorted_parts(block_to_four_parts(b, ci * n, cj * n)) for b in blocks]
+        (ci, cj): [block_to_four_parts(b, ci * n, cj * n) for b in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
     }
     single_factors = {
-        (c, s): [_sorted_parts([v + c * n for v in part] for part in p.parts) for p in subs[s].pieces]
+        (c, s): [tuple(tuple(v + c * n for v in part) for part in p.parts) for p in subs[s].pieces]
         for c, s in {cs for rt in routes for cs in rt.singles}
     }
     for rt in routes:
@@ -289,10 +290,12 @@ def construct_even_from_odd(
     decomposition of K_{n+1}^(r+1).
 
     For each source piece containing vertex n, keep the r parts that do not
-    contain it; drop pieces avoiding vertex n.  The piece count never exceeds
-    the source's.  The derived K_n^(r) is verified, not the 4x larger
-    source, and ValueError names the ``odd_provider`` call when it is
-    invalid or the source is not for (n+1, r+1)."""
+    contain it; drop pieces avoiding vertex n.  The source is canonical and
+    n is its largest vertex, so a part holds n exactly when it ends in n,
+    and the r parts kept are still in canonical order.  The piece count
+    never exceeds the source's.  The derived K_n^(r) is verified, not the
+    4x larger source, and ValueError names the ``odd_provider`` call when it
+    is invalid or the source is not for (n+1, r+1)."""
     if r % 2 != 0 or r < 2:
         raise ValueError("r must be even and >= 2")
     ground = GroundSet(n, r)
@@ -300,12 +303,12 @@ def construct_even_from_odd(
     odd = odd_provider(n + 1, r + 1)
     # Checked before deriving: the source carries the piece rule for its own
     # ground, so once that is (n+1, r+1) each derived piece has r disjoint
-    # parts inside 0..n-1, and only the derived coverage is left to verify.
+    # canonical parts inside 0..n-1, and only the derived coverage is left
+    # to verify.
     _check_output(call, (odd.ground.n, odd.ground.r), want)
-    v = n
     derived = Decomposition._from_checked(ground, tuple(
-        RPartiteGraph(_sorted_parts(part for part in p.parts if v not in part))
-        for p in odd.pieces if any(v in part for part in p.parts)
+        RPartiteGraph(tuple(part for part in p.parts if part[-1] != n))
+        for p in odd.pieces if any(part[-1] == n for part in p.parts)
     ))
     _check_output(call, want, want, lambda: verify_decomposition(derived).message)
     return derived

@@ -1,21 +1,26 @@
 """Ground-set and piece representations shared by every other module.
 
-Vertices are 0-based integers.  A piece (complete r-partite r-graph) is an
-unordered family of r pairwise-disjoint nonempty vertex sets; its edge set is
-all r-sets taking exactly one vertex per part.  Pieces are stored in a
-canonical form so that equality and serialization are deterministic.
-:func:`piece_problem` is the one piece rule, checked once, where the data
+Vertices are 0-based integers.  A piece (complete r-partite r-graph) is a
+family of r pairwise-disjoint nonempty vertex sets; its edge set is all
+r-sets taking exactly one vertex per part.  A piece is held in canonical
+form, each part ascending and the parts ordered by minimum (the order of a
+GPD line), so that equality and serialization are deterministic and every
+piece in memory can be written to a file and read back.
+
+:func:`piece_problem` is the one piece rule, part count, nonempty parts,
+range, disjointness and canonical order, checked once, where the data
 enters: the public :class:`Decomposition` constructor applies it to every
-piece, and ``parse_decomposition`` checks each line in its own pass.  Pieces
-derived from checked ones (the class-split and even-from-odd constructions)
-and parsed ones enter through one private constructor,
-``Decomposition._from_checked``, which names its callers; no later check
-repeats the rule.
+piece (``piece i has ...``), :class:`~gpdecomp.blocks.BlockDecomposition`
+to every distinct block factor with r = 2, and ``parse_decomposition``
+checks each line in its own pass.  Pieces derived from checked ones (the
+class-split and even-from-odd constructions) and parsed ones enter through
+one private constructor, ``Decomposition._from_checked``, which names its
+callers; no later check repeats the rule, and nothing downstream re-sorts a
+piece.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -41,9 +46,10 @@ class RPartiteGraph:
     """Complete r-partite r-graph in canonical form: each part ascending,
     parts ordered by minimum element.
 
-    Holds no check of its own.  The piece rule comes with the
-    :class:`Decomposition` it is put in; the constructions and the parser
-    build the canonical parts directly.
+    Holds no check of its own.  The piece rule, canonical order included,
+    comes with the :class:`Decomposition` or block layer it is put in; the
+    constructions and the parsers build the canonical parts directly.  A
+    block factor is a two-part one.
     """
 
     parts: Tuple[Tuple[int, ...], ...]
@@ -53,9 +59,9 @@ class RPartiteGraph:
 class Decomposition:
     """A list of pieces over a common ground set.
 
-    Carries the piece rule: every piece has ``ground.r`` parts passing
-    :func:`piece_problem` over 0..n-1, or ValueError names the first piece
-    that does not (:func:`piece_fault`).  The constructor checks it; only
+    Carries the piece rule: every piece passes :func:`piece_problem` for
+    ``ground``, or ValueError names the first piece that does not, as
+    ``piece i has <problem>``.  The constructor checks it; only
     :meth:`_from_checked` skips that, for pieces checked on the way in.
     Carries no partition claim; run the verifier for one.
     """
@@ -66,9 +72,9 @@ class Decomposition:
     def __post_init__(self) -> None:
         n, r = self.ground.n, self.ground.r
         for i, p in enumerate(self.pieces):
-            fault = piece_fault(i, p.parts, n, r)
-            if fault is not None:
-                raise ValueError(fault)
+            problem = piece_problem(p.parts, n, r)
+            if problem is not None:
+                raise ValueError(f"piece {i} has {problem}")
 
     @classmethod
     def _from_checked(cls, ground: GroundSet,
@@ -78,11 +84,15 @@ class Decomposition:
         with its reason:
 
         * :func:`gpdecomp.fileio.parse_decomposition`, after its own pass
-          has checked every line;
+          has checked every line, canonical order first;
         * :func:`gpdecomp.constructions.construct_theorem1_detailed`, whose
-          factors are verified and placed on disjoint class ranges;
+          factors are verified, canonical on entry and placed by class
+          offset on disjoint class ranges, so that merging a combination's
+          parts by minimum gives a canonical piece;
         * :func:`gpdecomp.constructions.construct_even_from_odd`, whose
-          source pieces are checked for ``(n+1, r+1)``.
+          source pieces are checked for ``(n+1, r+1)``, canonical order
+          included, so dropping the part that holds vertex n leaves r
+          canonical parts inside 0..n-1.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "ground", ground)
@@ -94,30 +104,33 @@ class Decomposition:
         return len(self.pieces)
 
 
-def piece_fault(i: int, parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[str]:
-    """Why :class:`Decomposition` over ``GroundSet(n, r)`` refuses ``parts``
-    as its piece ``i``: not r parts, or failing :func:`piece_problem` over
-    0..n-1; or None."""
+def piece_problem(parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[str]:
+    """The one piece rule: why ``parts`` are not r pairwise-disjoint nonempty
+    subsets of 0..n-1 in canonical order (each part ascending, the parts
+    ordered by minimum), or None.
+
+    The part count comes first; then one walk over the vertices, in part
+    order, reports the first fault it meets, at each vertex the range first,
+    then an overlap, then the order.  A vertex repeated within a part counts
+    as overlapping."""
     if len(parts) != r:
-        return f"piece {i} has {len(parts)} parts, expected {r}"
-    problem = piece_problem(parts, n)
-    return None if problem is None else f"piece {i} has {problem}"
-
-
-def piece_problem(parts: Sequence[Sequence[int]], n: int) -> Optional[str]:
-    """The one piece rule: why ``parts`` are not pairwise-disjoint nonempty
-    subsets of 0..n-1, or None.  A vertex repeated within a part counts as
-    overlapping."""
+        return f"{len(parts)} parts, expected {r}"
     seen: set = set()
+    low = -1  # the previous part's minimum
     for part in parts:
         if not part:
             return "an empty part"
+        prev = low  # the vertex each must exceed: the last minimum, then its predecessor
         for v in part:
             if not 0 <= v < n:
                 return f"out-of-range vertex {v}"
             if v in seen:
                 return f"overlapping parts at vertex {v}"
+            if v < prev:
+                return f"vertex {v} out of canonical order"
             seen.add(v)
+            prev = v
+        low = part[0]
     return None
 
 
@@ -186,10 +199,3 @@ def first_miscovered(counts: Counter, universe: Iterable[int],
         m = min((m for m, c in counts.items() if c != 1), key=edge_of_mask, default=None)
         return None if m is None else (m, counts[m])
     return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient; 0 when b > a."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)

@@ -8,12 +8,15 @@ Decomposition files (magic ``GPD 1``)::
     ...
 
 one piece per line, exactly r parts joined by `` | ``, vertices
-comma-separated ascending, parts in canonical order, LF line endings,
-trailing LF.  The parts of a piece are disjoint and inside 0..n-1.
-:func:`parse_decomposition` checks all of this in one pass, through a table
-per file that converts and checks each distinct part string once, so a line
-costs r lookups and a few integer tests; it reports the first faulty piece in
-:class:`Decomposition`'s own words and builds the result without a second
+comma-separated ascending, parts ordered by minimum, LF line endings,
+trailing LF.  The parts of a piece are disjoint and inside 0..n-1.  A line
+is a piece under the one piece rule of :mod:`gpdecomp.core`, canonical order
+included, so every :class:`Decomposition` in memory serializes to a file
+that parses back to it.  :func:`parse_decomposition` checks all of this in
+one pass, through a table per file that converts and checks each distinct
+part string once, so a line costs r lookups and a few integer tests; it
+reports a line out of canonical order first, then the first faulty piece in
+:class:`Decomposition`'s own words, and builds the result without a second
 check.  :func:`serialize_decomposition` likewise joins each distinct part once.
 
 Block files (magic ``GPB 1``)::
@@ -23,11 +26,15 @@ Block files (magic ``GPB 1``)::
     a:0 b:1,2,3 ; a:0 b:1,2,3
     ...
 
-the two sides of each bipartite factor holding distinct vertices of 0..n-1,
-a rule that :class:`BlockDecomposition` itself enforces; the block parser
-reports its refusal as a ParseError.  :func:`parse_blocks` parses each
-distinct half-line once, through a table per file, so equal factors are one
-object; :func:`serialize_blocks` joins each distinct side once.
+each half one bipartite factor, a two-part piece whose sides ``a`` and
+``b`` follow the piece rule with r = 2: disjoint, vertices of 0..n-1
+ascending, side ``a`` holding the smaller minimum.  That is the rule
+:class:`BlockDecomposition` itself enforces; the block parser reports its
+refusal, ``block i first factor has ...`` (or ``second``), as a ParseError.
+:func:`parse_blocks` parses each distinct half-line once, through a table
+per file, so equal factors are one object, checked once; a factor of other
+than two sides has no spelling in the format.  :func:`serialize_blocks`
+joins each distinct side once.
 
 In both formats every number, header values included, is spelled exactly as
 ``str(v)`` of its value v; any other spelling (``02``, ``+2``, ``-0``,
@@ -43,8 +50,8 @@ from functools import reduce
 from operator import or_
 from typing import List, Tuple
 
-from .blocks import BipartiteGraph, Block, BlockDecomposition
-from .core import Decomposition, GroundSet, RPartiteGraph, piece_fault
+from .blocks import Block, BlockDecomposition
+from .core import Decomposition, GroundSet, RPartiteGraph, piece_problem
 
 
 class ParseError(ValueError):
@@ -177,7 +184,8 @@ def parse_decomposition(text: str) -> Decomposition:
         # piece (a fault, or vertices 1024 apart) is checked exactly.
         if fault is None and (low == 0 or len(parts) != r
                               or sum(masks) != reduce(or_, masks)):
-            fault = piece_fault(i, parts, n, r)
+            problem = piece_problem(parts, n, r)
+            fault = problem and f"piece {i} has {problem}"
         pieces.append(RPartiteGraph(parts))
     try:
         ground = GroundSet(n, r)
@@ -191,15 +199,15 @@ def parse_decomposition(text: str) -> Decomposition:
 def serialize_blocks(bd: BlockDecomposition) -> str:
     lines = ["GPB 1", f"n {bd.n} blocks {len(bd.blocks)}"]
     text = _Joined().__getitem__
-    lines += [f"a:{text(blk.first.side_a)} b:{text(blk.first.side_b)}"
-              f" ; a:{text(blk.second.side_a)} b:{text(blk.second.side_b)}" for blk in bd.blocks]
+    lines += [f"a:{text(blk.first.parts[0])} b:{text(blk.first.parts[1])}"
+              f" ; a:{text(blk.second.parts[0])} b:{text(blk.second.parts[1])}" for blk in bd.blocks]
     return "\n".join(lines) + "\n"
 
 
 class _Factors(dict):
     """One GPB file's table from a half-line (the text on one side of
-    `` ; ``) to its :class:`BipartiteGraph`, so each distinct factor is
-    parsed and built once however many lines repeat it, and equal halves
+    `` ; ``) to its two-part :class:`RPartiteGraph`, so each distinct factor
+    is parsed and built once however many lines repeat it, and equal halves
     share one object.  A lookup of a bad half raises ParseError and caches
     nothing.
     """
@@ -208,7 +216,7 @@ class _Factors(dict):
         super().__init__()
         self.value = tokens.__getitem__
 
-    def __missing__(self, text: str) -> BipartiteGraph:
+    def __missing__(self, text: str) -> RPartiteGraph:
         chunks = text.split(" ")
         if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
             raise ParseError(f"bad bipartite factor {text!r}")
@@ -218,7 +226,7 @@ class _Factors(dict):
                 sides.append(tuple(map(self.value, chunk.split(","))))
             except ValueError as exc:
                 raise ParseError(f"bad part {chunk!r}") from exc
-        factor = self[text] = BipartiteGraph(*sides)
+        factor = self[text] = RPartiteGraph(tuple(sides))
         return factor
 
 
@@ -227,8 +235,9 @@ def parse_blocks(text: str) -> BlockDecomposition:
 
     Faults are reported in a fixed order: the first line that is not two
     halves joined by `` ; `` or has a bad half (its first half first); else
-    the first factor breaking the piece rule, in
-    :class:`BlockDecomposition`'s words.  Each half costs one table lookup.
+    the first factor breaking the piece rule for r = 2, canonical order
+    included, in :class:`BlockDecomposition`'s words, which name its block
+    and side.  Each half costs one table lookup.
     """
     tokens = _Tokens()
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from typing import Dict, Optional, Tuple
 
 from .core import (
-    Decomposition, Edge, binomial, edge_masks, edge_of_mask, first_miscovered, subset_masks,
+    Decomposition, Edge, edge_masks, edge_of_mask, first_miscovered, subset_masks,
 )
 
 # ``gpdecomp verify`` refuses, unless --allow-large, a file whose header
@@ -56,7 +57,7 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
     On failure the report carries the first bad edge in lexicographic order,
     its multiplicity, and the covering piece indices."""
     n, r = d.ground.n, d.ground.r
-    total = binomial(n, r)
+    total = comb(n, r)
     counts = d.__dict__.get(_COUNTS)
     if counts is None:
         masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
@@ -89,12 +90,12 @@ def verify_decomposition(d: Decomposition) -> VerificationReport:
 def coverage_histogram(d: Decomposition) -> Dict[int, int]:
     """Map multiplicity -> number of edges covered that many times.
 
-    A valid decomposition yields exactly {1: binomial(n, r)}."""
+    A valid decomposition yields exactly {1: C(n, r)}."""
     counts = d.__dict__.get(_COUNTS)
     if counts is None:
         counts = d.__dict__[_COUNTS] = Counter(chain.from_iterable(map(edge_masks, d.pieces)))
     hist = Counter(counts.values())
-    missing = binomial(d.ground.n, d.ground.r) - len(counts)
+    missing = comb(d.ground.n, d.ground.r) - len(counts)
     if missing:
         hist[0] = missing
     return dict(hist)

@@ -5,13 +5,13 @@ lines.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from gpdecomp import (
     Decomposition,
     RPartiteGraph,
-    binomial,
     base_coefficient,
     construct_baseline,
     construct_even_from_odd,
@@ -51,7 +51,7 @@ def test_criterion_2_baseline_counts():
     for n in range(1, 13):
         for r in range(1, n + 1):
             dec = construct_baseline(n, r)
-            assert dec.piece_count == binomial(n - (r + 1) // 2, r // 2)
+            assert dec.piece_count == comb(n - (r + 1) // 2, r // 2)
             assert verify_decomposition(dec).valid
             pairs += 1
     assert pairs == 78
@@ -145,7 +145,7 @@ def test_criterion_8_oracle_consistency():
         construct_even_from_odd(6, 4),
     ]
     for dec in cases:
-        total = binomial(dec.ground.n, dec.ground.r)
+        total = comb(dec.ground.n, dec.ground.r)
         assert coverage_histogram(dec) == {1: total}
         for mutant in _mutants(dec):
             rep = verify_decomposition(mutant)

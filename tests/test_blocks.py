@@ -1,38 +1,41 @@
+import re
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 import gpdecomp.blocks
 from gpdecomp import (
-    binomial,
     block_to_four_parts,
     construct_star_bipartite,
     construct_trivial_blocks,
     verify_blocks,
 )
-from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.core import RPartiteGraph
 from test_constructions import split_trivial_blocks
 
 
 def bipartite_edges(g):
     """The 2-sets of a bipartite graph, each sorted, in lexicographic order."""
-    return sorted(tuple(sorted((u, v))) for u in g.side_a for v in g.side_b)
+    side_a, side_b = g.parts
+    return sorted(tuple(sorted((u, v))) for u in side_a for v in side_b)
 
 
 def test_star_bipartite_n4():
     stars = construct_star_bipartite(4)
-    assert [(s.side_a, s.side_b) for s in stars] == [
+    assert [s.parts for s in stars] == [
         ((0,), (1, 2, 3)),
         ((1,), (2, 3)),
         ((2,), (3,)),
     ]
-    assert sum(len(s.side_a) * len(s.side_b) for s in stars) == 6
+    assert sum(len(a) * len(b) for a, b in (s.parts for s in stars)) == 6
 
 
 def test_star_bipartite_n2():
     stars = construct_star_bipartite(2)
     assert len(stars) == 1
-    assert stars[0] == BipartiteGraph((0,), (1,))
+    assert stars[0] == RPartiteGraph(((0,), (1,)))
 
 
 def test_star_bipartite_rejects_small_n():
@@ -45,7 +48,7 @@ def test_star_bipartite_partitions_edges(n):
     stars = construct_star_bipartite(n)
     assert len(stars) == n - 1
     covered = [e for s in stars for e in bipartite_edges(s)]
-    assert len(covered) == binomial(n, 2)
+    assert len(covered) == comb(n, 2)
     assert sorted(covered) == sorted(combinations(range(n), 2))
 
 
@@ -55,7 +58,7 @@ def test_trivial_blocks_valid(n):
     assert len(bd.blocks) == (n - 1) ** 2
     report = verify_blocks(bd)
     assert report.valid
-    assert report.pair_count == binomial(n, 2) ** 2
+    assert report.pair_count == comb(n, 2) ** 2
 
 
 def test_trivial_blocks_n3_pair_census():
@@ -125,24 +128,30 @@ def test_split_trivial_blocks_still_verify(n):
     assert verify_blocks(BlockDecomposition(n, bd.blocks[::-1])).valid
 
 
-STAR = BipartiteGraph((0,), (1,))
+STAR = RPartiteGraph(((0,), (1,)))
 
 
 @pytest.mark.parametrize(
     "factor,reason",
     [
-        (BipartiteGraph((0,), (3,)), "out-of-range vertex 3"),
-        (BipartiteGraph((0,), (1, -1)), "out-of-range vertex -1"),
-        (BipartiteGraph((0, 0), (1,)), "overlapping parts at vertex 0"),
-        (BipartiteGraph((0, 1), (2, 1)), "overlapping parts at vertex 1"),
-        (BipartiteGraph((0,), ()), "an empty part"),
+        (((0,), (3,)), "out-of-range vertex 3"),
+        (((0,), (1, -1)), "out-of-range vertex -1"),
+        (((0, 0), (1,)), "overlapping parts at vertex 0"),
+        (((0, 1), (2, 1)), "overlapping parts at vertex 1"),
+        (((0,), ()), "an empty part"),
+        (((1,), (0, 2)), "vertex 0 out of canonical order"),
+        (((0,), (2, 1)), "vertex 1 out of canonical order"),
+        (((0,), (1,), (2,)), "3 parts, expected 2"),
     ],
-    ids=["out-of-range", "negative", "repeat-within-side", "overlapping-sides", "empty-side"],
+    ids=["out-of-range", "negative", "repeat-within-side", "overlapping-sides", "empty-side",
+         "sides-out-of-order", "descending-side", "three-sides"],
 )
 @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
 def test_block_decomposition_rejects_bad_factor(factor, reason, second):
-    bad = Block(STAR, factor) if second else Block(factor, STAR)
-    with pytest.raises(ValueError, match=f"^{reason}$"):
+    g = RPartiteGraph(factor)
+    bad = Block(STAR, g) if second else Block(g, STAR)
+    side = "second" if second else "first"
+    with pytest.raises(ValueError, match=rf"^block 4 {side} factor has {re.escape(reason)}$"):
         BlockDecomposition(3, construct_trivial_blocks(3).blocks + (bad,))
 
 
@@ -153,15 +162,31 @@ def test_block_decomposition_rejects_small_n(n):
 
 
 def test_block_decomposition_reports_first_bad_factor():
-    bad = (Block(STAR, BipartiteGraph((0,), (5,))), Block(BipartiteGraph((1,), (1,)), STAR))
-    with pytest.raises(ValueError, match="^out-of-range vertex 5$"):
+    bad = (Block(STAR, RPartiteGraph(((0,), (5,)))), Block(RPartiteGraph(((1,), (1,))), STAR))
+    with pytest.raises(ValueError, match="^block 0 second factor has out-of-range vertex 5$"):
         BlockDecomposition(3, bad)
+
+
+def test_block_decomposition_checks_each_factor_object_once(monkeypatch):
+    # The trivial layer of n holds 2 (n-1)^2 factor slots but n-1 star
+    # objects; the rule walks each object once.
+    blocks = construct_trivial_blocks(6).blocks
+    walked = []
+    real = gpdecomp.blocks.piece_problem
+
+    def counted(parts, n, r):
+        walked.append(parts)
+        return real(parts, n, r)
+
+    monkeypatch.setattr(gpdecomp.blocks, "piece_problem", counted)
+    BlockDecomposition(6, blocks)
+    assert len(walked) == 5
 
 
 def test_block_to_four_parts_relabels():
     blk = Block(
-        BipartiteGraph((0,), (1, 2)),
-        BipartiteGraph((0,), (1,)),
+        RPartiteGraph(((0,), (1, 2))),
+        RPartiteGraph(((0,), (1,))),
     )
     assert block_to_four_parts(blk, 0, 3) == ((0,), (1, 2), (3,), (4,))
 
@@ -172,9 +197,8 @@ def test_block_to_four_parts_count_preserved():
         prod = 1
         for p in parts:
             prod *= len(p)
-        first, second = blk.first, blk.second
-        assert prod == (len(first.side_a) * len(first.side_b)
-                        * len(second.side_a) * len(second.side_b))
+        (a1, b1), (a2, b2) = blk.first.parts, blk.second.parts
+        assert prod == len(a1) * len(b1) * len(a2) * len(b2)
 
 
 def test_embedded_trivial_blocks_cover_pairs_as_4sets():

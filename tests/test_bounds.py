@@ -1,4 +1,3 @@
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -10,7 +9,6 @@ from gpdecomp import (
     base_coefficient,
     construct_theorem1_detailed,
     corollary2_below_one,
-    corollary2_exact,
     corollary2_value,
     count_c_prime,
     predicted_family_tallies,
@@ -144,15 +142,20 @@ def test_alon_lower_coefficient():
     assert alon_lower_coefficient(5) == Fraction(1, 3)
 
 
+def corollary2_exact(r):
+    """(r/2) * (14/15)**(r/4) as a Fraction, for r divisible by 4: the exact
+    reference for the decimal ``corollary2_value``."""
+    assert r % 4 == 0
+    return Fraction(r, 2) * Fraction(14, 15) ** (r // 4)
+
+
 def test_corollary2_exact_multiples_of_four():
     assert corollary2_exact(4) == Fraction(28, 15)
-    assert corollary2_exact(5) is None
-    from decimal import localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 50
-        expected = Decimal(28) / Decimal(15)
-        assert abs(corollary2_value(4) - expected) < Decimal("1e-35")
+    # Every r = 0 (mod 4) through the Corollary 2 threshold 295: the decimal
+    # value agrees with the exact one to 35 significant digits.
+    for r in range(4, 297, 4):
+        exact = corollary2_exact(r)
+        assert abs(Fraction(corollary2_value(r)) - exact) < exact / 10**35, r
 
 
 def test_corollary2_at_295():

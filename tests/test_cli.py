@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -406,6 +407,23 @@ def test_construct_stars_below_two_vertices_is_bad_args(tmp_path, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["baseline", "--n", "5", "--r", "-1"], "need 1 <= r <= n, got n=5, r=-1"),
+    (["baseline", "--n", "5", "--r", "9"], "need 1 <= r <= n, got n=5, r=9"),
+    (["even-from-odd", "--n", "5", "--r", "-2"], "r must be even and >= 2"),
+    (["theorem1", "--n", "3", "--k", "3", "--r", "-1"], "r must be odd and >= 3"),
+], ids=["baseline-negative-r", "baseline-r-above-n", "even-from-odd-negative-r",
+        "theorem1-negative-r"])
+def test_construct_r_outside_the_ground_set_gets_the_construction_refusal(tmp_path, capsys,
+                                                                          argv, message):
+    # The soft cap takes C(n, r) only for 0 <= r <= n, so a bad r reaches
+    # the construction's own refusal.
+    out = tmp_path / "x.gpd"
+    code, stdout, err = run(capsys, "construct", "--method", *argv, "--out", str(out))
+    assert (code, stdout, err) == (3, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_exact_unwritable_out_is_bad_args(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "w.gpd"
     code, _, err = run(capsys, "exact", "--n", "4", "--r", "2", "--out", str(out))
@@ -527,3 +545,21 @@ def test_construct_allow_large_lifts_the_cap(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, "construct", "--method", *argv, "--out", out, "--allow-large")
         assert code == 0
         assert run(capsys, "verify", out, "--porcelain", "--allow-large")[1].endswith("valid=1\n")
+
+
+def _readme_cli_lines():
+    """The ``gpdecomp ...`` lines of the fenced block under README's ``## CLI``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("gpdecomp ")]
+
+
+def test_readme_cli_commands_run(tmp_path, capsys, monkeypatch):
+    # The documented commands, in order, in one directory: a later line may
+    # read a file an earlier one wrote.
+    lines = _readme_cli_lines()
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert (line, code, err) == (line, 0, "")

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,15 +11,15 @@ from gpdecomp import (
     Decomposition,
     GroundSet,
     ParseError,
-    binomial,
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
     construct_trivial_blocks,
+    parse_blocks,
     parse_decomposition,
+    serialize_blocks,
 )
-from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition, block_to_four_parts
-from gpdecomp.constructions import _sorted_parts
+from gpdecomp.blocks import Block, BlockDecomposition, block_to_four_parts
 from gpdecomp.core import (
     RPartiteGraph,
     edge_masks,
@@ -29,21 +30,30 @@ from gpdecomp.core import (
 )
 
 
-# Canonical form (each part ascending, parts ordered by minimum) is made by
-# the constructions' ``_sorted_parts``; the piece rule is tested below.
+# Canonical form: each part ascending, the parts ordered by minimum.  It is
+# part of the piece rule, and the library sorts no piece it is given;
+# ``canonical`` is the tests' own way to put drawn parts in that form, shared
+# with the differential generators.  The edge set is unchanged.
 
-def canonical(parts):
-    return RPartiteGraph(_sorted_parts(parts))
+def canonical(parts) -> RPartiteGraph:
+    return RPartiteGraph(tuple(sorted(tuple(sorted(part)) for part in parts)))
 
 
 def test_canonicalize_orders_by_minimum():
     assert canonical([{3}, {1, 0}]).parts == ((0, 1), (3,))
+    assert piece_problem(((0, 1), (3,)), 4, 2) is None
+    assert piece_problem(((3,), (0, 1)), 4, 2) == "vertex 0 out of canonical order"
+    assert piece_problem(((1, 0), (3,)), 4, 2) == "vertex 0 out of canonical order"
 
 
 def test_canonicalize_permutation_invariant_small():
-    base = [{0}, {1}, {2}]
+    # Of the six orders of three one-vertex parts the rule accepts one, the
+    # canonical one.
+    base = [(0,), (1,), (2,)]
     outs = {canonical(perm) for perm in itertools.permutations(base)}
-    assert len(outs) == 1
+    assert outs == {RPartiteGraph(tuple(base))}
+    accepted = [p for p in itertools.permutations(base) if piece_problem(p, 3, 3) is None]
+    assert accepted == [tuple(base)]
 
 
 @st.composite
@@ -66,6 +76,7 @@ def disjoint_families(draw):
 def test_canonicalize_idempotent(parts):
     once = canonical(parts)
     assert canonical(once.parts) == once
+    assert piece_problem(once.parts, 12, len(parts)) is None
 
 
 @given(disjoint_families(), st.randoms())
@@ -73,6 +84,9 @@ def test_canonicalize_permutation_invariant(parts, rng):
     shuffled = [p[::-1] for p in parts]
     rng.shuffle(shuffled)
     assert canonical(parts) == canonical(shuffled)
+    # The rule accepts an arrangement exactly when it is the canonical one.
+    accepted = piece_problem(shuffled, 12, len(parts)) is None
+    assert accepted == (tuple(map(tuple, shuffled)) == canonical(parts).parts)
 
 
 @given(disjoint_families())
@@ -134,7 +148,7 @@ def test_edge_masks_allocate_no_more_than_product_sum():
 
     count, peak = traced_peak(edge_masks)
     ref_count, ref_peak = traced_peak(product_sum_masks)
-    assert count == ref_count == binomial(30, 2) ** 2
+    assert count == ref_count == comb(30, 2) ** 2
     assert peak <= ref_peak
 
 
@@ -145,13 +159,6 @@ def test_edge_masks_examples():
     assert edges(((0,), (1, 2))) == [(0, 1), (0, 2)]
     assert len(edges(((0, 1), (2, 3)))) == 4
     assert edges(((0,), (1,), (2,))) == [(0, 1, 2)]
-
-
-def test_binomial_values():
-    assert binomial(9, 5) == 126
-    assert binomial(4, 2) == 6
-    assert binomial(3, 5) == 0
-    assert binomial(1000, 500) == math.comb(1000, 500)
 
 
 def test_ground_set_validation():
@@ -173,20 +180,28 @@ def test_ground_set_validation():
         (((0, 1), (1, 2)), "overlapping parts at vertex 1"),
         (((0, 0), (1,)), "overlapping parts at vertex 0"),  # repeat within a part
         (((5,), ()), "out-of-range vertex 5"),  # first fault in part order
+        (((0,), (1,), (2,)), "3 parts, expected 2"),
+        (((1,), (0,)), "vertex 0 out of canonical order"),  # parts not by minimum
+        (((0,), (3, 1)), "vertex 1 out of canonical order"),  # a part not ascending
+        (((1,), (0, 5)), "vertex 0 out of canonical order"),  # the first fault in walk order...
+        (((1,), (5, 0)), "out-of-range vertex 5"),  # ...whatever its kind
+        (((2, 3), (0, 3)), "vertex 0 out of canonical order"),
+        (((1, 2), (1, 3)), "overlapping parts at vertex 1"),  # equal minima overlap
     ],
 )
 def test_piece_problem_reasons(parts, reason):
-    assert piece_problem(parts, 4) == reason
+    assert piece_problem(parts, 4, 2) == reason
 
 
 @pytest.mark.parametrize(
     "parts",
-    [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3))],
+    [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3)),
+     ((1,), (0,)), ((0,), (1,), (2,))],
 )
 def test_decomposition_refuses_in_piece_problem_words(parts):
     with pytest.raises(ValueError) as refused:
         Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
-    assert str(refused.value) == f"piece 0 has {piece_problem(parts, 4)}"
+    assert str(refused.value) == f"piece 0 has {piece_problem(parts, 4, 2)}"
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -242,22 +257,30 @@ def test_first_miscovered_matches_the_full_scan(drawn):
 
 
 # One bad piece planted through every public way a piece can enter, each
-# refusing it in the same words.  The constructions build their outputs
-# with a private constructor that does not check again, so a provider's
-# output must have been checked on its way in.
+# refusing it in the same words, except that the GPD parser's line check
+# names a line out of canonical order first.  The constructions build their
+# outputs with a private constructor that does not check again, so a
+# provider's output must have been checked on its way in.  A bad block
+# factor is refused alike, naming its block and side.
 PLANTED = [
-    # (parts of piece 1 over K_3^(3), the problem, a bad bipartite factor or None)
-    (((0,), (0, 1), (2,)), "overlapping parts at vertex 0", ((0,), (0, 1))),
-    (((0,), (1, 1), (2,)), "overlapping parts at vertex 1", ((0,), (1, 1))),
-    (((0,), (1,), (3,)), "out-of-range vertex 3", ((0,), (3,))),
-    (((-1,), (0,), (1,)), "out-of-range vertex -1", ((-1,), (0,))),
-    (((0,), (1, 2)), "2 parts, expected 3", None),
+    # (parts of piece 1 over K_3^(3), the problem, the parser's words when its
+    # line check refuses first, a bad bipartite factor over n = 3, its problem)
+    (((0,), (0, 1), (2,)), "overlapping parts at vertex 0", None,
+     ((0,), (0, 1)), "overlapping parts at vertex 0"),
+    (((0,), (1, 1), (2,)), "overlapping parts at vertex 1", None,
+     ((0,), (1, 1)), "overlapping parts at vertex 1"),
+    (((0,), (1,), (3,)), "out-of-range vertex 3", None, ((0,), (3,)), "out-of-range vertex 3"),
+    (((-1,), (0,), (1,)), "out-of-range vertex -1", None, ((-1,), (0,)), "out-of-range vertex -1"),
+    (((0,), (1, 2)), "2 parts, expected 3", None, ((0,), (1,), (2,)), "3 parts, expected 2"),
+    (((1,), (0,), (2,)), "vertex 0 out of canonical order",
+     "piece line not in canonical form: '1 | 0 | 2'", ((0,), (2, 1)), "vertex 1 out of canonical order"),
 ]
 
 
-@pytest.mark.parametrize("parts,problem,factor", PLANTED,
-                         ids=["overlap", "repeat", "above-n", "negative", "part-count"])
-def test_bad_piece_is_refused_through_every_path(parts, problem, factor):
+@pytest.mark.parametrize("parts,problem,parsed,factor,factor_problem", PLANTED,
+                         ids=["overlap", "repeat", "above-n", "negative", "part-count",
+                              "not-canonical"])
+def test_bad_piece_is_refused_through_every_path(parts, problem, parsed, factor, factor_problem):
     good = ((0,), (1,), (2,))
     message = f"piece 1 has {problem}"
 
@@ -268,21 +291,30 @@ def test_bad_piece_is_refused_through_every_path(parts, problem, factor):
     text = "GPD 1\nn 3 r 3 pieces 2\n0 | 1 | 2\n" + " | ".join(
         ",".join(map(str, part)) for part in parts) + "\n"
     paths = [
-        (ValueError, planted),
-        (ParseError, lambda: parse_decomposition(text)),
+        (ValueError, planted, message),
+        (ParseError, lambda: parse_decomposition(text), parsed or message),
         # construct_theorem1(3, 3, 5) asks for K_3^(3) on each class...
         (ValueError, lambda: construct_theorem1(3, 3, 5, sub_provider=lambda m, s: (
-            planted(m, s) if s == 3 else construct_baseline(m, s)))),
+            planted(m, s) if s == 3 else construct_baseline(m, s))), message),
         # ...and construct_even_from_odd(2, 2) derives K_2^(2) from K_3^(3).
-        (ValueError, lambda: construct_even_from_odd(2, 2, odd_provider=planted)),
+        (ValueError, lambda: construct_even_from_odd(2, 2, odd_provider=planted), message),
     ]
-    for error, call in paths:
+    # The same factor as the first factor of block 4 after the four trivial
+    # blocks of n = 3: in memory, through the block provider, and in a GPB
+    # file, where a factor of other than two sides has no spelling.
+    stray = Block(RPartiteGraph(factor), RPartiteGraph(((0,), (1,))))
+    blocks = construct_trivial_blocks(3).blocks + (stray,)
+    message = f"block 4 first factor has {factor_problem}"
+    paths += [
+        (ValueError, lambda: BlockDecomposition(3, blocks), message),
+        (ValueError, lambda: construct_theorem1(3, 3, 5, block_provider=lambda m: (
+            BlockDecomposition(m, blocks))), message),
+    ]
+    if len(factor) == 2:
+        line = "a:{} b:{} ; a:0 b:1".format(*(",".join(map(str, side)) for side in factor))
+        gpb = serialize_blocks(construct_trivial_blocks(3)).replace("blocks 4", "blocks 5") + line + "\n"
+        paths.append((ParseError, lambda: parse_blocks(gpb), message))
+    for error, call, words in paths:
         with pytest.raises(error) as info:
             call()
-        assert str(info.value) == message
-    if factor is not None:
-        stray = Block(BipartiteGraph(*factor), BipartiteGraph((0,), (1,)))
-        with pytest.raises(ValueError) as info:
-            construct_theorem1(3, 3, 5, block_provider=lambda m: BlockDecomposition(
-                m, construct_trivial_blocks(m).blocks + (stray,)))
-        assert str(info.value) == problem
+        assert str(info.value) == words

@@ -12,7 +12,7 @@ random block sets, trivial or relabelled so that their groups differ.
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -22,7 +22,6 @@ from gpdecomp import (
     Decomposition,
     GroundSet,
     VerificationReport,
-    binomial,
     construct_baseline,
     construct_even_from_odd,
     construct_star_bipartite,
@@ -33,8 +32,9 @@ from gpdecomp import (
     verify_blocks,
     verify_decomposition,
 )
-from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition, BlockReport
+from gpdecomp.blocks import Block, BlockDecomposition, BlockReport
 from gpdecomp.core import RPartiteGraph
+from test_core import canonical
 
 
 # -- reference oracle ----------------------------------------------------------
@@ -51,21 +51,25 @@ def reference_structural_problem(ground: GroundSet,
         if len(p.parts) != r:
             return f"piece {i} has {len(p.parts)} parts, expected {r}"
         seen: set = set()
-        for part in p.parts:
+        for j, part in enumerate(p.parts):
             if not part:
                 return f"piece {i} has an empty part"
-            for v in part:
+            for k, v in enumerate(part):
                 if not (0 <= v < n):
                     return f"piece {i} has out-of-range vertex {v}"
                 if v in seen:
                     return f"piece {i} has overlapping parts at vertex {v}"
+                # Canonical order: each part ascending, parts by minimum.
+                before = part[k - 1] if k else p.parts[j - 1][0] if j else -1
+                if v < before:
+                    return f"piece {i} has vertex {v} out of canonical order"
                 seen.add(v)
     return None
 
 
 def reference_verify(d: Decomposition) -> VerificationReport:
     n, r = d.ground.n, d.ground.r
-    total = binomial(n, r)
+    total = comb(n, r)
     census = sum(prod(map(len, p.parts)) for p in d.pieces)
     problem = reference_structural_problem(d.ground, d.pieces)
     if problem is not None:
@@ -107,10 +111,10 @@ def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
     n = bd.n
     counts: Dict[tuple, int] = {}
     for blk in bd.blocks:
-        for e1 in reference_edges((blk.first.side_a, blk.first.side_b)):
-            for e2 in reference_edges((blk.second.side_a, blk.second.side_b)):
+        for e1 in reference_edges(blk.first.parts):
+            for e2 in reference_edges(blk.second.parts):
                 counts[(e1, e2)] = counts.get((e1, e2), 0) + 1
-    total = binomial(n, 2) ** 2
+    total = comb(n, 2) ** 2
     for pair in product(combinations(range(n), 2), repeat=2):
         m = counts.get(pair, 0)
         if m != 1:
@@ -162,19 +166,21 @@ def _move(piece: RPartiteGraph, v: int, target: int) -> RPartiteGraph:
 
 def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
     """Replace vertex v by w, which may fall outside the ground set or inside
-    another part; built unchecked so such pieces stay possible."""
-    return RPartiteGraph(tuple(tuple(w if u == v else u for u in part) for part in piece.parts))
+    another part; put back in canonical order, which leaves the edges as
+    they are, and built unchecked so such pieces stay possible."""
+    return canonical(tuple(w if u == v else u for u in part) for part in piece.parts)
 
 
 @st.composite
 def construction_mutants(draw) -> PieceList:
     """A construction with up to two edits: delete, duplicate, move a vertex
-    between parts of one piece, or relabel a vertex."""
+    between parts of one piece, relabel a vertex, or reverse a piece's parts,
+    which keeps its edges and breaks canonical order unless r = 1."""
     d = draw(st.sampled_from(CONSTRUCTIONS))
     n = d.ground.n
     pieces = list(d.pieces)
-    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "move", "relabel"]),
-                              max_size=2)):
+    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "move", "relabel",
+                                               "reverse"]), max_size=2)):
         if not pieces:
             break
         i = draw(st.integers(0, len(pieces) - 1))
@@ -183,6 +189,8 @@ def construction_mutants(draw) -> PieceList:
             del pieces[i]
         elif kind == "duplicate":
             pieces.insert(draw(st.integers(0, len(pieces))), p)
+        elif kind == "reverse":
+            pieces[i] = RPartiteGraph(p.parts[::-1])
         else:
             v = draw(st.sampled_from([u for part in p.parts for u in part]))
             if kind == "move":
@@ -193,23 +201,24 @@ def construction_mutants(draw) -> PieceList:
 
 
 @st.composite
-def bipartite_graphs(draw, n: int) -> BipartiteGraph:
-    """Two disjoint sides of distinct vertices of 0..n-1 in any order: the
-    factors BlockDecomposition accepts."""
+def bipartite_graphs(draw, n: int) -> RPartiteGraph:
+    """Two disjoint sides of distinct vertices of 0..n-1, drawn in any order
+    and put in canonical order: the factors BlockDecomposition accepts."""
     side_a = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1), unique=True))
     side_b = draw(st.lists(st.integers(0, n - 1).filter(lambda v: v not in side_a),
                            min_size=1, max_size=3, unique=True))
-    return BipartiteGraph(tuple(side_a), tuple(side_b))
+    return canonical((side_a, side_b))
 
 
 def relabelled_layer(n: int, perms) -> Tuple[Block, ...]:
     """The valid layer of blocks ``S_i x pi_i(S_j)`` over the stars S of
     K_n, with its own vertex relabelling ``pi_i`` for each first star: the
     blocks whose first factor holds an edge of S_i have second factors
-    ``pi_i(S)``, so the groups of different first stars differ."""
+    ``pi_i(S)``, so the groups of different first stars differ.  Each
+    relabelled factor is put back in canonical order."""
     stars = construct_star_bipartite(n)
     return tuple(
-        Block(s, BipartiteGraph(tuple(pi[v] for v in t.side_a), tuple(pi[v] for v in t.side_b)))
+        Block(s, canonical([pi[v] for v in side] for side in t.parts))
         for s, pi in zip(stars, perms) for t in stars)
 
 
@@ -284,7 +293,7 @@ def test_relabelled_layers_are_partitions_with_distinct_groups(n):
     assert len({blk.second for blk in blocks}) > n - 1
     bd = BlockDecomposition(n, blocks)
     assert verify_blocks(bd) == reference_verify_blocks(bd) == BlockReport(
-        True, (n - 1) ** 2, binomial(n, 2) ** 2)
+        True, (n - 1) ** 2, comb(n, 2) ** 2)
     broken = BlockDecomposition(n, blocks[:-1])
     report = verify_blocks(broken)
     assert report == reference_verify_blocks(broken)
@@ -308,4 +317,4 @@ def test_reference_accepts_every_construction():
     for d in CONSTRUCTIONS:
         assert verify_decomposition(d) == reference_verify(d)
         assert verify_decomposition(d).valid
-        assert coverage_histogram(d) == reference_histogram(d) == {1: binomial(d.ground.n, d.ground.r)}
+        assert coverage_histogram(d) == reference_histogram(d) == {1: comb(d.ground.n, d.ground.r)}

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpdecomp import (
+    Block,
+    BlockDecomposition,
+    Decomposition,
+    GroundSet,
     ParseError,
+    RPartiteGraph,
     construct_baseline,
     construct_theorem1,
     construct_trivial_blocks,
@@ -183,9 +188,16 @@ def test_parse_blocks_names_the_bad_part(line, part):
 
 
 def test_parse_blocks_reports_the_block_rule():
-    # BlockDecomposition applies the piece rule; the parser passes on its reason.
-    with pytest.raises(ParseError, match="^out-of-range vertex 7$"):
-        parse_blocks("GPB 1\nn 3 blocks 1\na:0 b:1 ; a:0 b:7\n")
+    # BlockDecomposition applies the piece rule for r = 2, canonical order
+    # included; the parser passes on its words, which name the block.
+    for line, message in [
+        ("a:0 b:1 ; a:0 b:7", "block 0 second factor has out-of-range vertex 7"),
+        ("a:1 b:0 ; a:0 b:1", "block 0 first factor has vertex 0 out of canonical order"),
+        ("a:0 b:2,1 ; a:0 b:1", "block 0 first factor has vertex 1 out of canonical order"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_blocks(f"GPB 1\nn 3 blocks 1\n{line}\n")
+        assert str(info.value) == message
     with pytest.raises(ParseError, match="^need n >= 1, got n=0$"):
         parse_blocks("GPB 1\nn 0 blocks 0\n")
 
@@ -239,4 +251,52 @@ def test_parsers_accept_only_the_serialized_spelling(text):
             back = parse(text)
         except ParseError:
             continue
+        assert serialize(back) == text
+
+
+# -- round trip of everything the constructors accept ---------------------
+
+@st.composite
+def drawn_parts(draw, n: int, r: int):
+    """r parts of distinct vertices of -1..n, at times in canonical order and
+    at times in the order drawn, so the rule refuses some and accepts some."""
+    vertices = draw(st.lists(st.integers(-1, n), min_size=r, max_size=r + 3, unique=True))
+    cuts = sorted(draw(st.permutations(range(1, len(vertices))))[:r - 1])
+    parts = [tuple(vertices[i:j]) for i, j in zip([0] + cuts, cuts + [len(vertices)])]
+    if draw(st.booleans()):
+        parts = sorted(tuple(sorted(part)) for part in parts)
+    return tuple(parts)
+
+
+@st.composite
+def drawn_decompositions(draw):
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    pieces = draw(st.lists(drawn_parts(n, r).map(RPartiteGraph), max_size=6))
+    return GroundSet(n, r), tuple(pieces)
+
+
+@st.composite
+def drawn_block_layers(draw):
+    n = draw(st.integers(2, 6))
+    factors = st.one_of(drawn_parts(n, 2), drawn_parts(n, 3)).map(RPartiteGraph)
+    return n, tuple(draw(st.lists(st.builds(Block, factors, factors), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_decompositions(), drawn_block_layers())
+def test_accepted_objects_round_trip_byte_for_byte(dec_args, block_args):
+    # The piece rule in memory and the file formats are one rule: whatever a
+    # constructor accepts, its file parses back to it and re-serializes to
+    # the same bytes.
+    for build, serialize, parse, args in (
+            (Decomposition, serialize_decomposition, parse_decomposition, dec_args),
+            (BlockDecomposition, serialize_blocks, parse_blocks, block_args)):
+        try:
+            obj = build(*args)
+        except ValueError:
+            continue
+        text = serialize(obj)
+        back = parse(text)
+        assert back == obj
         assert serialize(back) == text

@@ -31,9 +31,10 @@ from gpdecomp import (
     serialize_blocks,
     serialize_decomposition,
 )
-from gpdecomp.blocks import BipartiteGraph, Block, BlockDecomposition
+from gpdecomp.blocks import Block, BlockDecomposition
 from gpdecomp.cli import main
 from gpdecomp.core import RPartiteGraph
+from test_core import canonical
 
 
 # -- reference parser ----------------------------------------------------------
@@ -90,7 +91,7 @@ def reference_parse(text: str) -> Decomposition:
         raise ParseError(str(exc)) from exc
 
 
-def reference_bipartite(text, tokens) -> BipartiteGraph:
+def reference_bipartite(text, tokens) -> RPartiteGraph:
     chunks = text.split(" ")
     if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
         raise ParseError(f"bad bipartite factor {text!r}")
@@ -100,7 +101,7 @@ def reference_bipartite(text, tokens) -> BipartiteGraph:
             sides.append(tuple(map(tokens.__getitem__, chunk.split(","))))
         except ValueError as exc:
             raise ParseError(f"bad part {chunk!r}") from exc
-    return BipartiteGraph(*sides)
+    return RPartiteGraph(tuple(sides))
 
 
 def reference_parse_blocks(text: str) -> BlockDecomposition:
@@ -279,12 +280,11 @@ def test_parser_matches_reference_on_valid_texts(text):
 # -- block files ---------------------------------------------------------------
 
 def _relabelled(bd: BlockDecomposition, shift: int) -> BlockDecomposition:
-    """``bd`` with each second factor's vertices shifted by ``shift`` mod n,
-    so its sides need not ascend and its first and second halves differ."""
+    """``bd`` with each second factor's vertices shifted by ``shift`` mod n
+    and put back in canonical order, so its first and second halves differ."""
     n = bd.n
     return BlockDecomposition(n, tuple(
-        Block(b.first, BipartiteGraph(tuple((v + shift) % n for v in b.second.side_a),
-                                      tuple((v + shift) % n for v in b.second.side_b)))
+        Block(b.first, canonical([(v + shift) % n for v in side] for side in b.second.parts))
         for b in bd.blocks))
 
 

@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import pytest
 
@@ -6,7 +7,6 @@ from gpdecomp import (
     Decomposition,
     GroundSet,
     RPartiteGraph,
-    binomial,
     construct_baseline,
     coverage_histogram,
     verify_decomposition,
@@ -56,10 +56,10 @@ def test_structural_failures():
 
 def test_report_carries_census():
     dec = construct_baseline(7, 4)
-    assert verify_decomposition(dec).census == binomial(7, 4)
+    assert verify_decomposition(dec).census == comb(7, 4)
     dropped = math.prod(map(len, dec.pieces[0].parts))
     broken = Decomposition(dec.ground, dec.pieces[1:])
-    assert verify_decomposition(broken).census == binomial(7, 4) - dropped
+    assert verify_decomposition(broken).census == comb(7, 4) - dropped
 
 
 def test_census_alone_is_not_trusted():
@@ -117,7 +117,7 @@ def test_report_agrees_with_histogram():
     for dec in cases:
         report = verify_decomposition(dec)
         hist = coverage_histogram(dec)
-        assert report.valid == (hist == {1: binomial(dec.ground.n, dec.ground.r)})
+        assert report.valid == (hist == {1: comb(dec.ground.n, dec.ground.r)})
 
 
 def _no_edge_masks(piece):
