@@ -29,9 +29,9 @@ is the default with (n-1)^2 blocks.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -145,13 +145,15 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     """
     n = bd.n
     edges = comb(n, 2)
-    index: Dict[RPartiteGraph, int] = {}  # each distinct factor to its index in masks
+    # Each distinct factor object to its index in masks; the layer holds its
+    # factors, so their ids are stable for the call.
+    index: Dict[int, int] = {}
     masks: List[List[int]] = []
 
     def edges_of(g: RPartiteGraph) -> int:
-        i = index.get(g)
+        i = index.get(id(g))
         if i is None:
-            i = index[g] = len(masks)
+            i = index[id(g)] = len(masks)
             masks.append(edge_masks(g))
         return i
 
@@ -160,15 +162,12 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
         j = edges_of(blk.second)
         for e1 in masks[edges_of(blk.first)]:
             groups[e1].append(j)
-    verdicts: Dict[Tuple[int, ...], Optional[Tuple[int, int]]] = {}
+    verdicts: Dict[Tuple[int, ...], Optional[Tuple[int, int, Dict[int, int]]]] = {}
     for e1 in subset_masks(n, 2):
         key = tuple(groups.get(e1, ()))
         if key not in verdicts:
-            got = list(chain.from_iterable(map(masks.__getitem__, key)))
-            accept = len(got) == edges and len(set(got)) == edges
-            # Not accepted, so some e2 is covered other than once.
-            verdicts[key] = None if accept else first_miscovered(
-                Counter(got), subset_masks(n, 2), edges)
+            verdicts[key] = first_miscovered(
+                list(map(masks.__getitem__, key)), subset_masks(n, 2), edges)
         bad = verdicts[key]
         if bad is not None:
             return BlockReport(False, len(bd.blocks), edges ** 2,

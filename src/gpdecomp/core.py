@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, combinations, filterfalse
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, ...]
 
@@ -181,21 +181,58 @@ def subset_masks(n: int, r: int) -> Iterator[int]:
     return map(sum, combinations([1 << v for v in range(n)], r))
 
 
-def first_miscovered(counts: Counter, universe: Iterable[int],
-                     total: int) -> Optional[Tuple[int, int]]:
-    """The one coverage verdict: the first ``universe`` mask not counted
-    exactly once in ``counts``, a Counter of masks all inside that universe
-    of ``total`` masks, with its count, or None.  Every mask is counted, so
-    the census alone is never trusted.
+def first_miscovered(groups: Sequence[Sequence[int]], universe: Iterable[int],
+                     total: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
+    """The one coverage verdict, decided on sets of edge masks; no Counter
+    of all masks is built.
 
-    ``universe`` must list its masks in the lexicographic order of their
-    vertex tuples (:func:`edge_of_mask`), as :func:`subset_masks` does.  It
-    is read only when some mask of it is missing from ``counts``: when every
-    one is there, the first miscovered mask is the lexicographically
-    smallest of those counted more than once.  A caller holding the masks
-    as a list accepts first when the census and the distinct masks both
-    equal ``total``, and builds the Counter only to reject."""
-    if len(counts) == total:
-        m = min((m for m, c in counts.items() if c != 1), key=edge_of_mask, default=None)
-        return None if m is None else (m, counts[m])
-    return next(((m, counts[m]) for m in universe if counts[m] != 1), None)
+    ``groups`` holds the edge masks of each piece, distinct within a group
+    and all inside ``universe``: ``total`` masks in the lexicographic order
+    of their vertex tuples (:func:`edge_of_mask`), as :func:`subset_masks`
+    lists them.  Returns None when every universe mask is covered exactly
+    once.  Otherwise returns the first universe mask that is not, its
+    multiplicity, and the histogram: multiplicity -> number of universe
+    masks covered that many times.
+
+    An accept is one C-level pass with no loop over the groups: the census
+    and the number of distinct masks both equal ``total``.  A reject makes
+    one pass over the groups that puts their masks in a set (after the
+    accept test's set only when the census equals ``total``), where a group
+    that adds fewer masks than it has repeats masks of earlier groups.
+    Every over-covered mask lies in such a group, so counting only their
+    masks, in the groups that hold any of them, gives the multiplicities.
+    The universe is read only when some mask is missing, and only up to the
+    first missing mask or the smallest over-covered one, whichever comes
+    first."""
+    census = sum(map(len, groups))
+    if census == total and len(set(chain.from_iterable(groups))) == total:
+        return None
+    # One pass builds the set of masks group by group: a group that adds fewer
+    # masks than it has repeats masks of the groups before it.
+    seen: set = set()
+    repeating = []  # indices of the groups that repeat earlier masks
+    for i, g in enumerate(groups):
+        before = len(seen)
+        seen.update(g)
+        if len(seen) - before < len(g):
+            repeating.append(i)
+    over: Dict[int, int] = {}  # over-covered mask -> its multiplicity
+    if repeating:
+        # Every over-covered mask is in a repeating group, and every group
+        # covering it comes no later than the last of those.
+        suspects = set(chain.from_iterable(map(groups.__getitem__, repeating)))
+        touching = filterfalse(suspects.isdisjoint, groups[:repeating[-1] + 1])
+        counts = Counter(filter(suspects.__contains__, chain.from_iterable(touching)))
+        over = {m: c for m, c in counts.items() if c > 1}
+    witness = min(over, key=edge_of_mask, default=None)
+    covered = len(seen)
+    missing = total - covered
+    if missing:
+        seen.discard(witness)  # the walk stops there if no mask is missing before it
+        witness = next(filterfalse(seen.__contains__, universe))
+    hist = dict(Counter(over.values()))
+    if covered > len(over):
+        hist[1] = covered - len(over)
+    if missing:
+        hist[0] = missing
+    return witness, over.get(witness, 0), hist

@@ -234,20 +234,23 @@ def parse_blocks(text: str) -> BlockDecomposition:
     """The block decomposition in a GPB file, in one pass over its lines.
 
     Faults are reported in a fixed order: the first line that is not two
-    halves joined by `` ; `` or has a bad half (its first half first); else
-    the first factor breaking the piece rule for r = 2, canonical order
-    included, in :class:`BlockDecomposition`'s words, which name its block
-    and side.  Each half costs one table lookup.
+    halves joined by `` ; `` or has a bad half (its first half first), named
+    by its block number; else the first factor breaking the piece rule for
+    r = 2, canonical order included, in :class:`BlockDecomposition`'s words,
+    which name its block and side.  Each half costs one table lookup.
     """
     tokens = _Tokens()
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)
     factor = _Factors(tokens).__getitem__
     blocks: List[Block] = []
-    for line in lines:
+    for i, line in enumerate(lines):
         halves = line.split(" ; ")
         if len(halves) != 2:
-            raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(factor(halves[0]), factor(halves[1])))
+            raise ParseError(f"block {i} bad block line {line!r}")
+        try:
+            blocks.append(Block(factor(halves[0]), factor(halves[1])))
+        except ParseError as exc:  # the table is per file and knows no line
+            raise ParseError(f"block {i} {exc}") from exc
     try:
         return BlockDecomposition(n=n, blocks=tuple(blocks))
     except ValueError as exc:

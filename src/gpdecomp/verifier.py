@@ -2,25 +2,26 @@
 
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
 carries the piece rule, so each edge mask from :func:`gpdecomp.core.edge_masks`
-is an r-subset of 0..n-1.  A decomposition whose census and distinct masks
-both equal C(n, r) is accepted from the mask list alone; any other is
-counted into a Counter of masks, and the coverage verdict
-:func:`gpdecomp.core.first_miscovered` over those counts decides.  The
-verdict walks the r-subsets in lexicographic order only when one of them is
-missing; an over-cover alone is found among the counted masks.
+is an r-subset of 0..n-1.  The coverage verdict
+:func:`gpdecomp.core.first_miscovered` decides on the pieces' masks: a
+decomposition whose census and distinct masks both equal C(n, r) is accepted
+from one set of them; any other is rejected with the first r-subset not
+covered exactly once and the coverage histogram, found from a set built
+piece by piece, a count of only the over-covered masks, and, when some
+r-subset is missing, a walk of the r-subsets in lexicographic order up to
+the witness.
 
-A decomposition's Counter is built at most once: a reject keeps it on the
-instance, and :func:`coverage_histogram` reads it from there (or builds and
-keeps it), so a histogram after a verify, or a verify after a histogram,
+A rejected decomposition's edges are counted once: a reject keeps its
+report and its histogram, a few small objects, on the instance, and
+:func:`verify_decomposition` and :func:`coverage_histogram` both read them
+from there, so a histogram after a verify, or a verify after a histogram,
 counts no edge again.  The instance is frozen and its pieces are tuples, so
-the counts cannot go stale.  An accept keeps nothing.
+they cannot go stale.  An accept keeps nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -48,54 +49,50 @@ class VerificationReport:
     witness_pieces: Tuple[int, ...] = ()
 
 
-# The instance __dict__ key of a decomposition's Counter of edge masks.
-_COUNTS = "_edge_counts"
+# The instance __dict__ key of a reject's report and histogram.
+_KEPT = "_coverage"
+
+
+def _coverage(d: Decomposition) -> Tuple[VerificationReport, Dict[int, int]]:
+    """The report and histogram of ``d``: kept on the instance for a
+    reject, built fresh for an accept."""
+    kept = d.__dict__.get(_KEPT)
+    if kept is not None:
+        return kept
+    n, r = d.ground.n, d.ground.r
+    total = comb(n, r)
+    groups = list(map(edge_masks, d.pieces))
+    found = first_miscovered(groups, subset_masks(n, r), total)
+    if found is None:
+        return VerificationReport(True, len(d.pieces), total, total), {1: total}
+    e = edge_of_mask(found[0])
+    # The r parts are disjoint and e has r vertices, so a piece covers e
+    # exactly when every part meets it.
+    meets = frozenset(e).isdisjoint
+    hits = tuple(i for i, p in enumerate(d.pieces) if not any(map(meets, p.parts)))
+    report = VerificationReport(
+        False,
+        len(d.pieces),
+        total,
+        sum(map(len, groups)),  # one mask per edge of each piece
+        message=f"edge {e} covered {len(hits)} times",
+        witness=e,
+        witness_multiplicity=len(hits),
+        witness_pieces=hits,
+    )
+    kept = d.__dict__[_KEPT] = (report, found[2])
+    return kept
 
 
 def verify_decomposition(d: Decomposition) -> VerificationReport:
     """Check the edge census and exact single coverage of every r-subset.
     On failure the report carries the first bad edge in lexicographic order,
     its multiplicity, and the covering piece indices."""
-    n, r = d.ground.n, d.ground.r
-    total = comb(n, r)
-    counts = d.__dict__.get(_COUNTS)
-    if counts is None:
-        masks = list(chain.from_iterable(map(edge_masks, d.pieces)))
-        census = len(masks)  # one mask per edge of each piece
-        if census == total and len(set(masks)) == total:
-            return VerificationReport(True, len(d.pieces), total, census)
-        counts = d.__dict__[_COUNTS] = Counter(masks)
-    else:
-        census = sum(counts.values())
-    found = first_miscovered(counts, subset_masks(n, r), total)
-    if found is None:
-        return VerificationReport(True, len(d.pieces), total, census)
-    e = edge_of_mask(found[0])
-    # The r parts are disjoint and e has r vertices, so a piece covers e
-    # exactly when every part meets it.
-    meets = frozenset(e).isdisjoint
-    hits = tuple(i for i, p in enumerate(d.pieces) if not any(map(meets, p.parts)))
-    return VerificationReport(
-        False,
-        len(d.pieces),
-        total,
-        census,
-        message=f"edge {e} covered {len(hits)} times",
-        witness=e,
-        witness_multiplicity=len(hits),
-        witness_pieces=hits,
-    )
+    return _coverage(d)[0]
 
 
 def coverage_histogram(d: Decomposition) -> Dict[int, int]:
     """Map multiplicity -> number of edges covered that many times.
 
     A valid decomposition yields exactly {1: C(n, r)}."""
-    counts = d.__dict__.get(_COUNTS)
-    if counts is None:
-        counts = d.__dict__[_COUNTS] = Counter(chain.from_iterable(map(edge_masks, d.pieces)))
-    hist = Counter(counts.values())
-    missing = comb(d.ground.n, d.ground.r) - len(counts)
-    if missing:
-        hist[0] = missing
-    return dict(hist)
+    return dict(_coverage(d)[1])

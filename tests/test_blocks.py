@@ -119,6 +119,22 @@ def test_verify_blocks_counts_through_the_product_structure(monkeypatch):
     assert 0 < built <= 2 * 39 * 780
 
 
+@pytest.mark.parametrize("copies", [1, 0, 2, 3])
+def test_equal_factor_objects_verify_as_shared_ones(copies):
+    # verify_blocks indexes factors by object identity: a layer whose equal
+    # factors are distinct objects must get the report of one that shares
+    # them, valid or with block 7 deleted, doubled or tripled.
+    shared = list(construct_trivial_blocks(5).blocks)
+    shared[7:8] = [shared[7]] * copies
+    fresh = [Block(RPartiteGraph(b.first.parts), RPartiteGraph(b.second.parts)) for b in shared]
+    assert fresh == shared and fresh[0].first is not shared[0].first
+    assert len({id(b.first) for b in fresh}) == len(fresh) > len({id(b.first) for b in shared})
+    report = verify_blocks(BlockDecomposition(5, tuple(shared)))
+    assert verify_blocks(BlockDecomposition(5, tuple(fresh))) == report
+    assert report.valid == (copies == 1)
+    assert report.witness_multiplicity == (None if copies == 1 else copies)
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_split_trivial_blocks_still_verify(n):
     # Cutting a first factor in two gives its edges groups of other shapes;

@@ -173,22 +173,24 @@ def _relabel(piece: RPartiteGraph, v: int, w: int) -> RPartiteGraph:
 
 @st.composite
 def construction_mutants(draw) -> PieceList:
-    """A construction with up to two edits: delete, duplicate, move a vertex
+    """A construction with up to two edits: delete, duplicate, triplicate
+    (two more copies, so edges are covered three times), move a vertex
     between parts of one piece, relabel a vertex, or reverse a piece's parts,
     which keeps its edges and breaks canonical order unless r = 1."""
     d = draw(st.sampled_from(CONSTRUCTIONS))
     n = d.ground.n
     pieces = list(d.pieces)
-    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "move", "relabel",
-                                               "reverse"]), max_size=2)):
+    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "triplicate", "move",
+                                               "relabel", "reverse"]), max_size=2)):
         if not pieces:
             break
         i = draw(st.integers(0, len(pieces) - 1))
         p = pieces[i]
         if kind == "delete":
             del pieces[i]
-        elif kind == "duplicate":
-            pieces.insert(draw(st.integers(0, len(pieces))), p)
+        elif kind in ("duplicate", "triplicate"):
+            for _ in range(1 if kind == "duplicate" else 2):
+                pieces.insert(draw(st.integers(0, len(pieces))), p)
         elif kind == "reverse":
             pieces[i] = RPartiteGraph(p.parts[::-1])
         else:
@@ -264,8 +266,9 @@ def test_verifier_and_histogram_match_reference(drawn):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(random_piece_sets(), construction_mutants()), st.booleans())
 def test_counts_kept_between_calls_change_no_answer(drawn, histogram_first):
-    # A reject or a histogram keeps its Counter on the decomposition; every
-    # later answer must equal the reference's and a fresh copy's.
+    # A reject, by a verify or a histogram, keeps its report and histogram
+    # on the decomposition; every later answer must equal the reference's
+    # and a fresh copy's.
     if reference_structural_problem(*drawn) is not None:
         return
     d = Decomposition(*drawn)

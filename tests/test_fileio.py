@@ -184,7 +184,23 @@ def test_parse_blocks_rejects_malformed(text):
 def test_parse_blocks_names_the_bad_part(line, part):
     with pytest.raises(ParseError) as info:
         parse_blocks(f"GPB 1\nn 4 blocks 1\n{line}\n")
-    assert str(info.value) == f"bad part {part!r}"
+    assert str(info.value) == f"block 0 bad part {part!r}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a:0 b:1 c:2 ; a:0 b:1", "bad bipartite factor 'a:0 b:1 c:2'"),  # three sides
+    ("a:0 b:1 ; a:0 c:1", "bad bipartite factor 'a:0 c:1'"),
+    ("a:0 b:1 ; a:0 b:x", "bad part 'x'"),
+    ("a:0 b:1 ; a:0 b:1 ; a:0 b:1", "bad block line 'a:0 b:1 ; a:0 b:1 ; a:0 b:1'"),
+    ("a:0 b:1", "bad block line 'a:0 b:1'"),  # no ' ; '
+    ("a:0 b:1;a:0 b:1", "bad block line 'a:0 b:1;a:0 b:1'"),
+])
+def test_parse_blocks_syntax_refusals_name_the_block(line, message):
+    # The bad line is block 2, after two good ones.
+    text = f"GPB 1\nn 4 blocks 3\na:0 b:1 ; a:0 b:1\na:0 b:1 ; a:0 b:2\n{line}\n"
+    with pytest.raises(ParseError) as info:
+        parse_blocks(text)
+    assert str(info.value) == f"block 2 {message}"
 
 
 def test_parse_blocks_reports_the_block_rule():

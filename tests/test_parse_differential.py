@@ -110,12 +110,15 @@ def reference_parse_blocks(text: str) -> BlockDecomposition:
     tokens = ReferenceTokens()
     (n, _), lines = reference_header(text, tokens, "GPB 1", ("n", "blocks"))
     blocks = []
-    for line in lines:
+    for i, line in enumerate(lines):
         halves = line.split(" ; ")
         if len(halves) != 2:
-            raise ParseError(f"bad block line {line!r}")
-        blocks.append(Block(reference_bipartite(halves[0], tokens),
-                            reference_bipartite(halves[1], tokens)))
+            raise ParseError(f"block {i} bad block line {line!r}")
+        try:
+            blocks.append(Block(reference_bipartite(halves[0], tokens),
+                                reference_bipartite(halves[1], tokens)))
+        except ParseError as exc:
+            raise ParseError(f"block {i} {exc}") from exc
     try:
         return BlockDecomposition(n=n, blocks=tuple(blocks))
     except ValueError as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import pytest
@@ -134,7 +135,8 @@ def test_a_reject_and_the_histogram_count_the_edges_once(monkeypatch):
     dropped_hist = coverage_histogram(dropped)
     expected = verify_decomposition(Decomposition(dec.ground, dropped.pieces))
     monkeypatch.setattr("gpdecomp.verifier.edge_masks", _no_edge_masks)
-    # Each reads the Counter the other built; a repeat call does too.
+    # Each reads the report and histogram the other kept; a repeat call
+    # does too.
     assert coverage_histogram(doubled) == {1: 35 - e, 2: e}
     assert verify_decomposition(doubled) == report
     assert verify_decomposition(dropped) == expected
@@ -146,3 +148,24 @@ def test_an_accept_keeps_nothing():
     before = dict(vars(d))
     assert verify_decomposition(d).valid
     assert vars(d) == before
+
+
+def test_a_reject_keeps_only_its_report_and_histogram():
+    d = construct_baseline(20, 8)
+    doubled = Decomposition(d.ground, d.pieces[:1] + d.pieces)
+    before = dict(vars(doubled))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        report = verify_decomposition(doubled)
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert not report.valid and report.witness_multiplicity == 2
+    added = [v for k, v in vars(doubled).items() if k not in before]
+    assert len(added) == 1
+    kept_report, kept_hist = added[0]
+    assert kept_report is report and kept_hist == coverage_histogram(doubled)
+    assert len(kept_hist) <= 3
+    # A Counter of the 125,971 masks would hold some 10 MiB.
+    assert held < 64 * 1024, held
