@@ -3,17 +3,20 @@
 Vertices are 0-based integers.  A piece (complete r-partite r-graph) is a
 family of r pairwise-disjoint nonempty vertex sets; its edge set is all
 r-sets taking exactly one vertex per part.  A piece is held in canonical
-form, each part ascending and the parts ordered by minimum (the order of a
-GPD line), so that equality and serialization are deterministic and every
-piece in memory can be written to a file and read back.
+form, a tuple of parts, each a tuple ascending, the parts ordered by minimum
+(the order of a GPD line), so that equality and serialization are
+deterministic and every piece in memory can be written to a file and read
+back.
 
-:func:`piece_problem` is the one piece rule, part count, nonempty parts,
-range, disjointness and canonical order, checked once, where the data
+:func:`piece_problem` is the one piece rule, tuples, part count, nonempty
+parts, range, disjointness and canonical order, checked once, where the data
 enters: the public :class:`Decomposition` constructor applies it to every
-piece (``piece i has ...``), :class:`~gpdecomp.blocks.BlockDecomposition`
-to every distinct block factor with r = 2, and ``parse_decomposition``
-checks each line in its own pass.  Pieces derived from checked ones (the
-class-split and even-from-odd constructions) and parsed ones enter through
+piece (``piece i has ...``), whether built in memory or read by
+``parse_decomposition``, which reads only the syntax, and
+:class:`~gpdecomp.blocks.BlockDecomposition` to every distinct block factor
+with r = 2.  The constructor tests each distinct part once, by a bitmask,
+and walks only a piece the masks cannot vouch for.  Pieces derived from
+checked ones (the class-split and even-from-odd constructions) enter through
 one private constructor, ``Decomposition._from_checked``, which names its
 callers; no later check repeats the rule, and nothing downstream re-sorts a
 piece.
@@ -61,8 +64,10 @@ class Decomposition:
 
     Carries the piece rule: every piece passes :func:`piece_problem` for
     ``ground``, or ValueError names the first piece that does not, as
-    ``piece i has <problem>``.  The constructor checks it; only
-    :meth:`_from_checked` skips that, for pieces checked on the way in.
+    ``piece i has <problem>``.  The constructor checks it, testing each
+    distinct part once through a :class:`_PartMasks` table and walking with
+    :func:`piece_problem` only a piece the masks cannot vouch for; only
+    :meth:`_from_checked` skips that, for pieces derived from checked ones.
     Carries no partition claim; run the verifier for one.
     """
 
@@ -71,20 +76,30 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         n, r = self.ground.n, self.ground.r
+        mask = _PartMasks(n).__getitem__
         for i, p in enumerate(self.pieces):
-            problem = piece_problem(p.parts, n, r)
-            if problem is not None:
-                raise ValueError(f"piece {i} has {problem}")
+            parts = p.parts
+            try:
+                masks = list(map(mask, parts))
+            except TypeError:  # a list for a part, or a vertex that is no int
+                masks = ()
+            # r sound parts share no vertex when their masks add up to one
+            # bit per vertex; any other piece (a fault, or, for n above
+            # 1024, vertices 1024 apart) is walked.
+            if (len(masks) != r or min(masks) <= 0
+                    or sum(masks).bit_count() != sum(map(len, parts))
+                    or parts != tuple(sorted(parts))):
+                problem = piece_problem(parts, n, r)
+                if problem is not None:
+                    raise ValueError(f"piece {i} has {problem}")
 
     @classmethod
     def _from_checked(cls, ground: GroundSet,
                       pieces: Tuple[RPartiteGraph, ...]) -> "Decomposition":
         """A Decomposition of pieces already known to pass the piece rule
-        for ``ground``, built without walking them again.  Its callers, each
-        with its reason:
+        for ``ground``, built without checking them again.  Its two callers,
+        each with its reason:
 
-        * :func:`gpdecomp.fileio.parse_decomposition`, after its own pass
-          has checked every line, canonical order first;
         * :func:`gpdecomp.constructions.construct_theorem1_detailed`, whose
           factors are verified, canonical on entry and placed by class
           offset on disjoint class ranges, so that merging a combination's
@@ -104,20 +119,57 @@ class Decomposition:
         return len(self.pieces)
 
 
-def piece_problem(parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[str]:
-    """The one piece rule: why ``parts`` are not r pairwise-disjoint nonempty
-    subsets of 0..n-1 in canonical order (each part ascending, the parts
-    ordered by minimum), or None.
+# A part mask has bit v % _MASK_BITS for each vertex v, so it stays small
+# whatever n the ground set names; vertices of 0..n-1 share a bit only for n
+# above this width.
+_MASK_BITS = 1024
+_BIT = (1).__lshift__
+_WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
 
-    The part count comes first; then one walk over the vertices, in part
-    order, reports the first fault it meets, at each vertex the range first,
-    then an overlap, then the order.  A vertex repeated within a part counts
-    as overlapping."""
+
+class _PartMasks(dict):
+    """One check's table from a part to its mask, so each distinct part is
+    tested once and a repeated part costs one lookup.
+
+    A part that is a nonempty tuple ascending inside 0..n-1 gets the sum of
+    ``1 << (v % 1024)`` over its vertices v, which has one bit per vertex
+    exactly when no two vertices of the part are equal or 1024 apart; any
+    other part gets 0.  A lookup may raise TypeError for a part that is
+    unhashable (a list) or holds a vertex that is no int.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, part: Tuple[int, ...]) -> int:
+        mask = 0
+        if (isinstance(part, tuple) and part and 0 <= part[0] and part[-1] < self.n
+                and sorted(part) == list(part)):
+            mask = sum(map(_BIT, map(_WRAP, part)))
+        self[part] = mask
+        return mask
+
+
+def piece_problem(parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[str]:
+    """The one piece rule: why ``parts`` are not a tuple of r pairwise-disjoint
+    nonempty subsets of 0..n-1, each a tuple, in canonical order (each part
+    ascending, the parts ordered by minimum), or None.
+
+    A list (or any other type) for the tuple of parts comes first, then the
+    part count; then one walk over the vertices, in part order, reports the
+    first fault it meets, at each part a list for a tuple, then an empty
+    part, and at each vertex the range first, then an overlap, then the
+    order.  A vertex repeated within a part counts as overlapping."""
+    if not isinstance(parts, tuple):
+        return f"a {type(parts).__name__} for the parts, not a tuple"
     if len(parts) != r:
         return f"{len(parts)} parts, expected {r}"
     seen: set = set()
     low = -1  # the previous part's minimum
     for part in parts:
+        if not isinstance(part, tuple):
+            return f"a {type(part).__name__} for a part, not a tuple"
         if not part:
             return "an empty part"
         prev = low  # the vertex each must exceed: the last minimum, then its predecessor

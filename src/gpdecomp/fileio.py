@@ -12,12 +12,11 @@ comma-separated ascending, parts ordered by minimum, LF line endings,
 trailing LF.  The parts of a piece are disjoint and inside 0..n-1.  A line
 is a piece under the one piece rule of :mod:`gpdecomp.core`, canonical order
 included, so every :class:`Decomposition` in memory serializes to a file
-that parses back to it.  :func:`parse_decomposition` checks all of this in
-one pass, through a table per file that converts and checks each distinct
-part string once, so a line costs r lookups and a few integer tests; it
-reports a line out of canonical order first, then the first faulty piece in
-:class:`Decomposition`'s own words, and builds the result without a second
-check.  :func:`serialize_decomposition` likewise joins each distinct part once.
+that parses back to it.  :func:`parse_decomposition` reads the syntax only,
+converting each distinct part string once through a table per file, and
+leaves the rule to the public :class:`Decomposition` constructor, whose
+refusal (``piece i has ...``) it reports as a ParseError.
+:func:`serialize_decomposition` likewise joins each distinct part once.
 
 Block files (magic ``GPB 1``)::
 
@@ -46,12 +45,10 @@ file then re-serializing reproduces it byte-for-byte.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import List, Tuple
 
 from .blocks import Block, BlockDecomposition
-from .core import Decomposition, GroundSet, RPartiteGraph, piece_problem
+from .core import Decomposition, GroundSet, RPartiteGraph
 
 
 class ParseError(ValueError):
@@ -115,85 +112,47 @@ def serialize_decomposition(d: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A part mask has bit v % _MASK_BITS for each vertex v, so it stays small
-# whatever n the header names; vertices of honest files (n far below this
-# width) never share a bit.
-_MASK_BITS = 1024
-_BIT = (1).__lshift__
-_WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
-
-
 class _Parts(dict):
-    """One GPD file's table from a part string (the text between `` | ``) to
-    ``(vertices, mask)``, so each distinct part is converted and checked once
-    however many lines repeat it.
-
-    ``mask`` is positive, with bit ``v % 1024`` for each vertex v, when the
-    vertices ascend strictly inside 0..n-1 and no two share a bit; 0 when
-    they do not decrease but leave 0..n-1, repeat a vertex or share a bit;
-    and -1 when they decrease somewhere, so the line is not canonical.  A
-    lookup of a part with a bad token raises ParseError naming the part.
+    """One file's table from a part string (the text between `` | ``, or a
+    block side after ``a:`` or ``b:``) to its vertices, so each distinct
+    part is converted once however many lines repeat it.  A lookup of a part
+    with a bad token raises ParseError naming the part and caches nothing.
     """
 
-    def __init__(self, n: int, tokens: _Tokens) -> None:
+    def __init__(self, tokens: _Tokens) -> None:
         super().__init__()
-        self.n = n
         self.value = tokens.__getitem__
 
-    def __missing__(self, chunk: str) -> Tuple[Tuple[int, ...], int]:
+    def __missing__(self, chunk: str) -> Tuple[int, ...]:
         try:
-            part = tuple(map(self.value, chunk.split(",")))
+            part = self[chunk] = tuple(map(self.value, chunk.split(",")))
         except ValueError as exc:
             raise ParseError(f"bad part {chunk!r}") from exc
-        if sorted(part) != list(part):
-            mask = -1
-        elif part[0] < 0 or part[-1] >= self.n:
-            mask = 0
-        else:
-            mask = sum(map(_BIT, map(_WRAP, part)))
-            if mask.bit_count() < len(part):  # a carry: two vertices share a bit
-                mask = 0
-        entry = self[chunk] = part, mask
-        return entry
+        return part
 
 
 def parse_decomposition(text: str) -> Decomposition:
     """The decomposition in a GPD file, in one pass over its lines.
 
     Faults are reported in a fixed order: the first line with a bad part
-    (the first bad part within it) or not in canonical order; else a header
-    that is no ground set; else the first piece without r parts passing the
-    piece rule, in :class:`Decomposition`'s words.  Each line costs r table
-    lookups, an order test on its parts and a disjointness test on their
-    masks; only a piece the masks cannot vouch for (a faulty one, or, for
-    n above 1024, one with vertices 1024 apart) is walked with
-    :func:`~gpdecomp.core.piece_problem`.
+    (the first bad part within it), named by its piece number; else a header
+    that is no ground set; else the first piece failing the piece rule, in
+    :class:`Decomposition`'s words.  Each line costs r table lookups; the
+    rule is the constructor's, as for pieces built in memory.
     """
     tokens = _Tokens()
     (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"), tokens)
-    lookup = _Parts(n, tokens).__getitem__
+    part = _Parts(tokens).__getitem__
     pieces: List[RPartiteGraph] = []
-    fault = None  # the first faulty piece's message; line and ground-set faults win
-    for i, line in enumerate(lines):
-        parts, masks = zip(*map(lookup, line.split(" | ")))
-        low = min(masks)
-        # Canonical iff no part decreases and the parts ascend as tuples.
-        if low < 0 or parts != tuple(sorted(parts)):
-            raise ParseError(f"piece line not in canonical form: {line!r}")
-        # Parts whose masks add up without a carry share no vertex; any other
-        # piece (a fault, or vertices 1024 apart) is checked exactly.
-        if fault is None and (low == 0 or len(parts) != r
-                              or sum(masks) != reduce(or_, masks)):
-            problem = piece_problem(parts, n, r)
-            fault = problem and f"piece {i} has {problem}"
-        pieces.append(RPartiteGraph(parts))
     try:
-        ground = GroundSet(n, r)
+        for i, line in enumerate(lines):
+            pieces.append(RPartiteGraph(tuple(map(part, line.split(" | ")))))
+    except ParseError as exc:  # the table is per file and knows no line
+        raise ParseError(f"piece {i} {exc}") from exc
+    try:
+        return Decomposition(GroundSet(n, r), tuple(pieces))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if fault is not None:
-        raise ParseError(fault)
-    return Decomposition._from_checked(ground, tuple(pieces))
 
 
 def serialize_blocks(bd: BlockDecomposition) -> str:
@@ -206,27 +165,21 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
 
 class _Factors(dict):
     """One GPB file's table from a half-line (the text on one side of
-    `` ; ``) to its two-part :class:`RPartiteGraph`, so each distinct factor
-    is parsed and built once however many lines repeat it, and equal halves
-    share one object.  A lookup of a bad half raises ParseError and caches
-    nothing.
+    `` ; ``) to its two-part :class:`RPartiteGraph`, its sides read through
+    the file's part table, so each distinct factor is parsed and built once
+    however many lines repeat it, and equal halves share one object.  A
+    lookup of a bad half raises ParseError and caches nothing.
     """
 
     def __init__(self, tokens: _Tokens) -> None:
         super().__init__()
-        self.value = tokens.__getitem__
+        self.part = _Parts(tokens).__getitem__
 
     def __missing__(self, text: str) -> RPartiteGraph:
         chunks = text.split(" ")
         if len(chunks) != 2 or not chunks[0].startswith("a:") or not chunks[1].startswith("b:"):
             raise ParseError(f"bad bipartite factor {text!r}")
-        sides = []
-        for chunk in (chunks[0][2:], chunks[1][2:]):
-            try:
-                sides.append(tuple(map(self.value, chunk.split(","))))
-            except ValueError as exc:
-                raise ParseError(f"bad part {chunk!r}") from exc
-        factor = self[text] = RPartiteGraph(tuple(sides))
+        factor = self[text] = RPartiteGraph((self.part(chunks[0][2:]), self.part(chunks[1][2:])))
         return factor
 
 

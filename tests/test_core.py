@@ -18,7 +18,9 @@ from gpdecomp import (
     parse_blocks,
     parse_decomposition,
     serialize_blocks,
+    serialize_decomposition,
 )
+import gpdecomp.core
 from gpdecomp.blocks import Block, BlockDecomposition, block_to_four_parts
 from gpdecomp.core import (
     RPartiteGraph,
@@ -81,12 +83,12 @@ def test_canonicalize_idempotent(parts):
 
 @given(disjoint_families(), st.randoms())
 def test_canonicalize_permutation_invariant(parts, rng):
-    shuffled = [p[::-1] for p in parts]
+    shuffled = [tuple(p[::-1]) for p in parts]
     rng.shuffle(shuffled)
     assert canonical(parts) == canonical(shuffled)
     # The rule accepts an arrangement exactly when it is the canonical one.
-    accepted = piece_problem(shuffled, 12, len(parts)) is None
-    assert accepted == (tuple(map(tuple, shuffled)) == canonical(parts).parts)
+    accepted = piece_problem(tuple(shuffled), 12, len(parts)) is None
+    assert accepted == (tuple(shuffled) == canonical(parts).parts)
 
 
 @given(disjoint_families())
@@ -193,15 +195,110 @@ def test_piece_problem_reasons(parts, reason):
     assert piece_problem(parts, 4, 2) == reason
 
 
+# For n above 1024 vertices 1024 apart share a part-mask bit, so the
+# constructor walks such a piece; it refuses only a real fault.
+WRAPPED = {
+    "wrapped-disjoint": ((0,), (1024,)),
+    "wrapped-disjoint-within-parts": ((0, 2048), (1024, 3072)),
+    "wrapped-overlap": ((0, 1024), (1024, 2048)),
+    "wrapped-repeat": ((0,), (1024, 1024)),
+    "wrapped-out-of-order": ((1024,), (0, 2048)),
+}
+
+
 @pytest.mark.parametrize(
-    "parts",
-    [((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)), ((2, 3), (0, 3)),
-     ((1,), (0,)), ((0,), (1,), (2,))],
+    "parts, n",
+    [(parts, 4) for parts in (((0,), ()), ((0,), (1, 4)), ((-1,), (1,)), ((0, 1), (1, 2)),
+                              ((2, 3), (0, 3)), ((1,), (0,)), ((0,), (1,), (2,)))]
+    + [(parts, 3500) for parts in WRAPPED.values()],
+    ids=[f"parts{i}" for i in range(7)] + list(WRAPPED),
 )
-def test_decomposition_refuses_in_piece_problem_words(parts):
+def test_decomposition_refuses_in_piece_problem_words(parts, n):
+    problem = piece_problem(parts, n, 2)
+    pieces = (RPartiteGraph(((1,), (2,))), RPartiteGraph(parts))
+    if problem is None:
+        assert Decomposition(GroundSet(n, 2), pieces).pieces == pieces
+        return
     with pytest.raises(ValueError) as refused:
-        Decomposition(GroundSet(4, 2), (RPartiteGraph(parts),))
-    assert str(refused.value) == f"piece 0 has {piece_problem(parts, 4, 2)}"
+        Decomposition(GroundSet(n, 2), pieces)
+    assert str(refused.value) == f"piece 1 has {problem}"
+
+
+@pytest.mark.parametrize("parts, problem", [
+    (([0], (1, 2)), "a list for a part, not a tuple"),
+    (((0,), [1, 2]), "a list for a part, not a tuple"),
+    ([(0,), (1, 2)], "a list for the parts, not a tuple"),
+    ([[0], [1, 2]], "a list for the parts, not a tuple"),
+])
+def test_parts_in_lists_are_refused_in_piece_problem_words(parts, problem):
+    # Parts are tuples, as a parsed piece holds them, so that a piece in
+    # memory hashes, serializes and equals its parsed copy.  A list is
+    # refused even after an equal tuple passed.
+    assert piece_problem(parts, 4, 2) == problem
+    good = RPartiteGraph(((0,), (1, 2)))
+    with pytest.raises(ValueError) as refused:
+        Decomposition(GroundSet(4, 2), (good, RPartiteGraph(parts)))
+    assert str(refused.value) == f"piece 1 has {problem}"
+    with pytest.raises(ValueError) as refused:
+        BlockDecomposition(4, (Block(good, RPartiteGraph(parts)),))
+    assert str(refused.value) == f"block 0 second factor has {problem}"
+
+
+@st.composite
+def drawn_pieces(draw):
+    """A ground set and pieces drawn near it: some partitions of distinct
+    vertices in canonical order, some arbitrary parts (at times lists) from
+    a shared pool.  With ``wrap`` 1024 many vertices lie a multiple of 1024
+    apart inside 0..n-1."""
+    wrap = draw(st.sampled_from([0, 1024]))
+    n = draw(st.integers(1, 4)) + 2 * wrap
+    r = draw(st.integers(1, min(n, 3)))
+    vertex = st.builds(lambda a, b: a + b * wrap, st.integers(-1, 4), st.integers(0, 2))
+    pool = draw(st.lists(st.lists(vertex, max_size=3).map(tuple), min_size=1, max_size=6))
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            vertices = draw(st.lists(vertex, min_size=r, max_size=r + 2, unique=True))
+            labels = draw(st.permutations(list(range(r)) + [0] * (len(vertices) - r)))
+            pieces.append(canonical([v for v, lab in zip(vertices, labels) if lab == j]
+                                    for j in range(r)))
+        else:
+            parts = draw(st.lists(st.sampled_from(pool), min_size=r - 1, max_size=r + 1))
+            if parts and draw(st.integers(0, 4)) == 0:
+                parts[0] = list(parts[0])
+            pieces.append(RPartiteGraph(tuple(parts)))
+    return GroundSet(n, r), tuple(pieces)
+
+
+@given(drawn_pieces())
+def test_decomposition_accepts_exactly_what_the_walk_accepts(drawn):
+    ground, pieces = drawn
+    problems = [piece_problem(p.parts, ground.n, ground.r) for p in pieces]
+    first = next(((i, q) for i, q in enumerate(problems) if q is not None), None)
+    if first is None:
+        assert Decomposition(ground, pieces).pieces == pieces
+    else:
+        with pytest.raises(ValueError) as refused:
+            Decomposition(ground, pieces)
+        assert str(refused.value) == "piece {} has {}".format(*first)
+
+
+def test_valid_pieces_are_checked_without_a_walk(monkeypatch):
+    # Valid input passes on its part masks alone, whether built in memory
+    # or parsed: the walk only words a refusal.
+    d = construct_theorem1(3, 3, 5)
+    text = serialize_decomposition(d)
+    calls = []
+    real = gpdecomp.core.piece_problem
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gpdecomp.core, "piece_problem", counted)
+    assert Decomposition(d.ground, d.pieces) == d
+    assert parse_decomposition(text) == d
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -306,30 +403,30 @@ def test_first_miscovered_matches_the_full_scan(drawn):
 
 
 # One bad piece planted through every public way a piece can enter, each
-# refusing it in the same words, except that the GPD parser's line check
-# names a line out of canonical order first.  The constructions build their
+# refusing it in the same words: the GPD parser leaves the piece rule to the
+# checking Decomposition constructor.  The constructions build their
 # outputs with a private constructor that does not check again, so a
 # provider's output must have been checked on its way in.  A bad block
 # factor is refused alike, naming its block and side.
 PLANTED = [
-    # (parts of piece 1 over K_3^(3), the problem, the parser's words when its
-    # line check refuses first, a bad bipartite factor over n = 3, its problem)
-    (((0,), (0, 1), (2,)), "overlapping parts at vertex 0", None,
+    # (parts of piece 1 over K_3^(3), the problem, a bad bipartite factor
+    # over n = 3, its problem)
+    (((0,), (0, 1), (2,)), "overlapping parts at vertex 0",
      ((0,), (0, 1)), "overlapping parts at vertex 0"),
-    (((0,), (1, 1), (2,)), "overlapping parts at vertex 1", None,
+    (((0,), (1, 1), (2,)), "overlapping parts at vertex 1",
      ((0,), (1, 1)), "overlapping parts at vertex 1"),
-    (((0,), (1,), (3,)), "out-of-range vertex 3", None, ((0,), (3,)), "out-of-range vertex 3"),
-    (((-1,), (0,), (1,)), "out-of-range vertex -1", None, ((-1,), (0,)), "out-of-range vertex -1"),
-    (((0,), (1, 2)), "2 parts, expected 3", None, ((0,), (1,), (2,)), "3 parts, expected 2"),
+    (((0,), (1,), (3,)), "out-of-range vertex 3", ((0,), (3,)), "out-of-range vertex 3"),
+    (((-1,), (0,), (1,)), "out-of-range vertex -1", ((-1,), (0,)), "out-of-range vertex -1"),
+    (((0,), (1, 2)), "2 parts, expected 3", ((0,), (1,), (2,)), "3 parts, expected 2"),
     (((1,), (0,), (2,)), "vertex 0 out of canonical order",
-     "piece line not in canonical form: '1 | 0 | 2'", ((0,), (2, 1)), "vertex 1 out of canonical order"),
+     ((0,), (2, 1)), "vertex 1 out of canonical order"),
 ]
 
 
-@pytest.mark.parametrize("parts,problem,parsed,factor,factor_problem", PLANTED,
+@pytest.mark.parametrize("parts,problem,factor,factor_problem", PLANTED,
                          ids=["overlap", "repeat", "above-n", "negative", "part-count",
                               "not-canonical"])
-def test_bad_piece_is_refused_through_every_path(parts, problem, parsed, factor, factor_problem):
+def test_bad_piece_is_refused_through_every_path(parts, problem, factor, factor_problem):
     good = ((0,), (1,), (2,))
     message = f"piece 1 has {problem}"
 
@@ -341,7 +438,7 @@ def test_bad_piece_is_refused_through_every_path(parts, problem, parsed, factor,
         ",".join(map(str, part)) for part in parts) + "\n"
     paths = [
         (ValueError, planted, message),
-        (ParseError, lambda: parse_decomposition(text), parsed or message),
+        (ParseError, lambda: parse_decomposition(text), message),
         # construct_theorem1(3, 3, 5) asks for K_3^(3) on each class...
         (ValueError, lambda: construct_theorem1(3, 3, 5, sub_provider=lambda m, s: (
             planted(m, s) if s == 3 else construct_baseline(m, s))), message),

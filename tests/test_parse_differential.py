@@ -1,16 +1,17 @@
 """Differential tests of the one-pass GPD parser and the GPB parser against
 plain references.
 
-The GPD reference below is the parser that the one-pass version replaced:
-it converts every part of a line, tests canonical order by sorting each part
-and then all parts, and leaves the part count and the piece rule to the
-public :class:`Decomposition` constructor, which walks every vertex again.
-The GPB reference is the line-by-line block parser that the factor table
-replaced: it parses and builds every half of every line afresh.  Both keep
-their own copy of the number table and the header reader.  On valid texts
-and on mutants with faults on one or several lines, the library must return
-the same decomposition or raise ParseError with the same message, so which
-fault wins is pinned too.
+The GPD reference below converts every part of every line afresh, naming
+the line of a bad part, and applies the piece rule by walking each piece
+with :func:`piece_problem` itself, so the library's path, a part table in
+the parser and the masks of the checking :class:`Decomposition`
+constructor, is compared with the plain walk.  The GPB reference is the
+line-by-line block parser that the factor table replaced: it parses and
+builds every half of every line afresh.  Both keep their own copy of the
+number table and the header reader.  On valid texts and on mutants with
+faults on one or several lines, the library must return the same
+decomposition or raise ParseError with the same message, so which fault
+wins is pinned too.
 """
 
 from typing import List, Tuple
@@ -33,7 +34,7 @@ from gpdecomp import (
 )
 from gpdecomp.blocks import Block, BlockDecomposition
 from gpdecomp.cli import main
-from gpdecomp.core import RPartiteGraph
+from gpdecomp.core import RPartiteGraph, piece_problem
 from test_core import canonical
 
 
@@ -74,21 +75,23 @@ def reference_parse(text: str) -> Decomposition:
     tokens = ReferenceTokens()
     (n, r, _), lines = reference_header(text, tokens)
     pieces = []
-    for line in lines:
+    for i, line in enumerate(lines):
         parts = []
         for chunk in line.split(" | "):
             try:
                 parts.append(tuple(map(tokens.__getitem__, chunk.split(","))))
             except ValueError as exc:
-                raise ParseError(f"bad part {chunk!r}") from exc
-        parts = tuple(parts)
-        if parts != tuple(sorted(tuple(sorted(p)) for p in parts)):
-            raise ParseError(f"piece line not in canonical form: {line!r}")
-        pieces.append(RPartiteGraph(parts))
+                raise ParseError(f"piece {i} bad part {chunk!r}") from exc
+        pieces.append(RPartiteGraph(tuple(parts)))
     try:
-        return Decomposition(GroundSet(n, r), tuple(pieces))
+        ground = GroundSet(n, r)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    for i, piece in enumerate(pieces):
+        problem = piece_problem(piece.parts, n, r)
+        if problem is not None:
+            raise ParseError(f"piece {i} has {problem}")
+    return Decomposition(ground, tuple(pieces))
 
 
 def reference_bipartite(text, tokens) -> RPartiteGraph:
@@ -136,27 +139,30 @@ def outcome(parse, text):
 # -- pinned cases --------------------------------------------------------------
 
 PINNED = [
-    # Within a line a bad part wins over the line's order fault.
-    ("GPD 1\nn 3 r 2 pieces 1\n1,0 | x\n", "bad part 'x'"),
-    ("GPD 1\nn 3 r 2 pieces 1\n2 | 0 | y,1\n", "bad part 'y,1'"),
-    # A line fault on a later line wins over a piece-rule fault on an earlier one.
-    ("GPD 1\nn 4 r 2 pieces 2\n0 | 0,1\n1 | 0\n", "piece line not in canonical form: '1 | 0'"),
-    ("GPD 1\nn 4 r 2 pieces 2\n0 | 9\n0 | 1,z\n", "bad part '1,z'"),
-    # With r > n a piece-rule fault gives way to the ground set's error...
+    # A bad part is named with its piece, and wins over the piece's order fault.
+    ("GPD 1\nn 3 r 2 pieces 1\n1,0 | x\n", "piece 0 bad part 'x'"),
+    ("GPD 1\nn 3 r 2 pieces 1\n2 | 0 | y,1\n", "piece 0 bad part 'y,1'"),
+    # An order fault is a piece-rule fault like any other: the first faulty
+    # piece is named, whatever its kind...
+    ("GPD 1\nn 4 r 2 pieces 2\n0 | 0,1\n1 | 0\n", "piece 0 has overlapping parts at vertex 0"),
+    # ...but a bad part on a later line wins over it.
+    ("GPD 1\nn 4 r 2 pieces 2\n0 | 9\n0 | 1,z\n", "piece 1 bad part '1,z'"),
+    # With r > n a piece-rule fault gives way to the ground set's error,
+    # an order fault included.
     ("GPD 1\nn 2 r 3 pieces 1\n0 | 0 | 1\n", "need 1 <= r <= n, got n=2, r=3"),
-    # ...but a line fault does not.
-    ("GPD 1\nn 2 r 3 pieces 2\n0 | 0 | 1\n1 | 0 | 2\n",
-     "piece line not in canonical form: '1 | 0 | 2'"),
+    ("GPD 1\nn 2 r 3 pieces 2\n0 | 0 | 1\n1 | 0 | 2\n", "need 1 <= r <= n, got n=2, r=3"),
     # The first faulty piece is named, its part count checked before the rule.
     ("GPD 1\nn 4 r 2 pieces 3\n0 | 1\n0 | 0 | 1\n0 | 5\n", "piece 1 has 3 parts, expected 2"),
     ("GPD 1\nn 4 r 2 pieces 3\n0 | 1\n0 | 1,1\n0 | 5\n", "piece 1 has overlapping parts at vertex 1"),
     ("GPD 1\nn 4 r 2 pieces 2\n-1 | 1\n0 | 1,3\n", "piece 0 has out-of-range vertex -1"),
     ("GPD 1\nn 4 r 2 pieces 2\n0 | 1\n0,2 | 1,2,9\n", "piece 1 has overlapping parts at vertex 2"),
     ("GPD 1\nn 4 r 2 pieces 2\n0 | 1\n0,2 | 1,9,9\n", "piece 1 has out-of-range vertex 9"),
-    # Equal parts are in canonical order; they overlap.
+    # Equal parts are in canonical order; they overlap.  A part after an
+    # equal-minimum one overlaps it before it is out of order.
     ("GPD 1\nn 4 r 2 pieces 1\n1,2 | 1,2\n", "piece 0 has overlapping parts at vertex 1"),
-    ("GPD 1\nn 4 r 2 pieces 1\n1,3 | 1,2\n", "piece line not in canonical form: '1,3 | 1,2'"),
-    ("GPD 1\nn 4 r 2 pieces 1\n0 | 2,1\n", "piece line not in canonical form: '0 | 2,1'"),
+    ("GPD 1\nn 4 r 2 pieces 1\n1,3 | 1,2\n", "piece 0 has overlapping parts at vertex 1"),
+    ("GPD 1\nn 4 r 2 pieces 1\n0 | 2,1\n", "piece 0 has vertex 1 out of canonical order"),
+    ("GPD 1\nn 4 r 2 pieces 2\n0 | 1\n1 | 0\n", "piece 1 has vertex 0 out of canonical order"),
     # Vertices 1024 apart share a part-mask bit; only a real overlap is a fault.
     ("GPD 1\nn 3000 r 2 pieces 2\n0 | 1024\n1024 | 2048,2048\n",
      "piece 1 has overlapping parts at vertex 2048"),
@@ -233,8 +239,8 @@ def _edit_line(draw, line: str, n: int) -> str:
 
 def _sorted_parts(parts: List[List[str]]) -> List[List[str]]:
     """Each part sorted, then the parts, when every token is a number spelled
-    ``str(v)``: the line passes the order test and keeps any piece-rule
-    fault the edit made."""
+    ``str(v)``: the line is in canonical order, so the walk meets any other
+    piece-rule fault the edit made rather than an order fault."""
     try:
         values = [[int(t) for t in part] for part in parts]
     except ValueError:
