@@ -11,10 +11,17 @@ The headline coefficient for odd uniformity r = 2d+1 is
 
 and the k-dependent correction is epsilon_k = d! * C' / k, where C' counts
 the partitions of r into at most d-1 positive parts with exactly one odd
-part.  C' is the sum of one table of partitions into at most d-2 parts,
-``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, so it costs O(r*d) and
-reaches d in the thousands.  The least d with coefficient < 1 is 147
-(uniformity 295).
+part.  C' is a sum of partition numbers into at most d-2 parts,
+``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, read off the partition
+numbers p(j) from Euler's pentagonal recurrence with the parts above d-2
+divided out: O(d**1.5) big-integer additions at r = 2d+1.  The least d with
+coefficient < 1 is 147 (uniformity 295), found in integers.
+
+``predicted_family_tallies(n, k, d)`` counts the class-split construction's
+pieces per family in closed form, without listing its routes: binomials and
+powers of the block count for the two special profile shapes, and for the
+rest the coefficient of z**r in F(z)**k, where F(z) = 1 + sum_s B(s) z**s
+holds one class's baseline counts B(s) = C(n - ceil(s/2), floor(s/2)).
 
 ``lower_bound(n, r)`` is a certified lower bound on f_r(n) at a given n, in
 integers: the trivial edge count, Graham-Pollak's inertia argument on the
@@ -26,20 +33,21 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, prod
-from typing import Callable, Dict, Tuple
+from math import comb, factorial, isqrt
+from typing import Callable, Dict, List, Tuple
 
-from .constructions import ClassLayout, FamilyTally, theorem1_routes
+from .constructions import ClassLayout, FamilyTally
 from .core import GroundSet
 
 DENSITY_RATIO = Fraction(14, 15)
 DEFAULT_PRECISION = 40
 # The largest d the CLI evaluates without --allow-large.  The report's cost
-# grows about quadratically in d (C' alone is O(r*d) big-integer additions):
-# on a 2-core host with Python 3.11 it took 0.04 / 0.16 / 0.4 / 0.7-0.8 s at
-# d = 1000 / 2000 / 3000 / 4000, and 1.1 s at d = 5000, while a full scan
-# 1..4000 took 0.35 s.  Refusing above the cap keeps a mistyped d from
-# running for many minutes before it prints anything.
+# is mostly C', O(d**1.5) additions of numbers with O(sqrt(d)) digits: on a
+# 2-core host with Python 3.11 theorem1_coefficient took 0.003 / 0.008 /
+# 0.015 / 0.024 s at d = 1000 / 2000 / 3000 / 4000, and 0.1 / 0.35 / 1.1 s
+# at d = 10,000 / 20,000 / 40,000, while a full scan 1..4000 took 0.29 s.
+# Refusing above the cap keeps a mistyped d from running for many minutes
+# before it prints anything.
 SOFT_CAP_D = 4000
 
 
@@ -64,20 +72,31 @@ def count_c_prime(r: int, d: int) -> int:
     With r odd such a partition splits uniquely into its single odd part o
     and a partition of j = (r - o)/2 into at most d-2 parts (the halved even
     parts), and j runs over 0..(r-1)/2 as o runs over the odd numbers up to
-    r.  So ``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``, read off one
-    bounded-partition table in O(r*d) big-integer additions.  An even r, an
-    r below 1 or a d below 2 gives 0."""
+    r.  So ``C'(r, d) = sum_{j=0}^{(r-1)/2} p_{<=d-2}(j)``.  By conjugation
+    p_{<=d-2} counts partitions into parts of size at most d-2, whose series
+    is ``P(x) * prod_{i >= d-1} (1 - x^i)`` with P the partition series.  So
+    p(j) for j <= (r-1)/2 comes from Euler's pentagonal recurrence, and one
+    pass per i = d-1..(r-1)/2 multiplies in (1 - x^i).  At r = 2d+1 that is
+    O(d^1.5) big-integer additions.  An even r, an r below 1 or a d below 2
+    gives 0."""
     if d < 1:
         raise ValueError("need d >= 1")
     if d < 2 or r < 1 or r % 2 == 0:
         return 0
     half = (r - 1) // 2
-    # table[j] = partitions of j into parts of size at most `part` so far,
-    # which by conjugation is partitions of j into at most that many parts
-    table = [1] + [0] * half
-    for part in range(1, min(d - 2, half) + 1):
-        for j in range(part, half + 1):
-            table[j] += table[j - part]
+    # The generalized pentagonal numbers m(3m-1)/2 and m(3m+1)/2 up to half
+    # (and a few past it), by the sign (-1)^(m+1) of p(j - them) in p(j).
+    plus: List[int] = []
+    minus: List[int] = []
+    for m in range(1, isqrt(2 * half // 3) + 2):
+        (plus if m % 2 else minus).extend((m * (3 * m - 1) // 2, m * (3 * m + 1) // 2))
+    table = [1]  # table[j] = p(j)
+    for j in range(1, half + 1):
+        table.append(sum(table[j - g] for g in plus if g <= j)
+                     - sum(table[j - g] for g in minus if g <= j))
+    for part in range(d - 1, half + 1):  # times (1 - x^part): drop parts above d-2
+        for j in range(half, part - 1, -1):
+            table[j] -= table[j - part]
     return sum(table)
 
 
@@ -199,12 +218,39 @@ def theorem1_coefficient(d: int, k: int) -> BoundReport:
 
 
 def threshold_d() -> int:
-    """Least d with base_coefficient(d) < 1, by exact rational comparison
-    (147: the search ends there)."""
+    """Least d with base_coefficient(d) < 1 (147: the search ends there).
+
+    In integers: with a = floor(d/2) and b = floor((d-1)/2), multiplying
+    base_coefficient(d) < 1 by 15**a gives
+    ``14**a + d * 14**b * 15**(a-b) < 15**a``."""
     d = 1
-    while base_coefficient(d) >= 1:
+    while True:
+        a, b = d // 2, (d - 1) // 2
+        if 14**a + d * 14**b * 15 ** (a - b) < 15**a:
+            return d
         d += 1
-    return d
+
+
+def _times(a: List[int], b: List[int], degree: int) -> List[int]:
+    """The product of two polynomials (coefficient lists, neither past
+    z**degree) up to z**degree."""
+    out = [0] * min(len(a) + len(b) - 1, degree + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:degree + 1 - i], i):
+            out[j] += x * y
+    return out
+
+
+def _truncated_power(poly: List[int], k: int, degree: int) -> List[int]:
+    """poly**k up to z**degree, by repeated squaring."""
+    result = [1]
+    while k:
+        if k & 1:
+            result = _times(result, poly, degree)
+        k >>= 1
+        if k:
+            poly = _times(poly, poly, degree)
+    return result
 
 
 def predicted_family_tallies(
@@ -214,16 +260,46 @@ def predicted_family_tallies(
     block_count_fn: Callable[[int], int] = lambda n: (n - 1) ** 2,
 ) -> Dict[str, int]:
     """Exact per-family piece counts the class-split construction produces
-    with the baseline sub-decompositions and the given block provider size.
+    for r = 2d+1 over k classes of size n, with the baseline
+    sub-decompositions and g = block_count_fn(n) blocks, counted in closed
+    form without listing a route.
 
-    Walks the construction's own routes and multiplies closed-form factor
-    sizes: block_count_fn(n) per class pair and the baseline count
-    C(n - ceil(s/2), floor(s/2)) per (class, size) factor."""
+    Every class has the same providers, so a class meeting a profile in s
+    vertices contributes B(s) = C(n - ceil(s/2), floor(s/2)) baseline
+    pieces (0 for s > n), and with F(z) = 1 + sum_{s>=1} B(s) z**s:
+
+    * paired = C(k, d) * g**floor(d/2) * B(2)**(d mod 2) when k > d: one
+      route per choice of the d 2-classes, whose complement part takes the
+      1 wherever it falls;
+    * two_plus_three = k * C(k-1, d-1) * g**floor((d-1)/2) * B(2)**((d-1) mod 2) * B(3);
+    * generic = [z**r] F(z)**k, the baseline product summed over every
+      profile, less that product over the two shapes above, which the
+      construction routes otherwise:
+      C(k, d) * (k-d) * B(2)**d + k * C(k-1, d-1) * B(2)**(d-1) * B(3).
+
+    The power is truncated at z**r and taken by squaring.  The count is
+    independent of the construction's routes; the tests and the benchmark
+    check it against the construction's own tallies."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    ClassLayout(k=k, n=n)  # raises unless k >= 1 and n >= 1
+    r = 2 * d + 1
+    if r > k * n:
+        raise ValueError("r exceeds ground set size")
     g = block_count_fn(n)
-    tallies = asdict(FamilyTally())
-    for route in theorem1_routes(ClassLayout(k=k, n=n), 2 * d + 1):
-        tallies[route.family] += g ** len(route.pairs) * prod(
-            comb(n - (s + 1) // 2, s // 2) for _, s in route.singles
-        )
-    return tallies
 
+    def baseline(s: int) -> int:  # B(s); B(0) = 1
+        return comb(n - (s + 1) // 2, s // 2) if s <= n else 0
+
+    two, three = baseline(2), baseline(3)
+    # No 2-class fits in a class of one vertex, whatever g is.
+    paired = comb(k, d) * g ** (d // 2) * two ** (d % 2) if k > d and n >= 2 else 0
+    two_plus_three = k * comb(k - 1, d - 1) * g ** ((d - 1) // 2) * two ** ((d - 1) % 2) * three
+    # F has degree min(n, r) and k * n >= r, so the power reaches z**r.
+    everything = _truncated_power([baseline(s) for s in range(min(n, r) + 1)], k, r)[r]
+    return asdict(FamilyTally(
+        paired_two_classes=paired,
+        two_plus_three=two_plus_three,
+        generic=everything - comb(k, d) * (k - d) * two**d
+        - k * comb(k - 1, d - 1) * two ** (d - 1) * three,
+    ))

@@ -9,9 +9,9 @@ deterministic and every piece in memory can be written to a file and read
 back.
 
 :func:`piece_problem` is the one piece rule, tuples, part count, nonempty
-parts, range, disjointness and canonical order, checked once, where the data
-enters: the public :class:`Decomposition` constructor applies it to every
-piece (``piece i has ...``), whether built in memory or read by
+parts, int vertices, range, disjointness and canonical order, checked once,
+where the data enters: the public :class:`Decomposition` constructor applies
+it to every piece (``piece i has ...``), whether built in memory or read by
 ``parse_decomposition``, which reads only the syntax, and
 :class:`~gpdecomp.blocks.BlockDecomposition` to every distinct block factor
 with r = 2.  The constructor tests each distinct part once, by a bitmask,
@@ -81,7 +81,7 @@ class Decomposition:
             parts = p.parts
             try:
                 masks = list(map(mask, parts))
-            except TypeError:  # a list for a part, or a vertex that is no int
+            except TypeError:  # an unhashable part: a list, or a tuple holding one
                 masks = ()
             # r sound parts share no vertex when their masks add up to one
             # bit per vertex; any other piece (a fault, or, for n above
@@ -125,17 +125,23 @@ class Decomposition:
 _MASK_BITS = 1024
 _BIT = (1).__lshift__
 _WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
+_INT_ONLY = {int}
 
 
 class _PartMasks(dict):
     """One check's table from a part to its mask, so each distinct part is
     tested once and a repeated part costs one lookup.
 
-    A part that is a nonempty tuple ascending inside 0..n-1 gets the sum of
-    ``1 << (v % 1024)`` over its vertices v, which has one bit per vertex
-    exactly when no two vertices of the part are equal or 1024 apart; any
-    other part gets 0.  A lookup may raise TypeError for a part that is
-    unhashable (a list) or holds a vertex that is no int.
+    A part that is a nonempty tuple of ints (``type`` int, so no bool or
+    float) ascending inside 0..n-1 gets the sum of ``1 << (v % 1024)`` over
+    its vertices v, which has one bit per vertex exactly when no two
+    vertices of the part are equal or 1024 apart; any other part gets 0.  A
+    lookup raises TypeError for a part that is unhashable (a list, or a
+    tuple holding one).
+
+    The table is keyed by value, so the types are tested on the first part
+    object of each value: a later part equal to it, such as ``(1.0,)`` after
+    ``(1,)``, gets its mask untested.
     """
 
     def __init__(self, n: int) -> None:
@@ -144,8 +150,8 @@ class _PartMasks(dict):
 
     def __missing__(self, part: Tuple[int, ...]) -> int:
         mask = 0
-        if (isinstance(part, tuple) and part and 0 <= part[0] and part[-1] < self.n
-                and sorted(part) == list(part)):
+        if (isinstance(part, tuple) and part and _INT_ONLY.issuperset(map(type, part))
+                and 0 <= part[0] and part[-1] < self.n and sorted(part) == list(part)):
             mask = sum(map(_BIT, map(_WRAP, part)))
         self[part] = mask
         return mask
@@ -159,8 +165,9 @@ def piece_problem(parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[st
     A list (or any other type) for the tuple of parts comes first, then the
     part count; then one walk over the vertices, in part order, reports the
     first fault it meets, at each part a list for a tuple, then an empty
-    part, and at each vertex the range first, then an overlap, then the
-    order.  A vertex repeated within a part counts as overlapping."""
+    part, and at each vertex its type first (an int, not a bool or a float
+    that would compare equal to one), then the range, then an overlap, then
+    the order.  A vertex repeated within a part counts as overlapping."""
     if not isinstance(parts, tuple):
         return f"a {type(parts).__name__} for the parts, not a tuple"
     if len(parts) != r:
@@ -174,6 +181,8 @@ def piece_problem(parts: Sequence[Sequence[int]], n: int, r: int) -> Optional[st
             return "an empty part"
         prev = low  # the vertex each must exceed: the last minimum, then its predecessor
         for v in part:
+            if type(v) is not int:
+                return f"vertex {v!r} is not an int"
             if not 0 <= v < n:
                 return f"out-of-range vertex {v}"
             if v in seen:

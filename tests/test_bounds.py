@@ -1,6 +1,7 @@
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -16,6 +17,7 @@ from gpdecomp import (
     threshold_d,
 )
 from gpdecomp.bounds import DEFAULT_PRECISION, corollary2_decreasing_at
+from gpdecomp.constructions import ClassLayout, FamilyTally, theorem1_routes
 
 
 def naive_partitions(total, max_part=None):
@@ -70,6 +72,21 @@ def reference_c_prime(r, d):
     return total
 
 
+def table_c_prime(r, d):
+    """C' as the sum of one table of partitions into at most d-2 parts,
+    filled one part size at a time in O(r*d) additions: a third derivation,
+    sharing neither the per-o sum nor count_c_prime's pentagonal
+    recurrence."""
+    half = (r - 1) // 2
+    # table[j] = partitions of j into parts of size at most `part` so far,
+    # which by conjugation is partitions of j into at most that many parts
+    table = [1] + [0] * half
+    for part in range(1, min(d - 2, half) + 1):
+        for j in range(part, half + 1):
+            table[j] += table[j - part]
+    return sum(table)
+
+
 def test_c_prime_examples():
     assert count_c_prime(5, 2) == 1
     assert count_c_prime(7, 3) == 4
@@ -101,6 +118,11 @@ def test_c_prime_agrees_with_reference_sum_at_r_2d_plus_1():
         assert count_c_prime(2 * d + 1, d) == reference_c_prime(2 * d + 1, d), d
 
 
+def test_c_prime_agrees_with_the_table_at_r_2d_plus_1():
+    for d in [*range(2, 201), *range(250, 1001, 50)]:
+        assert count_c_prime(2 * d + 1, d) == table_c_prime(2 * d + 1, d), d
+
+
 def test_coefficient_d2():
     rep = theorem1_coefficient(2, 10)
     assert rep.theorem1_coefficient == Fraction(44, 15)
@@ -112,8 +134,14 @@ def test_coefficient_d2():
 def test_threshold():
     assert threshold_d() == 147
     assert base_coefficient(147) < 1
-    assert base_coefficient(146) >= 1
     assert 2 * threshold_d() + 1 == 295
+
+
+def test_coefficient_at_least_one_below_the_threshold():
+    # threshold_d decides in integers; the least d below 1 in exact
+    # rationals is the same one.
+    for d in range(1, 147):
+        assert base_coefficient(d) >= 1, d
 
 
 def test_coefficient_eventually_monotone_by_parity():
@@ -200,3 +228,69 @@ def test_predicted_worked_example():
     pred = predicted_family_tallies(3, 3, 2)
     assert pred == {"paired_two_classes": 12, "two_plus_three": 12, "generic": 3}
     assert sum(pred.values()) == 27
+
+
+def reference_family_tallies(n, k, d, block_count_fn=lambda m: (m - 1) ** 2):
+    """The per-family tallies by walking the class-split construction's own
+    routes: block_count_fn(n) pieces per class pair times the baseline count
+    C(n - ceil(s/2), floor(s/2)) per (class, size) factor, summed route by
+    route.  It lists every route, so it is slow beyond small layouts."""
+    g = block_count_fn(n)
+    tallies = asdict(FamilyTally())
+    for route in _routes(n, k, 2 * d + 1):
+        tallies[route.family] += g ** len(route.pairs) * prod(
+            comb(n - (s + 1) // 2, s // 2) for _, s in route.singles
+        )
+    return tallies
+
+
+@lru_cache(maxsize=1)  # the grid asks for one layout's routes twice in a row
+def _routes(n, k, r):
+    return theorem1_routes(ClassLayout(k=k, n=n), r)
+
+
+BLOCK_COUNTS = (lambda m: (m - 1) ** 2, lambda m: (m - 1) ** 2 + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_predicted_tallies_match_the_route_walk(n):
+    # Every layout with k, d <= 8 for this n, with the trivial block count
+    # and one more, so that a paired or a two-plus-three route counting its
+    # blocks wrongly shows.
+    for k in range(1, 9):
+        for d in range(1, 9):
+            for count in BLOCK_COUNTS:
+                if 2 * d + 1 > k * n:
+                    for tallies in (reference_family_tallies, predicted_family_tallies):
+                        with pytest.raises(ValueError, match="^r exceeds ground set size$"):
+                            tallies(n, k, d, count)
+                    continue
+                want = reference_family_tallies(n, k, d, count)
+                assert predicted_family_tallies(n, k, d, count) == want, (n, k, d)
+    _routes.cache_clear()  # up to a few hundred MB of routes at n = 8
+
+
+def test_predicted_tallies_refuse_what_the_construction_refuses():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="^need d >= 1$"):
+            predicted_family_tallies(3, 3, d)
+    for n, k in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="^need k >= 1 and n >= 1$"):
+            predicted_family_tallies(n, k, 2)
+
+
+def test_predicted_tallies_at_12_10_7():
+    # r = 15 over 120 vertices: 1.31M routes, which the route walk lists in
+    # about half a minute and a gigabyte; it gives these same three numbers.
+    assert predicted_family_tallies(12, 10, 7) == {
+        "paired_two_classes": 2_338_460_520,
+        "two_plus_three": 14_881_112_400,
+        "generic": 370_079_201_952,
+    }
+
+
+def test_predicted_tallies_at_the_papers_uniformity():
+    # r = 295 over 300 classes of two, far beyond any route list.
+    tallies = predicted_family_tallies(2, 300, 147)
+    assert list(tallies) == ["paired_two_classes", "two_plus_three", "generic"]
+    assert all(type(v) is int and v >= 0 for v in tallies.values()), tallies
