@@ -199,8 +199,8 @@ def edge_masks(piece: RPartiteGraph) -> List[int]:
     """All edges of a piece as vertex bitmasks, bit v set for vertex v, in a
     new list.
 
-    This is the one coverage kernel: the verifier, the histogram, the block
-    checker and the exact solver all count edges through it.  Vertices must
+    This is the one coverage kernel: the verifier, the histogram and the
+    block checker all count edges through it.  Vertices must
     be nonnegative.  The list is in ``itertools.product`` order over the
     parts; with r disjoint parts each mask has exactly r bits set.
 

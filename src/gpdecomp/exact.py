@@ -10,9 +10,15 @@ rule of exact-cover search (Knuth's Algorithm X): every edge below e is
 covered, so a candidate covering e and a lower edge always overlaps the
 cover.  A candidate's lowest edge is the set of its part minima, so the
 list under e is generated from e alone, the first time the search branches
-on e; an edge it never branches on costs nothing.  Results and node counts
-are reproducible.  The root keeps one candidate per orbit of the symmetries
-fixing edge 0 = {0..r-1}, and the prune rule compares integers only.
+on e; an edge it never branches on costs nothing.  A candidate's edge set
+is a bitset over edge indices, made without listing its edges: the AND,
+over its parts, of the edges meeting each part (the OR of the edges at
+each of its vertices).  The parts are disjoint and there are r of them, so
+by pigeonhole an r-set meets all of them exactly when it takes one vertex
+from each.  A piece is built only for the incumbent.  Results and node
+counts are reproducible.  The root keeps one candidate per orbit of the
+symmetries fixing edge 0 = {0..r-1}, and the prune rule compares integers
+only.
 
 Stop rule: ``bounds.lower_bound(n, r)`` is a certified floor on the optimum.
 When the baseline seed meets it, the seed is optimal and nothing is
@@ -28,19 +34,22 @@ from __future__ import annotations
 import time
 from bisect import bisect
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import _max_piece_edges, lower_bound
 from .constructions import construct_baseline
-from .core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask, subset_masks
+from .core import Decomposition, GroundSet, RPartiteGraph, edge_of_mask, subset_masks
 
 SOFT_CAP_N = 9
 # The wall-clock deadline is read once every DEADLINE_TICK nodes, not at
 # every node, so it is overshot by at most that many nodes and the
 # candidate lists first built among them.  With Python 3.11 on one core of
 # a 2-core Linux host, the f_3(8) search costs about 0.45 us of CPU per
-# node, so 0.46 ms per tick; one list at n = 9 takes up to about 30 ms.
+# node, so 0.46 ms per tick; one list at n = 9 takes up to about 7 ms (the
+# root's at r = 3, which generates every candidate on edge 0).
 DEADLINE_TICK = 1024
 
 
@@ -151,16 +160,26 @@ class _LowestEdgeLists(dict):
 
     Edge i is the i-th r-subset in lexicographic order; a candidate's mask
     has bit i set when it covers edge i.  ``piece_of`` maps each mask built
-    so far back to its piece.  The root's list, under edge 0, keeps one
-    candidate per orbit.
+    so far back to the candidate's canonical parts; the search makes a
+    piece of them only for its incumbent.  The root's list, under edge 0,
+    keeps one candidate per orbit.
+
+    No edge of a candidate is listed.  ``inc[v]`` has bit i set when edge i
+    holds vertex v, and ``union`` maps each part met so far to the OR of
+    ``inc`` over its vertices: the edges meeting that part.  A candidate's
+    mask is the AND of its parts' unions.  That is exact by pigeonhole: the
+    r parts are disjoint and nonempty, so an r-set meets all r of them
+    exactly when it takes one vertex from each, which makes it an edge of
+    the piece.
     """
 
     def __init__(self, n: int, r: int) -> None:
         super().__init__()
         self.n = n
         self.edges = list(subset_masks(n, r))
-        self.edge_bit = {m: 1 << i for i, m in enumerate(self.edges)}
-        self.piece_of: Dict[int, RPartiteGraph] = {}
+        self.inc = [sum(1 << i for i, m in enumerate(self.edges) if m >> v & 1) for v in range(n)]
+        self.union: Dict[Tuple[int, ...], int] = {}
+        self.piece_of: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     def __missing__(self, i: int) -> List[int]:
         listed = _lowest_edge_parts(self.n, edge_of_mask(self.edges[i]))
@@ -175,10 +194,17 @@ class _LowestEdgeLists(dict):
             for parts in listed:
                 root.setdefault(tuple(sorted(map(len, parts))), parts)
             listed = list(root.values())
-        pieces = list(map(RPartiteGraph, listed))
-        bit = self.edge_bit.__getitem__
-        masks = self[i] = [sum(map(bit, edge_masks(piece))) for piece in pieces]
-        self.piece_of.update(zip(masks, pieces))
+        inc, union = self.inc, self.union
+        masks = self[i] = []
+        for parts in listed:
+            mask = -1
+            for part in parts:
+                u = union.get(part)
+                if u is None:
+                    u = union[part] = reduce(or_, map(inc.__getitem__, part))
+                mask &= u
+            masks.append(mask)
+        self.piece_of.update(zip(masks, listed))
         return masks
 
 
@@ -252,7 +278,7 @@ def _branch_and_bound(seed: Decomposition, budget: SearchBudget,
                 continue
             if child == full_mask:
                 best_count = depth + 1
-                best_pieces = tuple(piece_of[m] for m in chosen + [mask])
+                best_pieces = tuple(RPartiteGraph(piece_of[m]) for m in chosen + [mask])
                 if best_count <= floor:
                     raise _Stop("floor")
             else:

@@ -141,6 +141,16 @@ def test_capped_solve_reports_certified_lower_end(n, r, lower, value, kind):
     assert verify_decomposition(res.witness).valid
 
 
+def test_capped_solve_at_the_soft_cap():
+    # (9,4), n at the soft cap: most of this search's time goes to building
+    # the lists of its 126 edges, so it pins their cost along with the
+    # interval.
+    res = solve_exact(9, 4, SearchBudget(max_nodes=300_000))
+    assert not res.optimal
+    assert (res.nodes, res.value, res.lower_bound, res.lower_kind) == (300_001, 21, 10, "inertia")
+    assert verify_decomposition(res.witness).valid
+
+
 def test_solve_builds_baseline_and_floor_once(monkeypatch):
     # (6,4) is searched: the floor, 4, is below the baseline's 6.  The soft
     # cap is checked once, before anything else; the seed handed to the

@@ -12,9 +12,9 @@ The second reference is ``reference_candidates``, the recursive generator
 the library used to enumerate candidates, and the eager candidate index
 built from it: every candidate, its mask through ``edge_masks``, listed
 under its lowest edge.  The library builds each lowest-edge list from the
-edge itself, the first time the search branches there, and
-``enumerate_candidate_pieces`` merges those lists; both must equal the
-reference's, in the same order.
+edge itself, the first time the search branches there, with each mask an
+intersection of part unions, and ``enumerate_candidate_pieces`` merges
+those lists; both must equal the reference's, in the same order.
 
 The third reference is the library's search written as one call per node,
 over the reference index.  The library handles each child inside its
@@ -166,18 +166,17 @@ def reference_index(n, r):
     return candidates, masks, by_edge, max(mask.bit_count() for mask in masks)
 
 
-@pytest.mark.parametrize(
-    "n,r",
-    [(n, r) for n in range(1, 9) for r in range(1, n + 1)] + [(9, 5), (9, 6), (9, 7)],
-)
+# The library intersects part unions; the reference lists each candidate's
+# edges through edge_masks.  Every list of every (n, r) up to the soft cap.
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 10) for r in range(1, n + 1)])
 def test_lowest_edge_lists_match_reference_index(n, r):
     candidates, masks, by_edge, _ = reference_index(n, r)
-    piece_of = dict(zip(masks, candidates))
+    parts_of = {mask: c.parts for mask, c in zip(masks, candidates)}
     lists = _LowestEdgeLists(n, r)
     assert len(lists.edges) == len(by_edge) == comb(n, r)
     for i, expected in enumerate(by_edge):
         assert lists[i] == expected, i
-        assert [lists.piece_of[m] for m in lists[i]] == [piece_of[m] for m in expected], i
+        assert [lists.piece_of[m] for m in lists[i]] == [parts_of[m] for m in expected], i
     assert len(lists.piece_of) == sum(map(len, by_edge))
 
 
@@ -241,3 +240,37 @@ def test_inline_children_match_one_call_per_node(n, r, certified, monkeypatch):
         expected = one_call_per_node(seed, max_nodes, floor, index)
         got = _branch_and_bound(seed, SearchBudget(max_nodes=max_nodes), floor)
         assert got == expected, max_nodes
+
+
+def one_piece_per_edge(n, r):
+    """The largest decomposition of (n, r): one single-edge piece per r-subset."""
+    edges = combinations(range(n), r)
+    return Decomposition(GroundSet(n, r), tuple(RPartiteGraph(tuple((v,) for v in e)) for e in edges))
+
+
+# The lists hold canonical parts, and a piece is made of them only for the
+# incumbent.  Every search here replaces its seed, so a parts tuple leaking
+# into a witness would show: (9,7) from the baseline (10 pieces; it reaches
+# the floor, 9, or exhausts its tree), the others from one piece per edge,
+# exhausted or capped.
+@pytest.mark.parametrize(
+    "n,r,seed_kind,max_nodes",
+    [(9, 7, "baseline", 10**6), (5, 2, "per-edge", 10**6), (6, 3, "per-edge", 20_000),
+     (6, 4, "per-edge", 20_000), (8, 4, "per-edge", 5_000)],
+)
+def test_witness_pieces_are_pieces(n, r, seed_kind, max_nodes):
+    index = reference_index(n, r)
+    seed = construct_baseline(n, r) if seed_kind == "baseline" else one_piece_per_edge(n, r)
+    budget = SearchBudget(max_nodes=max_nodes)
+    for floor in (0, lower_bound(n, r)[0]):
+        expected = one_call_per_node(seed, max_nodes, floor, index)
+        pieces, nodes, stop = _branch_and_bound(seed, budget, floor)
+        assert (pieces, nodes, stop) == expected
+        assert pieces != seed.pieces
+        assert all(type(p) is RPartiteGraph for p in pieces)
+        assert verify_decomposition(Decomposition(seed.ground, pieces)).valid
+    if seed_kind == "baseline":
+        # solve_exact searches with the certified floor, the last one above.
+        res = solve_exact(n, r, budget)
+        assert res.witness.pieces == expected[0]
+        assert all(type(p) is RPartiteGraph for p in res.witness.pieces)
