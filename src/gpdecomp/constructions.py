@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .blocks import (
     Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
@@ -110,8 +110,11 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     return Decomposition(ground, tuple(pieces))
 
 
-def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
-    """Every assignment of positive sizes (each <= n) to classes summing to r.
+def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
+    """Every profile of r over the layout, as ``(assignments, 0, lone)``:
+    its sorted (class, size) pairs, nothing left to place, and its lone
+    size other than 2, which is 0 when every size is 2 and -1 when more
+    than one size is not 2.
 
     Deterministic: lexicographic in the full size vector (s_0, ..., s_{k-1}).
     The vectors are expanded one class at a time: each prefix with ``left``
@@ -120,19 +123,28 @@ def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
     ``min(n, left)``, so every prefix kept completes to at least one vector
     and nothing is built that is thrown away.  Each new list takes the
     prefixes in order and, within a prefix, s_i ascending, which is the
-    lexicographic order again.
+    lexicographic order again.  A class of size 0 adds no pair, and each
+    (class, size) pair is one object shared by every profile holding it.
     """
     if r > layout.total:
         raise ValueError("r exceeds ground set size")
     k, n = layout.k, layout.n
-    vectors = [((), r)]  # (sizes so far, left to place)
-    for room in range((k - 1) * n, -1, -n):
-        vectors = [(v + (s,), left - s) for v, left in vectors
-                   for s in range(max(0, left - room), min(n, left) + 1)]
-    return [Signature(tuple((c, s) for c, s in enumerate(v) if s)) for v, _ in vectors]
+    profiles = [((), r, 0)]  # (pairs so far, left to place, lone)
+    for c, room in enumerate(range((k - 1) * n, -1, -n)):
+        pair = [()] + [((c, s),) for s in range(1, n + 1)]
+        profiles = [(a + pair[s], left - s, lone if s == 0 or s == 2 else s if lone == 0 else -1)
+                    for a, left, lone in profiles
+                    for s in range(max(0, left - room), min(n, left) + 1)]
+    return profiles
 
 
-@dataclass(frozen=True, order=True)
+def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
+    """Every assignment of positive sizes (each <= n) to classes summing to r,
+    lexicographic in the full size vector (s_0, ..., s_{k-1})."""
+    return [Signature(a) for a, _, _ in _profiles(layout, r)]
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Route:
     """How the class-split construction covers one intersection profile.
 
@@ -150,46 +162,52 @@ class Route:
     complement: Tuple[int, ...] = ()
 
 
-def route_signature(layout: ClassLayout, sig: Signature) -> Optional[Route]:
-    """The route whose pieces partition the edges with the given profile.
-
-    Dispatches on the profile shape:
-
-    * all sizes 2, or sizes 1,2,...,2: the 2-classes are paired in ascending
-      order through blocks and an odd leftover 2-class uses the star pieces.
-      The complement of the 2-classes is one more part, which realizes every
-      placement of the extra vertex at once, so every placement of the 1
-      shares this route.  None (vacuous) when the complement is empty.
-    * sizes 2,...,2,3: the same pairing times a 3-class decomposition.
-    * anything else: plain product of per-class decompositions.
-    """
-    if not sig.assignments:
-        raise ValueError("empty signature")
-    if any(s > layout.n for _, s in sig.assignments):
-        raise ValueError("intersection size exceeds class size")
-    twos = [c for c, s in sig.assignments if s == 2]
-    rest = tuple((c, s) for c, s in sig.assignments if s != 2)
-    rest_sizes = [s for _, s in rest]
-    pairs = tuple(zip(twos[::2], twos[1::2]))
-    leftover = ((twos[-1], 2),) if len(twos) % 2 else ()
-    if rest_sizes in ([], [1]):
-        comp = tuple(v for v in range(layout.total) if v // layout.n not in twos)
-        return Route("paired_two_classes", pairs, leftover, comp) if comp else None
-    if rest_sizes == [3]:
-        return Route("two_plus_three", pairs, leftover + rest)
-    return Route("generic", (), sig.assignments)
+def _pair_up(twos: Sequence[int]) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]:
+    """The 2-classes paired in ascending order, for blocks, and the odd
+    leftover 2-class as a single, for the star pieces."""
+    return tuple(zip(twos[::2], twos[1::2])), ((twos[-1], 2),) if len(twos) % 2 else ()
 
 
 def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
-    """Routes of the class-split construction for odd r, in output order: the
-    paired routes sorted by their 2-classes, each once, then every other
-    profile in :func:`enumerate_signatures` order."""
-    routes = [
-        rt for rt in (route_signature(layout, sig) for sig in enumerate_signatures(layout, r))
-        if rt is not None
-    ]
-    paired = sorted({rt for rt in routes if rt.family == "paired_two_classes"})
-    return paired + [rt for rt in routes if rt.family != "paired_two_classes"]
+    """Routes of the class-split construction, in output order.
+
+    Each profile's shape is read from its lone size other than 2:
+
+    * all sizes 2, or sizes 1,2,...,2 (``paired_two_classes``): the
+      2-classes are paired in ascending order through blocks and an odd
+      leftover 2-class uses the star pieces.  The complement of the
+      2-classes is one more part, which realizes every placement of the
+      extra vertex at once, so every such profile on one set of 2-classes
+      shares one route, built once for that set.  There is none when the
+      complement is empty.
+    * sizes 2,...,2,3 (``two_plus_three``): the same pairing times a
+      3-class decomposition.
+    * anything else (``generic``): plain product of per-class
+      decompositions.
+
+    The paired routes come first, one per set of r // 2 classes, in
+    ascending order of the set, which is their sorted order; then every
+    other profile's route in :func:`enumerate_signatures` order.
+    """
+    if r < 1:
+        raise ValueError("need r >= 1")
+    profiles = _profiles(layout, r)
+    k, n = layout.k, layout.n
+    # A paired profile puts 2s on t = r // 2 classes and, for odd r, the 1 on
+    # another.  Every t-set has such profiles once a class holds a 2, and a
+    # route once its complement is nonempty, t < k.
+    t = r // 2
+    sets = combinations(range(k), t) if t < k and (t == 0 or n >= 2) else ()
+    paired = [Route("paired_two_classes", *_pair_up(twos),
+                    tuple(v for v in range(layout.total) if v // n not in twos)) for twos in sets]
+    rest: List[Route] = []
+    for a, _, lone in profiles:
+        if lone == 3:
+            pairs, leftover = _pair_up([c for c, s in a if s == 2])
+            rest.append(Route("two_plus_three", pairs, leftover + tuple(cs for cs in a if cs[1] == 3)))
+        elif lone not in (0, 1):
+            rest.append(Route("generic", (), a))
+    return paired + rest
 
 
 def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...],

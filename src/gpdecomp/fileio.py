@@ -13,10 +13,13 @@ trailing LF.  The parts of a piece are disjoint and inside 0..n-1.  A line
 is a piece under the one piece rule of :mod:`gpdecomp.core`, canonical order
 included, so every :class:`Decomposition` in memory serializes to a file
 that parses back to it.  :func:`parse_decomposition` reads the syntax only,
-converting each distinct part string once through a table per file, and
-leaves the rule to the public :class:`Decomposition` constructor, whose
-refusal (``piece i has ...``) it reports as a ParseError.
-:func:`serialize_decomposition` likewise joins each distinct part once.
+converting each distinct part string once through a table per file and
+freeing each line once its piece is built, so the lines and the pieces
+never all sit side by side.  It leaves the rule to the public
+:class:`Decomposition` constructor, whose refusal (``piece i has ...``) it
+reports as a ParseError.  :func:`serialize_decomposition` likewise joins
+each distinct part once, and both serializers join the trailing LF in as an
+empty last line, so the text is made once and never copied.
 
 Block files (magic ``GPB 1``)::
 
@@ -77,7 +80,9 @@ class _Tokens(dict):
 def _read_header(text: str, magic: str, names: Tuple[str, ...],
                  tokens: _Tokens) -> Tuple[List[int], List[str]]:
     """The values of the ``name value`` header and the body lines, after
-    checking the magic, the header, the body line count and the trailing LF."""
+    checking the magic, the header, the body line count and the trailing LF.
+    The body is the split text's own list, trimmed in place, so the caller
+    holds the one list of lines and may consume it."""
     lines = text.split("\n")
     if lines[0] != magic:
         raise ParseError(f"missing {magic} magic line")
@@ -90,10 +95,10 @@ def _read_header(text: str, magic: str, names: Tuple[str, ...],
         values = list(map(tokens.__getitem__, fields[1::2]))
     except ValueError as exc:
         raise ParseError(f"bad header {lines[1]!r}") from exc
-    body = lines[2:]
-    if body[-1:] != [""] or len(body) != values[-1] + 1:  # names[-1]: "pieces" or "blocks"
+    if lines[-1] != "" or len(lines) != values[-1] + 3:  # names[-1]: "pieces" or "blocks"
         raise ParseError(f"expected {values[-1]} {names[-1][:-1]} lines and a trailing newline")
-    return values, body[:-1]
+    del lines[:2], lines[-1]
+    return values, lines
 
 
 class _Joined(dict):
@@ -109,7 +114,8 @@ def serialize_decomposition(d: Decomposition) -> str:
     lines = ["GPD 1", f"n {d.ground.n} r {d.ground.r} pieces {len(d.pieces)}"]
     text = _Joined().__getitem__
     lines += [" | ".join(map(text, p.parts)) for p in d.pieces]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing LF, without a second copy of the text
+    return "\n".join(lines)
 
 
 class _Parts(dict):
@@ -144,9 +150,10 @@ def parse_decomposition(text: str) -> Decomposition:
     (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"), tokens)
     part = _Parts(tokens).__getitem__
     pieces: List[RPartiteGraph] = []
+    lines.reverse()  # so each line is popped, and freed, once its piece is built
     try:
-        for i, line in enumerate(lines):
-            pieces.append(RPartiteGraph(tuple(map(part, line.split(" | ")))))
+        for i in range(len(lines)):
+            pieces.append(RPartiteGraph(tuple(map(part, lines.pop().split(" | ")))))
     except ParseError as exc:  # the table is per file and knows no line
         raise ParseError(f"piece {i} {exc}") from exc
     try:
@@ -160,7 +167,8 @@ def serialize_blocks(bd: BlockDecomposition) -> str:
     text = _Joined().__getitem__
     lines += [f"a:{text(blk.first.parts[0])} b:{text(blk.first.parts[1])}"
               f" ; a:{text(blk.second.parts[0])} b:{text(blk.second.parts[1])}" for blk in bd.blocks]
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 class _Factors(dict):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +19,7 @@ from gpdecomp import (
 )
 from gpdecomp.bounds import DEFAULT_PRECISION, corollary2_decreasing_at
 from gpdecomp.constructions import ClassLayout, FamilyTally, theorem1_routes
+from route_reference import per_profile_routes
 
 
 def naive_partitions(total, max_part=None):
@@ -230,23 +232,21 @@ def test_predicted_worked_example():
     assert sum(pred.values()) == 27
 
 
-def reference_family_tallies(n, k, d, block_count_fn=lambda m: (m - 1) ** 2):
+def route_census(routes):
+    """How many routes have each family, pair count and single sizes."""
+    return Counter((rt.family, len(rt.pairs), tuple(s for _, s in rt.singles)) for rt in routes)
+
+
+def reference_family_tallies(census, n, block_count_fn=lambda m: (m - 1) ** 2):
     """The per-family tallies by walking the class-split construction's own
-    routes: block_count_fn(n) pieces per class pair times the baseline count
-    C(n - ceil(s/2), floor(s/2)) per (class, size) factor, summed route by
-    route.  It lists every route, so it is slow beyond small layouts."""
+    routes, as counted by :func:`route_census`: block_count_fn(n) pieces per
+    class pair times the baseline count C(n - ceil(s/2), floor(s/2)) per
+    (class, size) factor, summed over the routes."""
     g = block_count_fn(n)
     tallies = asdict(FamilyTally())
-    for route in _routes(n, k, 2 * d + 1):
-        tallies[route.family] += g ** len(route.pairs) * prod(
-            comb(n - (s + 1) // 2, s // 2) for _, s in route.singles
-        )
+    for (family, pairs, sizes), count in census.items():
+        tallies[family] += count * g ** pairs * prod(comb(n - (s + 1) // 2, s // 2) for s in sizes)
     return tallies
-
-
-@lru_cache(maxsize=1)  # the grid asks for one layout's routes twice in a row
-def _routes(n, k, r):
-    return theorem1_routes(ClassLayout(k=k, n=n), r)
 
 
 BLOCK_COUNTS = (lambda m: (m - 1) ** 2, lambda m: (m - 1) ** 2 + 1)
@@ -254,20 +254,26 @@ BLOCK_COUNTS = (lambda m: (m - 1) ** 2, lambda m: (m - 1) ** 2 + 1)
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_predicted_tallies_match_the_route_walk(n):
-    # Every layout with k, d <= 8 for this n, with the trivial block count
-    # and one more, so that a paired or a two-plus-three route counting its
-    # blocks wrongly shows.
+    # Every layout with k, d <= 8 for this n.  Its routes must be the ones
+    # listed one profile at a time, and the route walk must give the closed
+    # form's tallies with the trivial block count and one more, so that a
+    # paired or a two-plus-three route counting its blocks wrongly shows.
     for k in range(1, 9):
         for d in range(1, 9):
+            layout = ClassLayout(k=k, n=n)
+            if 2 * d + 1 > k * n:
+                with pytest.raises(ValueError, match="^r exceeds ground set size$"):
+                    theorem1_routes(layout, 2 * d + 1)
+                for count in BLOCK_COUNTS:
+                    with pytest.raises(ValueError, match="^r exceeds ground set size$"):
+                        predicted_family_tallies(n, k, d, count)
+                continue
+            routes = theorem1_routes(layout, 2 * d + 1)
+            assert routes == per_profile_routes(layout, 2 * d + 1), (n, k, d)
+            census = route_census(routes)
             for count in BLOCK_COUNTS:
-                if 2 * d + 1 > k * n:
-                    for tallies in (reference_family_tallies, predicted_family_tallies):
-                        with pytest.raises(ValueError, match="^r exceeds ground set size$"):
-                            tallies(n, k, d, count)
-                    continue
-                want = reference_family_tallies(n, k, d, count)
+                want = reference_family_tallies(census, n, count)
                 assert predicted_family_tallies(n, k, d, count) == want, (n, k, d)
-    _routes.cache_clear()  # up to a few hundred MB of routes at n = 8
 
 
 def test_predicted_tallies_refuse_what_the_construction_refuses():
@@ -280,8 +286,9 @@ def test_predicted_tallies_refuse_what_the_construction_refuses():
 
 
 def test_predicted_tallies_at_12_10_7():
-    # r = 15 over 120 vertices: 1.31M routes, which the route walk lists in
-    # about half a minute and a gigabyte; it gives these same three numbers.
+    # r = 15 over 120 vertices: 1.31M routes, which theorem1_routes lists in
+    # about 9 s and 400 MB on a 2-core host; walked, they give these same
+    # three numbers.
     assert predicted_family_tallies(12, 10, 7) == {
         "paired_two_classes": 2_338_460_520,
         "two_plus_three": 14_881_112_400,

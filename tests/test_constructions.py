@@ -20,8 +20,9 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import Block, BlockDecomposition
-from gpdecomp.constructions import _route_pieces, route_signature
+from gpdecomp.constructions import Route, _route_pieces, theorem1_routes
 from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
+from route_reference import per_profile_routes, route_signature
 
 
 def piece_edges(piece):
@@ -196,6 +197,40 @@ def test_decompose_signature_vacuous_when_no_complement():
 def test_decompose_signature_rejects_oversized():
     with pytest.raises(ValueError):
         signature_pieces(ClassLayout(k=2, n=3), Signature(((0, 4), (1, 1))))
+
+
+# -- the route list -----------------------------------------------------
+
+def test_theorem1_routes_at_even_r():
+    # (2,2) over two classes leaves no complement part, so it has no route;
+    # over three classes each pair of 2-classes has one, whose complement
+    # is the third class.
+    assert theorem1_routes(ClassLayout(k=2, n=3), 4) == [
+        Route("generic", (), ((0, 1), (1, 3))),
+        Route("generic", (), ((0, 3), (1, 1))),
+    ]
+    routes = theorem1_routes(ClassLayout(k=3, n=3), 4)
+    assert routes[:3] == [
+        Route("paired_two_classes", ((0, 1),), (), (6, 7, 8)),
+        Route("paired_two_classes", ((0, 2),), (), (3, 4, 5)),
+        Route("paired_two_classes", ((1, 2),), (), (0, 1, 2)),
+    ]
+    for k, n, r in [(2, 3, 4), (3, 3, 4), (4, 2, 6), (2, 2, 4), (3, 1, 2), (5, 3, 1)]:
+        layout = ClassLayout(k=k, n=n)
+        assert theorem1_routes(layout, r) == per_profile_routes(layout, r), (k, n, r)
+
+
+def test_theorem1_routes_refusals():
+    with pytest.raises(ValueError, match="^r exceeds ground set size$"):
+        theorem1_routes(ClassLayout(k=2, n=3), 7)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="^need r >= 1$"):
+            theorem1_routes(ClassLayout(k=2, n=3), r)
+
+
+def test_pieces_and_routes_hold_no_instance_dict():
+    for obj in (RPartiteGraph(((0,), (1,))), Route("generic", (), ((0, 1),))):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 # -- theorem 1 ----------------------------------------------------------

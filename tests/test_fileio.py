@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from gpdecomp import (
     serialize_decomposition,
     verify_blocks,
 )
+from gpdecomp.fileio import _Parts, _read_header, _Tokens
 
 
 GENERATED = [
@@ -111,6 +113,45 @@ def test_parse_memory_does_not_grow_with_the_header_n():
         tracemalloc.stop()
     assert d.pieces[1].parts == ((1, 99999998), (2,))
     assert peak < 2**20
+
+
+def traced_peak(call, arg):
+    """``call(arg)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def parse_keeping_lines(text):
+    """:func:`parse_decomposition` holding every line until its last piece
+    is built."""
+    tokens = _Tokens()
+    (n, r, _), lines = _read_header(text, "GPD 1", ("n", "r", "pieces"), tokens)
+    part = _Parts(tokens).__getitem__
+    pieces = [RPartiteGraph(tuple(map(part, line.split(" | ")))) for line in lines]
+    return Decomposition(GroundSet(n, r), tuple(pieces))
+
+
+def test_parse_frees_each_line_once_its_piece_is_built():
+    # (7,3,7) has 1,536 lines, about 152 kB as strings.  Freed as parsed,
+    # they never all sit beside the pieces.
+    text = serialize_decomposition(construct_theorem1(7, 3, 7))
+    line_bytes = sum(map(sys.getsizeof, text.split("\n")))
+    d, peak = traced_peak(parse_decomposition, text)
+    ref, ref_peak = traced_peak(parse_keeping_lines, text)
+    assert d == ref
+    assert peak <= ref_peak - line_bytes // 2
+
+
+def test_serialize_holds_one_copy_of_the_text():
+    # The line strings and the text joined from them, with no second copy of
+    # the text made to add the trailing LF.
+    text, peak = traced_peak(serialize_decomposition, construct_theorem1(7, 3, 7))
+    line_bytes = sum(map(sys.getsizeof, text.split("\n")))
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert peak < line_bytes + 1.5 * len(text)
 
 
 def test_block_round_trip():
