@@ -14,7 +14,6 @@ from .bounds import (
     BoundReport,
     alon_lower_coefficient,
     base_coefficient,
-    corollary2_below_one,
     corollary2_value,
     count_c_prime,
     lower_bound,
@@ -25,15 +24,13 @@ from .bounds import (
 from .constructions import (
     ClassLayout,
     FamilyTally,
-    Signature,
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
     construct_theorem1_detailed,
-    enumerate_signatures,
 )
 from .core import Decomposition, GroundSet, RPartiteGraph
-from .exact import ExactResult, SearchBudget, enumerate_candidate_pieces, solve_exact
+from .exact import ExactResult, SearchBudget, solve_exact
 from .fileio import (
     ParseError,
     parse_blocks,
@@ -55,7 +52,6 @@ __all__ = [
     "ParseError",
     "RPartiteGraph",
     "SearchBudget",
-    "Signature",
     "VerificationReport",
     "alon_lower_coefficient",
     "base_coefficient",
@@ -66,12 +62,9 @@ __all__ = [
     "construct_theorem1",
     "construct_theorem1_detailed",
     "construct_trivial_blocks",
-    "corollary2_below_one",
     "corollary2_value",
     "count_c_prime",
     "coverage_histogram",
-    "enumerate_candidate_pieces",
-    "enumerate_signatures",
     "lower_bound",
     "parse_blocks",
     "parse_decomposition",

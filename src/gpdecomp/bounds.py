@@ -115,26 +115,6 @@ def corollary2_value(r: int) -> Decimal:
         return Decimal(r) / 2 * (q.ln() * Decimal(r) / 4).exp()
 
 
-def corollary2_below_one(r: int) -> bool:
-    """Exact rational test of (r/2)*(14/15)**(r/4) < 1.
-
-    Compares fourth powers: r**4 * 14**r < 2**4 * 15**r.  Nothing in the
-    package calls it; it stays because it states the paper's Corollary 2
-    claim that the decay bound is below 1 from r = 295 on, which the
-    acceptance tests check exactly."""
-    return r**4 * 14**r < 16 * 15**r
-
-
-def corollary2_decreasing_at(r: int) -> bool:
-    """Exact test that the bound strictly decreases from r to r+1.
-
-    Nothing in the package calls it; it stays because it states the paper's
-    Corollary 2 claim that the decay bound decreases, which the acceptance
-    tests check exactly."""
-    # ((r+1)/r)**4 * (14/15) < 1  <=>  14*(r+1)**4 < 15*r**4
-    return 14 * (r + 1) ** 4 < 15 * r**4
-
-
 def alon_lower_coefficient(r: int) -> Fraction:
     """2 / binomial(2*floor(r/2), floor(r/2)).
 

@@ -73,6 +73,8 @@ def _check_ground(args: argparse.Namespace, what: str, n: int, r: int) -> None:
 def cmd_construct(args: argparse.Namespace) -> int:
     n, r, k = args.n, args.r, args.k
     tally = None
+    if k is not None and args.method != "theorem1":
+        raise ValueError(f"--k applies to --method theorem1 only, not {args.method}")
     if args.method == "stars":
         if r not in (None, 2):
             raise ValueError("stars implies r=2")
@@ -206,6 +208,10 @@ def _print_report(rep: bounds_mod.BoundReport, porcelain: bool) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.scan_range:
+        # The scan reads only its range; a flag it would drop is refused.
+        for flag in ("d", "r", "k"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply with --scan-range")
         try:
             lo, hi = (int(x) for x in args.scan_range.split(":"))
         except ValueError:
@@ -237,7 +243,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         d = (args.r - 1) // 2
     if d > bounds_mod.SOFT_CAP_D and not args.allow_large:
         raise _over_cap(f"d={d}", bounds_mod.SOFT_CAP_D)
-    rep = bounds_mod.theorem1_coefficient(d, args.k)
+    rep = bounds_mod.theorem1_coefficient(d, 1 if args.k is None else args.k)
     with _exact_digits():
         _print_report(rep, args.porcelain)
     return EXIT_OK
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="evaluate the bound formulas")
     bounds.add_argument("--d", type=int, default=None)
     bounds.add_argument("--r", type=int, default=None)
-    bounds.add_argument("--k", type=int, default=1)
+    bounds.add_argument("--k", type=int, default=None, help="class count (default 1)")
     bounds.add_argument("--scan-range", default=None, metavar="LO:HI",
                         help="print the coefficient over a range of d and the threshold")
 

@@ -62,17 +62,6 @@ class ClassLayout:
         return self.k * self.n
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Intersection sizes of an edge family with the classes of a layout.
-
-    ``assignments`` maps class index to a positive intersection size; absent
-    classes intersect in 0 vertices.
-    """
-
-    assignments: Tuple[Tuple[int, int], ...]  # sorted (class, size) pairs
-
-
 @dataclass
 class FamilyTally:
     """Per-family piece counts from the class-split construction."""
@@ -111,10 +100,13 @@ def construct_baseline(n: int, r: int) -> Decomposition:
 
 
 def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
-    """Every profile of r over the layout, as ``(assignments, 0, lone)``:
-    its sorted (class, size) pairs, nothing left to place, and its lone
-    size other than 2, which is 0 when every size is 2 and -1 when more
-    than one size is not 2.
+    """Every profile of r over the layout, as ``(assignments, 0, lone)``.
+
+    A profile gives the size of an edge's intersection with each class,
+    every size at most n and the sizes summing to r.  The tuple holds its
+    sorted (class, size) pairs, with the classes met in 0 vertices left
+    out, nothing left to place, and its lone size other than 2, which is 0
+    when every size is 2 and -1 when more than one size is not 2.
 
     Deterministic: lexicographic in the full size vector (s_0, ..., s_{k-1}).
     The vectors are expanded one class at a time: each prefix with ``left``
@@ -136,12 +128,6 @@ def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], 
                     for a, left, lone in profiles
                     for s in range(max(0, left - room), min(n, left) + 1)]
     return profiles
-
-
-def enumerate_signatures(layout: ClassLayout, r: int) -> List[Signature]:
-    """Every assignment of positive sizes (each <= n) to classes summing to r,
-    lexicographic in the full size vector (s_0, ..., s_{k-1})."""
-    return [Signature(a) for a, _, _ in _profiles(layout, r)]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -187,7 +173,7 @@ def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
 
     The paired routes come first, one per set of r // 2 classes, in
     ascending order of the set, which is their sorted order; then every
-    other profile's route in :func:`enumerate_signatures` order.
+    other profile's route in lexicographic size-vector order.
     """
     if r < 1:
         raise ValueError("need r >= 1")

@@ -26,7 +26,9 @@ searched; otherwise the search stops at the first incumbent update that
 reaches it.  Only the incumbent update tests the floor, so no node pays
 for it.  ``solve_exact`` alone decides the proof; ``_branch_and_bound``
 returns its pieces, its node count and why it stopped, and with ``floor=0``
-it is the plain search, the reference for node counts.
+it is the plain search, the reference for node counts.  ``solve_exact``
+refuses n above ``SOFT_CAP_N`` unless ``allow_large`` is given, before the
+floor, the seed or any candidate list is built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import time
 from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations
 from operator import or_
 from typing import Dict, List, Optional, Tuple
 
@@ -78,30 +79,6 @@ class ExactResult:
     lower_kind: str
 
 
-class CandidateCapError(ValueError):
-    """n exceeds the soft enumeration cap and no override was given."""
-
-
-def _check_size(n: int, r: int, allow_large: bool) -> None:
-    """Refuse n above the soft cap unless allow_large, then r outside 1..n."""
-    if n > SOFT_CAP_N and not allow_large:
-        raise CandidateCapError(f"n={n} exceeds soft cap {SOFT_CAP_N}")
-    GroundSet(n, r)  # raises unless 1 <= r <= n
-
-
-def enumerate_candidate_pieces(n: int, r: int, allow_large: bool = False) -> List[RPartiteGraph]:
-    """All canonical families of r disjoint nonempty subsets of 0..n-1, in
-    canonical order.
-
-    Each candidate has one lowest edge, the set of its part minima, so the
-    lists of :func:`_lowest_edge_parts` over every r-subset hold every
-    candidate exactly once, already canonical; merged, they are sorted.
-    """
-    _check_size(n, r, allow_large)
-    lists = (_lowest_edge_parts(n, low) for low in combinations(range(n), r))
-    return list(map(RPartiteGraph, sorted(chain.from_iterable(lists))))
-
-
 class _Stop(Exception):
     """Ends the search early; its one argument says why: "floor" or "budget"."""
 
@@ -119,8 +96,13 @@ def solve_exact(n: int, r: int, budget: SearchBudget = SearchBudget(),
     lower end: ``bnb`` when the search exhausted its tree, else the floor's
     kind (``trivial``, ``inertia`` or ``link``).  On budget exhaustion the
     incumbent and the floor are reported instead of an optimum.
+
+    n above ``SOFT_CAP_N`` is refused unless ``allow_large``, then r
+    outside 1..n, before anything is built.
     """
-    _check_size(n, r, allow_large)
+    if n > SOFT_CAP_N and not allow_large:
+        raise ValueError(f"n={n} exceeds soft cap {SOFT_CAP_N}")
+    GroundSet(n, r)  # raises unless 1 <= r <= n
     floor, kind = lower_bound(n, r)
     seed = construct_baseline(n, r)
     if seed.piece_count == floor:

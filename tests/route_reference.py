@@ -1,13 +1,15 @@
 """The class-split construction's routes, listed one profile at a time: the
 reference that ``theorem1_routes`` is tested against."""
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from gpdecomp.constructions import ClassLayout, Route, Signature, enumerate_signatures
+from gpdecomp.constructions import ClassLayout, Route, _profiles
 
 
-def route_signature(layout: ClassLayout, sig: Signature) -> Optional[Route]:
-    """The route whose pieces partition the edges with the given profile.
+def route_signature(layout: ClassLayout,
+                    assignments: Tuple[Tuple[int, int], ...]) -> Optional[Route]:
+    """The route whose pieces partition the edges with the given profile,
+    its sorted (class, size) pairs.
 
     Dispatches on the profile shape:
 
@@ -19,12 +21,12 @@ def route_signature(layout: ClassLayout, sig: Signature) -> Optional[Route]:
     * sizes 2,...,2,3: the same pairing times a 3-class decomposition.
     * anything else: plain product of per-class decompositions.
     """
-    if not sig.assignments:
-        raise ValueError("empty signature")
-    if any(s > layout.n for _, s in sig.assignments):
+    if not assignments:
+        raise ValueError("empty profile")
+    if any(s > layout.n for _, s in assignments):
         raise ValueError("intersection size exceeds class size")
-    twos = [c for c, s in sig.assignments if s == 2]
-    rest = tuple((c, s) for c, s in sig.assignments if s != 2)
+    twos = [c for c, s in assignments if s == 2]
+    rest = tuple((c, s) for c, s in assignments if s != 2)
     rest_sizes = [s for _, s in rest]
     pairs = tuple(zip(twos[::2], twos[1::2]))
     leftover = ((twos[-1], 2),) if len(twos) % 2 else ()
@@ -33,15 +35,15 @@ def route_signature(layout: ClassLayout, sig: Signature) -> Optional[Route]:
         return Route("paired_two_classes", pairs, leftover, comp) if comp else None
     if rest_sizes == [3]:
         return Route("two_plus_three", pairs, leftover + rest)
-    return Route("generic", (), sig.assignments)
+    return Route("generic", (), assignments)
 
 
 def per_profile_routes(layout: ClassLayout, r: int) -> List[Route]:
     """One :func:`route_signature` call per profile: the paired routes
-    deduplicated and sorted first, then every other route in
-    ``enumerate_signatures`` order."""
+    deduplicated and sorted first, then every other route in lexicographic
+    size-vector order."""
     routes = [
-        rt for rt in (route_signature(layout, sig) for sig in enumerate_signatures(layout, r))
+        rt for rt in (route_signature(layout, a) for a, _, _ in _profiles(layout, r))
         if rt is not None
     ]
     paired = sorted({rt for rt in routes if rt.family == "paired_two_classes"})

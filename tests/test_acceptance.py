@@ -17,7 +17,6 @@ from gpdecomp import (
     construct_even_from_odd,
     construct_theorem1_detailed,
     construct_trivial_blocks,
-    corollary2_below_one,
     coverage_histogram,
     parse_decomposition,
     predicted_family_tallies,
@@ -27,7 +26,8 @@ from gpdecomp import (
     verify_blocks,
     verify_decomposition,
 )
-from gpdecomp.bounds import corollary2_decreasing_at, corollary2_value
+from gpdecomp.bounds import corollary2_value
+from test_bounds import corollary2_below_one, corollary2_decreasing_at
 
 
 def report(criterion, text):

@@ -10,14 +10,13 @@ from gpdecomp import (
     alon_lower_coefficient,
     base_coefficient,
     construct_theorem1_detailed,
-    corollary2_below_one,
     corollary2_value,
     count_c_prime,
     predicted_family_tallies,
     theorem1_coefficient,
     threshold_d,
 )
-from gpdecomp.bounds import DEFAULT_PRECISION, corollary2_decreasing_at
+from gpdecomp.bounds import DEFAULT_PRECISION
 from gpdecomp.constructions import ClassLayout, FamilyTally, theorem1_routes
 from route_reference import per_profile_routes
 
@@ -177,6 +176,19 @@ def corollary2_exact(r):
     reference for the decimal ``corollary2_value``."""
     assert r % 4 == 0
     return Fraction(r, 2) * Fraction(14, 15) ** (r // 4)
+
+
+def corollary2_below_one(r):
+    """Exact test of (r/2)*(14/15)**(r/4) < 1, by fourth powers:
+    r**4 * 14**r < 2**4 * 15**r.  It states the paper's Corollary 2 claim
+    that the decay bound is below 1 from r = 295 on."""
+    return r**4 * 14**r < 16 * 15**r
+
+
+def corollary2_decreasing_at(r):
+    """Exact test that the decay bound strictly decreases from r to r+1:
+    ((r+1)/r)**4 * (14/15) < 1, that is 14*(r+1)**4 < 15*r**4."""
+    return 14 * (r + 1) ** 4 < 15 * r**4
 
 
 def test_corollary2_exact_multiples_of_four():

@@ -447,6 +447,31 @@ def test_argparse_errors_take_the_bad_argument_path(capsys, argv, message):
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--scan-range", "146:147", "--d", "3", "--porcelain"],
+     "--d does not apply with --scan-range"),
+    (["bounds", "--scan-range", "146:147", "--r", "7"], "--r does not apply with --scan-range"),
+    (["bounds", "--scan-range", "146:147", "--k", "1"], "--k does not apply with --scan-range"),
+    (["construct", "--method", "baseline", "--n", "5", "--r", "3", "--k", "4", "--out", "x.gpd"],
+     "--k applies to --method theorem1 only, not baseline"),
+    (["construct", "--method", "stars", "--n", "4", "--k", "2", "--out", "x.gpd"],
+     "--k applies to --method theorem1 only, not stars"),
+    (["construct", "--method", "even-from-odd", "--n", "6", "--r", "4", "--k", "2",
+      "--out", "x.gpd"], "--k applies to --method theorem1 only, not even-from-odd"),
+], ids=["scan-d", "scan-r", "scan-k", "baseline-k", "stars-k", "even-from-odd-k"])
+def test_a_flag_the_mode_would_drop_is_refused(tmp_path, capsys, monkeypatch, argv, message):
+    # A given flag that the mode ignores is refused, even at its default
+    # value, rather than dropped without a word.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (3, "", f"error: {message}\n")
+    assert not (tmp_path / "x.gpd").exists()
+
+
+def test_bounds_k_defaults_to_one(capsys):
+    assert run(capsys, "bounds", "--d", "2") == run(capsys, "bounds", "--d", "2", "--k", "1")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["exact", "--help"]], ids=["top", "command"])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -7,20 +7,18 @@ import pytest
 
 from gpdecomp import (
     ClassLayout,
-    Signature,
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
     construct_theorem1_detailed,
     construct_trivial_blocks,
-    enumerate_signatures,
     predicted_family_tallies,
     serialize_decomposition,
     verify_blocks,
     verify_decomposition,
 )
 from gpdecomp.blocks import Block, BlockDecomposition
-from gpdecomp.constructions import Route, _route_pieces, theorem1_routes
+from gpdecomp.constructions import Route, _profiles, _route_pieces, theorem1_routes
 from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
 from route_reference import per_profile_routes, route_signature
 
@@ -79,7 +77,13 @@ def test_stars():
             construct_baseline(n, 2)
 
 
-# -- signatures ---------------------------------------------------------
+# -- profiles -----------------------------------------------------------
+
+def profiles(layout, r):
+    """The sorted (class, size) pairs of every profile, in ``_profiles``
+    order."""
+    return [a for a, _, _ in _profiles(layout, r)]
+
 
 def brute_force_signatures(k, n, r):
     """The profiles of every size vector in ``product`` order, which is the
@@ -100,45 +104,43 @@ def brute_force_signatures(k, n, r):
     + [(k, 2, r) for k in (1, 2, 3) for r in (-2, -1, 0)],
 )
 def test_enumerate_signatures_matches_brute_force(k, n, r):
-    sigs = enumerate_signatures(ClassLayout(k=k, n=n), r)
-    got = [s.assignments for s in sigs]
+    got = profiles(ClassLayout(k=k, n=n), r)
     assert got == brute_force_signatures(k, n, r)
     assert len(got) == len(set(got))
 
 
 def test_enumerate_signatures_worked_example():
-    sigs = enumerate_signatures(ClassLayout(k=3, n=3), 5)
-    assert len(sigs) == 12
+    got = profiles(ClassLayout(k=3, n=3), 5)
+    assert len(got) == 12
     by_type = {}
-    for s in sigs:
-        by_type.setdefault(tuple(sorted(size for _, size in s.assignments)), []).append(s)
+    for a in got:
+        by_type.setdefault(tuple(sorted(size for _, size in a)), []).append(a)
     assert len(by_type[(2, 3)]) == 6
     assert len(by_type[(1, 2, 2)]) == 3
     assert len(by_type[(1, 1, 3)]) == 3
 
 
 def test_enumerate_signatures_k2():
-    sigs = enumerate_signatures(ClassLayout(k=2, n=3), 5)
-    assert sorted(s.assignments for s in sigs) == [
+    assert sorted(profiles(ClassLayout(k=2, n=3), 5)) == [
         ((0, 2), (1, 3)),
         ((0, 3), (1, 2)),
     ]
 
 
 def test_signature_census_identity():
-    # summing the per-signature edge counts reproduces comb(kn, r)
+    # summing the per-profile edge counts reproduces comb(kn, r)
     for k, n, r in [(3, 3, 5), (4, 2, 5), (3, 4, 7), (2, 5, 6)]:
-        sigs = enumerate_signatures(ClassLayout(k=k, n=n), r)
-        total = sum(prod(comb(n, s) for _, s in sig.assignments) for sig in sigs)
+        got = profiles(ClassLayout(k=k, n=n), r)
+        total = sum(prod(comb(n, s) for _, s in a) for a in got)
         assert total == comb(k * n, r)
 
 
-# -- the pieces of one signature ---------------------------------------
+# -- the pieces of one profile -----------------------------------------
 
-def signature_pieces(layout, sig):
+def signature_pieces(layout, assignments):
     """The pieces the class-split construction gives one profile's route,
     with the default providers."""
-    routes = [route_signature(layout, sig)]
+    routes = [route_signature(layout, assignments)]
     return next(_route_pieces(layout, routes, construct_baseline, construct_trivial_blocks))
 
 
@@ -158,8 +160,8 @@ def edges_with_profile(layout, profile):
 
 def test_decompose_signature_paired_family_with_complement():
     layout = ClassLayout(k=3, n=3)
-    sig = Signature(((0, 2), (1, 2)))  # the lone extra vertex lives elsewhere
-    pieces = signature_pieces(layout, sig)
+    # the lone extra vertex lives elsewhere
+    pieces = signature_pieces(layout, ((0, 2), (1, 2)))
     assert len(pieces) == 4
     comp = (6, 7, 8)
     covered = []
@@ -173,7 +175,7 @@ def test_decompose_signature_paired_family_with_complement():
 
 def test_decompose_signature_two_three():
     layout = ClassLayout(k=3, n=3)
-    pieces = signature_pieces(layout, Signature(((0, 3), (1, 2))))
+    pieces = signature_pieces(layout, ((0, 3), (1, 2)))
     assert len(pieces) == 2
     covered = [e for p in pieces for e in piece_edges(p)]
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 2}))
@@ -182,7 +184,7 @@ def test_decompose_signature_two_three():
 
 def test_decompose_signature_generic():
     layout = ClassLayout(k=3, n=3)
-    pieces = signature_pieces(layout, Signature(((0, 3), (1, 1), (2, 1))))
+    pieces = signature_pieces(layout, ((0, 3), (1, 1), (2, 1)))
     assert len(pieces) == 1
     covered = list(piece_edges(pieces[0]))
     assert sorted(covered) == sorted(edges_with_profile(layout, {0: 3, 1: 1, 2: 1}))
@@ -191,12 +193,12 @@ def test_decompose_signature_generic():
 
 def test_decompose_signature_vacuous_when_no_complement():
     layout = ClassLayout(k=2, n=3)
-    assert route_signature(layout, Signature(((0, 2), (1, 2)))) is None
+    assert route_signature(layout, ((0, 2), (1, 2))) is None
 
 
 def test_decompose_signature_rejects_oversized():
     with pytest.raises(ValueError):
-        signature_pieces(ClassLayout(k=2, n=3), Signature(((0, 4), (1, 1))))
+        signature_pieces(ClassLayout(k=2, n=3), ((0, 4), (1, 1)))
 
 
 # -- the route list -----------------------------------------------------

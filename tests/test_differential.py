@@ -28,13 +28,13 @@ from gpdecomp import (
     construct_theorem1,
     construct_trivial_blocks,
     coverage_histogram,
-    enumerate_candidate_pieces,
     verify_blocks,
     verify_decomposition,
 )
 from gpdecomp.blocks import Block, BlockDecomposition, BlockReport
 from gpdecomp.core import RPartiteGraph
 from test_core import canonical
+from test_exact_differential import reference_candidates
 
 
 # -- reference oracle ----------------------------------------------------------
@@ -124,7 +124,10 @@ def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
 
 # -- inputs --------------------------------------------------------------------
 
-candidates = lru_cache(maxsize=None)(enumerate_candidate_pieces)
+@lru_cache(maxsize=None)
+def candidates(n, r):
+    """Every candidate of (n, r) as a piece, in canonical order."""
+    return list(map(RPartiteGraph, reference_candidates(n, r)))
 
 CONSTRUCTIONS = [
     construct_baseline(5, 2),

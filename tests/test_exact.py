@@ -7,14 +7,14 @@ from gpdecomp import (
     Decomposition,
     SearchBudget,
     construct_baseline,
-    enumerate_candidate_pieces,
     exact,
     solve_exact,
     verify_decomposition,
 )
 from gpdecomp.bounds import _max_piece_edges
-from gpdecomp.exact import DEADLINE_TICK, CandidateCapError, _branch_and_bound
+from gpdecomp.exact import DEADLINE_TICK, _branch_and_bound
 from gpdecomp.fileio import serialize_decomposition
+from test_exact_differential import lowest_edge_candidates
 
 
 def ordered_family_count(n, r):
@@ -35,27 +35,26 @@ def factorial(r):
 
 @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
 def test_candidate_enumeration_matches_formula(n, r):
-    cands = enumerate_candidate_pieces(n, r)
+    cands = lowest_edge_candidates(n, r)
     assert len(cands) == ordered_family_count(n, r) // factorial(r)
     assert len(set(cands)) == len(cands)
 
 
 def test_candidate_examples():
-    assert len(enumerate_candidate_pieces(3, 2)) == 6
-    only = enumerate_candidate_pieces(3, 3)
-    assert len(only) == 1
-    assert only[0].parts == ((0,), (1,), (2,))
-    assert len(enumerate_candidate_pieces(4, 2)) == 25
+    assert len(lowest_edge_candidates(3, 2)) == 6
+    assert lowest_edge_candidates(3, 3) == [((0,), (1,), (2,))]
+    assert len(lowest_edge_candidates(4, 2)) == 25
 
 
 def test_candidate_soft_cap():
-    with pytest.raises(CandidateCapError):
-        enumerate_candidate_pieces(10, 2)
+    with pytest.raises(ValueError, match="^n=10 exceeds soft cap 9$"):
+        solve_exact(10, 2)
     # refused before the C(40, 20)-edge index is built
-    with pytest.raises(CandidateCapError):
+    with pytest.raises(ValueError, match="^n=40 exceeds soft cap 9$"):
         solve_exact(40, 20)
-    # override allowed
-    enumerate_candidate_pieces(10, 9, allow_large=True)
+    # override allowed: the baseline's 5 pieces meet the trivial floor
+    res = solve_exact(10, 9, allow_large=True)
+    assert (res.optimal, res.value, res.nodes) == (True, 5, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -153,9 +152,10 @@ def test_capped_solve_at_the_soft_cap():
 
 def test_solve_builds_baseline_and_floor_once(monkeypatch):
     # (6,4) is searched: the floor, 4, is below the baseline's 6.  The soft
-    # cap is checked once, before anything else; the seed handed to the
-    # search is the baseline solve_exact built for its root check; the floor
-    # is computed once; and the search's C(n, r) edge map comes last.
+    # cap and the ground set are checked before anything else; the seed
+    # handed to the search is the baseline solve_exact built for its root
+    # check; the floor is computed once; and the search's C(n, r) edge map
+    # comes last.
     calls = []
 
     def logged(name):
@@ -166,18 +166,22 @@ def test_solve_builds_baseline_and_floor_once(monkeypatch):
             return wrapped(*args)
         return wrapper
 
-    for name in ["_check_size", "construct_baseline", "lower_bound", "_LowestEdgeLists"]:
+    for name in ["construct_baseline", "lower_bound", "_LowestEdgeLists"]:
         monkeypatch.setattr(exact, name, logged(name))
+    with pytest.raises(ValueError, match="^n=10 exceeds soft cap 9$"):
+        solve_exact(10, 4)
+    with pytest.raises(ValueError, match="^need 1 <= r <= n, got n=6, r=7$"):
+        solve_exact(6, 7)
+    assert calls == []
     res = solve_exact(6, 4)
     assert (res.optimal, res.value, res.nodes, res.lower_kind) == (True, 6, 5874, "bnb")
-    assert calls == ["_check_size", "lower_bound", "construct_baseline", "_LowestEdgeLists"]
+    assert calls == ["lower_bound", "construct_baseline", "_LowestEdgeLists"]
 
 
 def test_floor_met_by_baseline_enumerates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("candidates enumerated")
 
-    monkeypatch.setattr("gpdecomp.exact.enumerate_candidate_pieces", refuse)
     monkeypatch.setattr("gpdecomp.exact._lowest_edge_parts", refuse)
     monkeypatch.setattr("gpdecomp.exact._LowestEdgeLists", refuse)
     res = solve_exact(8, 3)

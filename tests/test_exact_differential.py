@@ -13,8 +13,8 @@ the library used to enumerate candidates, and the eager candidate index
 built from it: every candidate, its mask through ``edge_masks``, listed
 under its lowest edge.  The library builds each lowest-edge list from the
 edge itself, the first time the search branches there, with each mask an
-intersection of part unions, and ``enumerate_candidate_pieces`` merges
-those lists; both must equal the reference's, in the same order.
+intersection of part unions; those lists, and the lists of every r-subset
+merged and sorted, must equal the reference's, in the same order.
 
 The third reference is the library's search written as one call per node,
 over the reference index.  The library handles each child inside its
@@ -22,7 +22,7 @@ parent's loop instead; under every budget and floor the two must return the
 same pieces, node count and stop reason.
 """
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -33,14 +33,13 @@ from gpdecomp import (
     RPartiteGraph,
     SearchBudget,
     construct_baseline,
-    enumerate_candidate_pieces,
     lower_bound,
     solve_exact,
     verify_decomposition,
 )
 from gpdecomp import exact
 from gpdecomp.core import edge_masks, subset_masks
-from gpdecomp.exact import _branch_and_bound, _LowestEdgeLists
+from gpdecomp.exact import _branch_and_bound, _lowest_edge_parts, _LowestEdgeLists
 
 
 def reference_candidates(n, r):
@@ -73,10 +72,18 @@ def reference_candidates(n, r):
     return sorted(out)
 
 
+def lowest_edge_candidates(n, r):
+    """The canonical parts of every candidate of (n, r), sorted: the
+    library's lowest-edge lists of every r-subset, merged.  Each candidate
+    has one lowest edge, the set of its part minima, so each appears once."""
+    lists = (_lowest_edge_parts(n, low) for low in combinations(range(n), r))
+    return sorted(chain.from_iterable(lists))
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_candidates_match_reference_generator(n):
     for r in range(1, n + 1):
-        assert enumerate_candidate_pieces(n, r) == list(map(RPartiteGraph, reference_candidates(n, r)))
+        assert lowest_edge_candidates(n, r) == reference_candidates(n, r)
 
 
 def reference_solve(n, r):

@@ -17,10 +17,10 @@ from gpdecomp import (
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
-    enumerate_candidate_pieces,
     lower_bound,
 )
 from gpdecomp.bounds import _kneser_inertia_bound, _max_piece_edges
+from test_exact_differential import reference_candidates
 
 
 def kneser_matrix(n, h):
@@ -110,7 +110,7 @@ def test_piece_matrices_sum_to_kneser(dec):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_max_piece_edges_is_the_candidate_maximum(n):
     for r in range(1, n + 1):
-        best = max(prod(map(len, c.parts)) for c in enumerate_candidate_pieces(n, r))
+        best = max(prod(map(len, parts)) for parts in reference_candidates(n, r))
         assert _max_piece_edges(n, r) == best
 
 
