@@ -2,14 +2,7 @@
 r-graphs: constructions, exhaustive verification, exact minima on tiny
 instances, and exact bound-formula evaluation."""
 
-from .blocks import (
-    Block,
-    BlockDecomposition,
-    block_to_four_parts,
-    construct_star_bipartite,
-    construct_trivial_blocks,
-    verify_blocks,
-)
+from .blocks import Block, BlockDecomposition, construct_trivial_blocks, verify_blocks
 from .bounds import (
     BoundReport,
     alon_lower_coefficient,
@@ -22,7 +15,6 @@ from .bounds import (
     threshold_d,
 )
 from .constructions import (
-    ClassLayout,
     FamilyTally,
     construct_baseline,
     construct_even_from_odd,
@@ -44,7 +36,6 @@ __all__ = [
     "Block",
     "BlockDecomposition",
     "BoundReport",
-    "ClassLayout",
     "Decomposition",
     "ExactResult",
     "FamilyTally",
@@ -55,10 +46,8 @@ __all__ = [
     "VerificationReport",
     "alon_lower_coefficient",
     "base_coefficient",
-    "block_to_four_parts",
     "construct_baseline",
     "construct_even_from_odd",
-    "construct_star_bipartite",
     "construct_theorem1",
     "construct_theorem1_detailed",
     "construct_trivial_blocks",

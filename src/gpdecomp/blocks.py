@@ -7,11 +7,10 @@ class-local labels 0..n-1).  A bipartite factor is a two-part
 :class:`~gpdecomp.core.RPartiteGraph`, and :class:`BlockDecomposition`
 applies the one piece rule, :func:`~gpdecomp.core.piece_problem` with r = 2,
 to every distinct factor when it is built: each factor has two disjoint
-ascending sides of 0..n-1, the side with the smaller minimum first.
-:func:`block_to_four_parts` is the one placement: it shifts class one and
-class two up by two offsets, so one block decomposition serves every class
-pair of the main construction, and on classes ci < cj the four parts it
-gives are canonical as they stand.
+ascending sides of 0..n-1, the side with the smaller minimum first.  The
+main construction places a block on its classes ci < cj, class one shifted
+up by ci*n and class two by cj*n, so one block decomposition serves every
+class pair, and the four parts so placed are canonical as they stand.
 
 :func:`verify_blocks` counts through the product structure instead of placing
 blocks: the layer is a partition exactly when, for every edge e1 of K_n, the
@@ -53,16 +52,21 @@ class Block:
 class BlockDecomposition:
     """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks.
 
-    Built only from factors passing the piece rule for r = 2 over 0..n-1;
-    anything else raises ValueError naming the first bad one, as ``block i
-    first factor has <problem>`` (or ``second``)."""
+    Built only for an int n >= 1, from a tuple of blocks whose factors pass
+    the piece rule for r = 2 over 0..n-1; anything else raises ValueError,
+    for a factor naming the first bad one, as ``block i first factor has
+    <problem>`` (or ``second``)."""
 
     n: int
     blocks: Tuple[Block, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"need int n, got n={self.n}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
+        if not isinstance(self.blocks, tuple):
+            raise ValueError(f"a {type(self.blocks).__name__} for the blocks, not a tuple")
         # Each distinct factor object once, by identity: the trivial blocks
         # reuse n-1 stars, and a parsed layer shares its equal halves.
         checked = set()
@@ -91,36 +95,14 @@ class BlockReport:
         return f"pair {self.witness} covered {self.witness_multiplicity} times"
 
 
-def construct_star_bipartite(n: int) -> List[RPartiteGraph]:
-    """Star partition of E(K_n): n-1 bipartite graphs ({i}, {i+1..n-1})."""
+def construct_trivial_blocks(n: int) -> BlockDecomposition:
+    """The (n-1)^2 ordered products of the star partition of E(K_n) with
+    itself: its n-1 bipartite graphs ({i}, {i+1..n-1}), each one object
+    shared by the blocks that hold it."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return [RPartiteGraph(((i,), tuple(range(i + 1, n)))) for i in range(n - 1)]
-
-
-def construct_trivial_blocks(n: int) -> BlockDecomposition:
-    """The (n-1)^2 blocks obtained as ordered products of the star partition
-    with itself."""
-    stars = construct_star_bipartite(n)
-    blocks = tuple(Block(s1, s2) for s1, s2 in product(stars, stars))
-    return BlockDecomposition(n=n, blocks=blocks)
-
-
-def block_to_four_parts(b: Block, one: int, two: int) -> Tuple[Tuple[int, ...], ...]:
-    """The one placement of a block: its four sides, class one shifted up by
-    ``one`` and class two by ``two``.
-
-    When the shifted classes do not overlap, the 4-sets taking one vertex per
-    part are exactly the pairs (e1, e2) of the block, and when class one
-    lies below class two the four parts are in canonical order.
-    """
-    (a1, b1), (a2, b2) = b.first.parts, b.second.parts
-    return (
-        tuple(v + one for v in a1),
-        tuple(v + one for v in b1),
-        tuple(v + two for v in a2),
-        tuple(v + two for v in b2),
-    )
+    stars = [RPartiteGraph(((i,), tuple(range(i + 1, n)))) for i in range(n - 1)]
+    return BlockDecomposition(n=n, blocks=tuple(Block(s1, s2) for s1, s2 in product(stars, stars)))
 
 
 def verify_blocks(bd: BlockDecomposition) -> BlockReport:

@@ -21,13 +21,14 @@ Defaults are the baseline and the trivial (n-1)^2 blocks.
 Every construction builds its pieces in canonical form directly, sorting
 nothing it was given: a provider's pieces and block factors are canonical on
 entry (the piece rule includes the order), shifting a canonical piece by a
-class offset keeps it canonical, a block placed on classes ci < cj is
-canonical as placed, and dropping a part keeps the rest in order.  Only the
-merge of one combination's factors, which sit on disjoint class ranges,
-orders parts by minimum.  So the class-split and even-from-odd outputs, made
-only from checked pieces, are built with ``Decomposition._from_checked`` and
-not checked again; the baseline goes through the public, checking
-constructor.  The n-1 star pieces of K_n are ``construct_baseline(n, 2)``.
+class offset, the one placement ``_placed``, keeps it canonical, a block
+placed on classes ci < cj is canonical as placed, and dropping a part keeps
+the rest in order.  Only the merge of one combination's factors, which sit
+on disjoint class ranges, orders parts by minimum.  So the class-split and
+even-from-odd outputs, made only from checked pieces, are built with
+``Decomposition._from_checked`` and not checked again; the baseline goes
+through the public, checking constructor.  The n-1 star pieces of K_n are
+``construct_baseline(n, 2)``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .blocks import (
-    Block, BlockDecomposition, block_to_four_parts, construct_trivial_blocks, verify_blocks,
-)
+from .blocks import Block, BlockDecomposition, construct_trivial_blocks, verify_blocks
 from .core import Decomposition, GroundSet, RPartiteGraph
 from .verifier import verify_decomposition
 
@@ -210,6 +209,11 @@ def _check_output(call: str, ground: Tuple[int, ...], want: Tuple[int, ...],
         raise ValueError(f"{call} is invalid: {message}")
 
 
+def _placed(parts: Tuple[Tuple[int, ...], ...], offset: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one placement: ``parts`` shifted up by a class offset."""
+    return tuple(tuple(v + offset for v in part) for part in parts)
+
+
 def _route_pieces(
     layout: ClassLayout,
     routes: Sequence[Route],
@@ -237,11 +241,11 @@ def _route_pieces(
         _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
                       lambda: verify_decomposition(dec).message)
     pair_factors = {
-        (ci, cj): [block_to_four_parts(b, ci * n, cj * n) for b in blocks]
+        (ci, cj): [_placed(b.first.parts, ci * n) + _placed(b.second.parts, cj * n) for b in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
     }
     single_factors = {
-        (c, s): [tuple(tuple(v + c * n for v in part) for part in p.parts) for p in subs[s].pieces]
+        (c, s): [_placed(p.parts, c * n) for p in subs[s].pieces]
         for c, s in {cs for rt in routes for cs in rt.singles}
     }
     for rt in routes:

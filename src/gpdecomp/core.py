@@ -6,7 +6,8 @@ r-sets taking exactly one vertex per part.  A piece is held in canonical
 form, a tuple of parts, each a tuple ascending, the parts ordered by minimum
 (the order of a GPD line), so that equality and serialization are
 deterministic and every piece in memory can be written to a file and read
-back.
+back.  For the same reason a ground set's n and r are ints, and a
+decomposition's pieces a tuple.
 
 :func:`piece_problem` is the one piece rule, tuples, part count, nonempty
 parts, int vertices, range, disjointness and canonical order, checked once,
@@ -34,12 +35,15 @@ Edge = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Complete r-uniform hypergraph on vertices 0..n-1."""
+    """Complete r-uniform hypergraph on vertices 0..n-1; n and r are ints
+    (``type`` int, as vertices are, so no bool or float)."""
 
     n: int
     r: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.r) is not int:
+            raise ValueError(f"need int n and r, got n={self.n}, r={self.r}")
         if not (1 <= self.r <= self.n):
             raise ValueError(f"need 1 <= r <= n, got n={self.n}, r={self.r}")
 
@@ -63,9 +67,10 @@ class RPartiteGraph:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A list of pieces over a common ground set.
+    """A tuple of pieces over a common ground set.
 
-    Carries the piece rule: every piece passes :func:`piece_problem` for
+    Carries the piece rule: the pieces are a tuple, so they cannot change
+    after the check, and every piece passes :func:`piece_problem` for
     ``ground``, or ValueError names the first piece that does not, as
     ``piece i has <problem>``.  The constructor checks it, testing each
     distinct part once through a :class:`_PartMasks` table and walking with
@@ -78,6 +83,8 @@ class Decomposition:
     pieces: Tuple[RPartiteGraph, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pieces, tuple):
+            raise ValueError(f"a {type(self.pieces).__name__} for the pieces, not a tuple")
         n, r = self.ground.n, self.ground.r
         mask = _PartMasks(n).__getitem__
         for i, p in enumerate(self.pieces):

@@ -15,8 +15,9 @@ A rejected decomposition's edges are counted once: a reject keeps its
 report and its histogram, a few small objects, on the instance, and
 :func:`verify_decomposition` and :func:`coverage_histogram` both read them
 from there, so a histogram after a verify, or a verify after a histogram,
-counts no edge again.  The instance is frozen and its pieces are tuples, so
-they cannot go stale.  An accept keeps nothing.
+counts no edge again.  The instance is frozen and its constructor refuses
+pieces in anything but a tuple, so they cannot go stale.  An accept keeps
+nothing.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ PUBLIC = [
     "Block",
     "BlockDecomposition",
     "BoundReport",
-    "ClassLayout",
     "Decomposition",
     "ExactResult",
     "FamilyTally",
@@ -20,10 +19,8 @@ PUBLIC = [
     "VerificationReport",
     "alon_lower_coefficient",
     "base_coefficient",
-    "block_to_four_parts",
     "construct_baseline",
     "construct_even_from_odd",
-    "construct_star_bipartite",
     "construct_theorem1",
     "construct_theorem1_detailed",
     "construct_trivial_blocks",

@@ -5,13 +5,9 @@ from math import comb
 import pytest
 
 import gpdecomp.blocks
-from gpdecomp import (
-    block_to_four_parts,
-    construct_star_bipartite,
-    construct_trivial_blocks,
-    verify_blocks,
-)
+from gpdecomp import construct_trivial_blocks, verify_blocks
 from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.constructions import _placed
 from gpdecomp.core import RPartiteGraph
 from test_constructions import split_trivial_blocks
 
@@ -22,8 +18,20 @@ def bipartite_edges(g):
     return sorted(tuple(sorted((u, v))) for u in side_a for v in side_b)
 
 
+def star_partition(n):
+    """The star partition of E(K_n) the trivial layer is built from: its
+    distinct first factors, in order."""
+    return list(dict.fromkeys(b.first for b in construct_trivial_blocks(n).blocks))
+
+
+def placed_block(b, one, two):
+    """A block's four sides, class one shifted up by ``one`` and class two
+    by ``two``, as the class-split construction places it."""
+    return _placed(b.first.parts, one) + _placed(b.second.parts, two)
+
+
 def test_star_bipartite_n4():
-    stars = construct_star_bipartite(4)
+    stars = star_partition(4)
     assert [s.parts for s in stars] == [
         ((0,), (1, 2, 3)),
         ((1,), (2, 3)),
@@ -33,19 +41,19 @@ def test_star_bipartite_n4():
 
 
 def test_star_bipartite_n2():
-    stars = construct_star_bipartite(2)
+    stars = star_partition(2)
     assert len(stars) == 1
     assert stars[0] == RPartiteGraph(((0,), (1,)))
 
 
 def test_star_bipartite_rejects_small_n():
-    with pytest.raises(ValueError):
-        construct_star_bipartite(1)
+    with pytest.raises(ValueError, match=re.escape("need n >= 2")):
+        construct_trivial_blocks(1)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_star_bipartite_partitions_edges(n):
-    stars = construct_star_bipartite(n)
+    stars = star_partition(n)
     assert len(stars) == n - 1
     covered = [e for s in stars for e in bipartite_edges(s)]
     assert len(covered) == comb(n, 2)
@@ -177,6 +185,20 @@ def test_block_decomposition_rejects_small_n(n):
         BlockDecomposition(n, ())
 
 
+@pytest.mark.parametrize("n", [3.0, True, 0.0], ids=["float", "bool", "float-zero"])
+def test_block_decomposition_rejects_n_other_than_int(n):
+    # serialize_blocks would write ``n 3.0``, which parse_blocks refuses.
+    with pytest.raises(ValueError, match=f"^need int n, got n={n}$"):
+        BlockDecomposition(n, construct_trivial_blocks(3).blocks)
+
+
+def test_block_decomposition_rejects_blocks_in_a_list():
+    blocks = construct_trivial_blocks(3).blocks
+    with pytest.raises(ValueError, match="^a list for the blocks, not a tuple$"):
+        BlockDecomposition(3, list(blocks))
+    assert BlockDecomposition(3, blocks).blocks == blocks
+
+
 def test_block_decomposition_reports_first_bad_factor():
     bad = (Block(STAR, RPartiteGraph(((0,), (5,)))), Block(RPartiteGraph(((1,), (1,))), STAR))
     with pytest.raises(ValueError, match="^block 0 second factor has out-of-range vertex 5$"):
@@ -199,17 +221,17 @@ def test_block_decomposition_checks_each_factor_object_once(monkeypatch):
     assert len(walked) == 5
 
 
-def test_block_to_four_parts_relabels():
+def test_placed_block_relabels():
     blk = Block(
         RPartiteGraph(((0,), (1, 2))),
         RPartiteGraph(((0,), (1,))),
     )
-    assert block_to_four_parts(blk, 0, 3) == ((0,), (1, 2), (3,), (4,))
+    assert placed_block(blk, 0, 3) == ((0,), (1, 2), (3,), (4,))
 
 
-def test_block_to_four_parts_count_preserved():
+def test_placed_block_count_preserved():
     for blk in construct_trivial_blocks(4).blocks:
-        parts = block_to_four_parts(blk, 0, 4)
+        parts = placed_block(blk, 0, 4)
         prod = 1
         for p in parts:
             prod *= len(p)
@@ -223,7 +245,7 @@ def test_embedded_trivial_blocks_cover_pairs_as_4sets():
     n = 3
     seen = []
     for blk in construct_trivial_blocks(n).blocks:
-        parts = block_to_four_parts(blk, 0, n)
+        parts = placed_block(blk, 0, n)
         for combo in product(*parts):
             seen.append(tuple(sorted(combo)))
     expected = [

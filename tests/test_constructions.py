@@ -6,7 +6,6 @@ from math import comb, prod
 import pytest
 
 from gpdecomp import (
-    ClassLayout,
     construct_baseline,
     construct_even_from_odd,
     construct_theorem1,
@@ -18,7 +17,7 @@ from gpdecomp import (
     verify_decomposition,
 )
 from gpdecomp.blocks import Block, BlockDecomposition
-from gpdecomp.constructions import Route, _profiles, _route_pieces, theorem1_routes
+from gpdecomp.constructions import ClassLayout, Route, _profiles, _route_pieces, theorem1_routes
 from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
 from route_reference import per_profile_routes, route_signature
 

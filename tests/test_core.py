@@ -21,7 +21,8 @@ from gpdecomp import (
     serialize_decomposition,
 )
 import gpdecomp.core
-from gpdecomp.blocks import Block, BlockDecomposition, block_to_four_parts
+from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.constructions import _placed
 from gpdecomp.core import (
     RPartiteGraph,
     edge_masks,
@@ -137,7 +138,7 @@ def test_edge_masks_allocate_no_more_than_product_sum():
     # The masks of the 841 block pieces of n = 30 placed at (0, 30) are two
     # 30-bit digits each.  Summing them (or folding with +) keeps a spare
     # digit per mask, about 0.75 MB more here; the | fold must not.
-    pieces = [RPartiteGraph(block_to_four_parts(b, 0, 30))
+    pieces = [RPartiteGraph(_placed(b.first.parts, 0) + _placed(b.second.parts, 30))
               for b in construct_trivial_blocks(30).blocks]
 
     def traced_peak(kernel):
@@ -170,6 +171,31 @@ def test_ground_set_validation():
         GroundSet(3, 0)
     with pytest.raises(ValueError):
         GroundSet(1, 2)  # the n-1 stars of K_n need n >= 2
+    with pytest.raises(ValueError) as refused:
+        GroundSet(3, 4)
+    assert str(refused.value) == "need 1 <= r <= n, got n=3, r=4"
+
+
+@pytest.mark.parametrize("n, r", [(5.0, 2), (True, 1), (5, 2.0), (1, False), (2.0, 3)],
+                         ids=["float-n", "bool-n", "float-r", "bool-r", "float-n-small"])
+def test_ground_set_sizes_are_ints(n, r):
+    # A size merely equal to an int would serialize to a header such as
+    # ``n 5.0 r 2 pieces 4``, which the parser refuses.  The type comes first.
+    with pytest.raises(ValueError) as refused:
+        GroundSet(n, r)
+    assert str(refused.value) == f"need int n and r, got n={n}, r={r}"
+
+
+def test_pieces_in_a_list_are_refused():
+    # A list could still change after the check: the baseline (5,2) with
+    # its last piece appended late would keep a stale reject, and it would
+    # not equal its own parsed copy, whose pieces are a tuple.
+    d = construct_baseline(5, 2)
+    for pieces in (list(d.pieces[:-1]), list(d.pieces)):
+        with pytest.raises(ValueError) as refused:
+            Decomposition(d.ground, pieces)
+        assert str(refused.value) == "a list for the pieces, not a tuple"
+    assert Decomposition(d.ground, tuple(d.pieces)) == d
 
 
 @pytest.mark.parametrize(

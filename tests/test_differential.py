@@ -24,7 +24,6 @@ from gpdecomp import (
     VerificationReport,
     construct_baseline,
     construct_even_from_odd,
-    construct_star_bipartite,
     construct_theorem1,
     construct_trivial_blocks,
     coverage_histogram,
@@ -33,6 +32,7 @@ from gpdecomp import (
 )
 from gpdecomp.blocks import Block, BlockDecomposition, BlockReport
 from gpdecomp.core import RPartiteGraph
+from test_blocks import star_partition
 from test_core import canonical
 from test_exact_differential import reference_candidates
 
@@ -221,7 +221,7 @@ def relabelled_layer(n: int, perms) -> Tuple[Block, ...]:
     blocks whose first factor holds an edge of S_i have second factors
     ``pi_i(S)``, so the groups of different first stars differ.  Each
     relabelled factor is put back in canonical order."""
-    stars = construct_star_bipartite(n)
+    stars = star_partition(n)
     return tuple(
         Block(s, canonical([pi[v] for v in side] for side in t.parts))
         for s, pi in zip(stars, perms) for t in stars)

@@ -325,19 +325,30 @@ def drawn_parts(draw, n: int, r: int):
     return tuple(parts)
 
 
+def drawn_size(draw, size: int):
+    """``size`` as an int, a float or, for 0 and 1, a bool: each equal to it."""
+    return draw(st.sampled_from((int, float, bool) if size in (0, 1) else (int, float)))(size)
+
+
+def drawn_container(draw, items):
+    """``items`` in a tuple or a list."""
+    return draw(st.sampled_from((tuple, list)))(items)
+
+
 @st.composite
 def drawn_decompositions(draw):
     n = draw(st.integers(1, 7))
     r = draw(st.integers(1, n))
     pieces = draw(st.lists(drawn_parts(n, r).map(RPartiteGraph), max_size=6))
-    return GroundSet(n, r), tuple(pieces)
+    return drawn_size(draw, n), drawn_size(draw, r), drawn_container(draw, pieces)
 
 
 @st.composite
 def drawn_block_layers(draw):
     n = draw(st.integers(2, 6))
     factors = st.one_of(drawn_parts(n, 2), drawn_parts(n, 3)).map(RPartiteGraph)
-    return n, tuple(draw(st.lists(st.builds(Block, factors, factors), max_size=6)))
+    blocks = draw(st.lists(st.builds(Block, factors, factors), max_size=6))
+    return drawn_size(draw, n), drawn_container(draw, blocks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,9 +356,12 @@ def drawn_block_layers(draw):
 def test_accepted_objects_round_trip_byte_for_byte(dec_args, block_args):
     # The piece rule in memory and the file formats are one rule: whatever a
     # constructor accepts, its file parses back to it and re-serializes to
-    # the same bytes.
+    # the same bytes.  Sizes are drawn as ints, floats or bools and pieces
+    # and blocks in tuples or lists, so a constructor must refuse what its
+    # file could not hold.
     for build, serialize, parse, args in (
-            (Decomposition, serialize_decomposition, parse_decomposition, dec_args),
+            (lambda n, r, pieces: Decomposition(GroundSet(n, r), pieces),
+             serialize_decomposition, parse_decomposition, dec_args),
             (BlockDecomposition, serialize_blocks, parse_blocks, block_args)):
         try:
             obj = build(*args)
