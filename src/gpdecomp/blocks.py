@@ -7,8 +7,9 @@ class-local labels 0..n-1).  A bipartite factor is a two-part
 :class:`~gpdecomp.core.RPartiteGraph`, and :class:`BlockDecomposition`
 applies the one piece rule, :func:`~gpdecomp.core.piece_problem` with r = 2,
 to every distinct factor when it is built: each factor has two disjoint
-ascending sides of 0..n-1, the side with the smaller minimum first.  The
-main construction places a block on its classes ci < cj, class one shifted
+ascending sides of 0..n-1, the side with the smaller minimum first; it
+walks each distinct factor object once, with no per-block loop.  The main
+construction places a block on its classes ci < cj, class one shifted
 up by ci*n and class two by cj*n, so one block decomposition serves every
 class pair, and the four parts so placed are canonical as they stand.
 
@@ -16,9 +17,10 @@ class pair, and the four parts so placed are canonical as they stand.
 blocks: the layer is a partition exactly when, for every edge e1 of K_n, the
 second factors of the blocks whose first factor holds e1 partition E(K_n).
 It checks each distinct such group of second factors once, in the order of
-e1, so its witness is still the lexicographically first bad pair; it costs
-the first factors' edges plus C(n,2) per distinct group, and at worst (every
-group distinct) the C(n,2)^2 pairs themselves.
+e1, so its witness is still the lexicographically first bad pair.  It costs
+one pass over the blocks, the edges of each distinct first factor once, and
+one C(n,2) check per distinct group: at worst (every group distinct) the
+C(n,2)^2 pairs themselves.
 
 Any function ``n -> BlockDecomposition`` can serve as a block provider for
 the main construction, which rejects with ``ValueError`` an output that is
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import comb
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -39,7 +42,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Product of the edge sets of two complete bipartite graphs, each a
     two-part piece."""
@@ -48,14 +51,26 @@ class Block:
     second: RPartiteGraph
 
 
+_SIDES = attrgetter("first", "second")
+_FIRST, _SECOND = attrgetter("first"), attrgetter("second")
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks.
 
-    Built only for an int n >= 1, from a tuple of blocks whose factors pass
-    the piece rule for r = 2 over 0..n-1; anything else raises ValueError,
-    for a factor naming the first bad one, as ``block i first factor has
-    <problem>`` (or ``second``)."""
+    Built only for an int n >= 1, from a tuple of Blocks whose factors are
+    RPartiteGraphs passing the piece rule for r = 2 over 0..n-1; anything
+    else raises ValueError naming the first bad block, as ``block i is a
+    tuple, not a Block``, or the first bad factor, as ``block i first factor
+    has <problem>`` (or ``second``, or ``is a tuple, not an RPartiteGraph``).
+
+    The check walks each distinct factor object once, in block order, with
+    no per-block loop: one C-level pass lists the factors and a dict keyed by
+    ``id`` keeps the distinct ones.  The trivial blocks reuse n-1 stars, and
+    a parsed layer shares its equal halves.  Only a refusal looks for the
+    first block and side holding the bad object, which, the objects being
+    walked in order of first appearance, is the first bad factor slot."""
 
     n: int
     blocks: Tuple[Block, ...]
@@ -67,16 +82,21 @@ class BlockDecomposition:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not isinstance(self.blocks, tuple):
             raise ValueError(f"a {type(self.blocks).__name__} for the blocks, not a tuple")
-        # Each distinct factor object once, by identity: the trivial blocks
-        # reuse n-1 stars, and a parsed layer shares its equal halves.
-        checked = set()
-        for i, blk in enumerate(self.blocks):
-            for side, g in (("first", blk.first), ("second", blk.second)):
-                if id(g) not in checked:
-                    problem = piece_problem(g.parts, self.n, 2)
-                    if problem is not None:
-                        raise ValueError(f"block {i} {side} factor has {problem}")
-                    checked.add(id(g))
+        try:  # every factor slot: block 0's first and second, then block 1's, ...
+            slots = list(chain.from_iterable(map(_SIDES, self.blocks)))
+        except AttributeError:
+            i, blk = next((i, b) for i, b in enumerate(self.blocks)
+                          if not (hasattr(b, "first") and hasattr(b, "second")))
+            raise ValueError(f"block {i} is a {type(blk).__name__}, not a Block") from None
+        for g in dict(zip(map(id, slots), slots)).values():
+            try:
+                problem = piece_problem(g.parts, self.n, 2)
+                fault = problem and f"has {problem}"
+            except AttributeError:
+                fault = f"is a {type(g).__name__}, not an RPartiteGraph"
+            if fault:
+                k = next(k for k, h in enumerate(slots) if h is g)
+                raise ValueError(f"block {k // 2} {('first', 'second')[k % 2]} factor {fault}")
 
 
 @dataclass(frozen=True)
@@ -114,43 +134,58 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     A pair (e1, e2) is covered once by each block whose first factor holds
     e1 and whose second factor holds e2, so the blocks partition the pairs
     exactly when, for every e1, the second factors of the blocks whose first
-    factor holds e1 (its group) partition E(K_n).  One walk over the blocks
-    records each e1's group as indices of distinct factors; then each e1, in
-    lexicographic order, has its group checked through the coverage kernel,
-    with the verdict cached by the group's tuple of indices.  The first e1
-    whose group fails, with the group's first e2 covered other than once, is
-    the lexicographically first bad pair, as a scan of all pairs would find.
+    factor holds e1 (its group) partition E(K_n).  One pass over the blocks
+    lists, for each distinct first factor object, its blocks' second
+    factors; one pass over each distinct first factor's edges records the
+    first factors holding each e1.  Then each e1, in lexicographic order, has
+    its group checked through the coverage kernel, with the verdict cached by
+    the tuple of first factors holding e1 and then by the group's content,
+    so the trivial layer, whose n-1 first stars share one group, is checked
+    once.  The first e1 whose group fails, with the group's first e2 covered
+    other than once, is the lexicographically first bad pair, as a scan of
+    all pairs would find.
 
-    Each distinct factor's edges are built once, so the cost is the sum of
-    the first factors' sizes plus one C(n,2) check per distinct group; at
-    worst, every group distinct, that is the C(n,2)^2 pair census itself.
+    Each distinct factor's edges are built at most once, so the cost is one
+    pass over the blocks, the distinct first factors' edges, and one C(n,2)
+    check per distinct group; at worst, every group distinct, that is the
+    C(n,2)^2 pair census itself.
     """
     n = bd.n
     edges = comb(n, 2)
-    # Each distinct factor object to its index in masks; the layer holds its
-    # factors, so their ids are stable for the call.
-    index: Dict[int, int] = {}
-    masks: List[List[int]] = []
+    # Factors are keyed by object identity; the layer holds them, so their
+    # ids are stable for the call.
+    masks: Dict[int, List[int]] = {}
 
-    def edges_of(g: RPartiteGraph) -> int:
-        i = index.get(id(g))
-        if i is None:
-            i = index[id(g)] = len(masks)
-            masks.append(edge_masks(g))
-        return i
+    def edges_of(g: RPartiteGraph) -> List[int]:
+        m = masks.get(id(g))
+        if m is None:
+            m = masks[id(g)] = edge_masks(g)
+        return m
 
-    groups: Dict[int, List[int]] = defaultdict(list)
-    for blk in bd.blocks:
-        j = edges_of(blk.second)
-        for e1 in masks[edges_of(blk.first)]:
-            groups[e1].append(j)
-    verdicts: Dict[Tuple[int, ...], Optional[Tuple[int, int, Dict[int, int]]]] = {}
+    firsts = list(map(_FIRST, bd.blocks))
+    ids = list(map(id, firsts))
+    # Each distinct first factor to its blocks' second factors, in block order.
+    seconds: Dict[int, List[RPartiteGraph]] = defaultdict(list)
+    for f, s in zip(ids, map(_SECOND, bd.blocks)):
+        seconds[f].append(s)
+    holders: Dict[int, List[int]] = defaultdict(list)  # e1 -> the first factors holding it
+    for f, g in dict(zip(ids, firsts)).items():
+        for e1 in edges_of(g):
+            holders[e1].append(f)
+    # first_miscovered's verdicts, by the first factors holding e1 and by
+    # the ids of the group's second factors
+    by_holders: Dict[Tuple[int, ...], Optional[tuple]] = {}
+    by_group: Dict[Tuple[int, ...], Optional[tuple]] = {}
     for e1 in subset_masks(n, 2):
-        key = tuple(groups.get(e1, ()))
-        if key not in verdicts:
-            verdicts[key] = first_miscovered(
-                list(map(masks.__getitem__, key)), subset_masks(n, 2), edges)
-        bad = verdicts[key]
+        key = tuple(holders.get(e1, ()))
+        if key not in by_holders:
+            group = list(chain.from_iterable(map(seconds.__getitem__, key)))
+            content = tuple(map(id, group))
+            if content not in by_group:
+                by_group[content] = first_miscovered(
+                    list(map(edges_of, group)), subset_masks(n, 2), edges)
+            by_holders[key] = by_group[content]
+        bad = by_holders[key]
         if bad is not None:
             return BlockReport(False, len(bd.blocks), edges ** 2,
                                (edge_of_mask(e1), edge_of_mask(bad[0])), bad[1])

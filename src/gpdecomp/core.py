@@ -72,7 +72,8 @@ class Decomposition:
     Carries the piece rule: the pieces are a tuple, so they cannot change
     after the check, and every piece passes :func:`piece_problem` for
     ``ground``, or ValueError names the first piece that does not, as
-    ``piece i has <problem>``.  The constructor checks it, testing each
+    ``piece i has <problem>`` (``piece i is a tuple, not an RPartiteGraph``
+    for a piece with no parts).  The constructor checks it, testing each
     distinct part once through a :class:`_PartMasks` table and walking with
     :func:`piece_problem` only a piece the masks cannot vouch for; only
     :meth:`_from_checked` skips that, for pieces derived from checked ones.
@@ -87,21 +88,24 @@ class Decomposition:
             raise ValueError(f"a {type(self.pieces).__name__} for the pieces, not a tuple")
         n, r = self.ground.n, self.ground.r
         mask = _PartMasks(n).__getitem__
-        for i, p in enumerate(self.pieces):
-            parts = p.parts
-            try:
-                masks = list(map(mask, parts))
-            except TypeError:  # an unhashable part: a list, or a tuple holding one
-                masks = ()
-            # r sound parts share no vertex when their masks add up to one
-            # bit per vertex; any other piece (a fault, or, for n above
-            # 1024, vertices 1024 apart) is walked.
-            if (len(masks) != r or min(masks) <= 0
-                    or sum(masks).bit_count() != sum(map(len, parts))
-                    or parts != tuple(sorted(parts))):
-                problem = piece_problem(parts, n, r)
-                if problem is not None:
-                    raise ValueError(f"piece {i} has {problem}")
+        try:
+            for i, p in enumerate(self.pieces):
+                parts = p.parts
+                try:
+                    masks = list(map(mask, parts))
+                except TypeError:  # an unhashable part: a list, or a tuple holding one
+                    masks = ()
+                # r sound parts share no vertex when their masks add up to one
+                # bit per vertex; any other piece (a fault, or, for n above
+                # 1024, vertices 1024 apart) is walked.
+                if (len(masks) != r or min(masks) <= 0
+                        or sum(masks).bit_count() != sum(map(len, parts))
+                        or parts != tuple(sorted(parts))):
+                    problem = piece_problem(parts, n, r)
+                    if problem is not None:
+                        raise ValueError(f"piece {i} has {problem}")
+        except AttributeError:  # from ``p.parts``: the loop stopped at piece i
+            raise ValueError(f"piece {i} is a {type(p).__name__}, not an RPartiteGraph") from None
 
     @classmethod
     def _from_checked(cls, ground: GroundSet,

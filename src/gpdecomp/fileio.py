@@ -198,7 +198,8 @@ def parse_blocks(text: str) -> BlockDecomposition:
     halves joined by `` ; `` or has a bad half (its first half first), named
     by its block number; else the first factor breaking the piece rule for
     r = 2, canonical order included, in :class:`BlockDecomposition`'s words,
-    which name its block and side.  Each half costs one table lookup.
+    which name its block and side.  Each half costs one table lookup, and
+    equal halves share one factor object, which that check walks once.
     """
     tokens = _Tokens()
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)

@@ -109,9 +109,10 @@ def test_verify_blocks_reports_the_first_pair_of_duplicated_blocks():
 
 
 def test_verify_blocks_counts_through_the_product_structure(monkeypatch):
-    # The first factors' edges plus one C(n,2) check per distinct group:
-    # at most 2 * 39 * 780 masks for n = 40, where placing every block as a
-    # four-part piece builds all C(40,2)^2 = 608,400 pairs.
+    # Each distinct factor's edges are built at most once: the 39 stars of
+    # n = 40, first and second factors alike, hold C(40,2) = 780 edges
+    # between them, where placing every block as a four-part piece builds
+    # all C(40,2)^2 = 608,400 pairs.
     built = 0
     real = gpdecomp.blocks.edge_masks
 
@@ -124,7 +125,41 @@ def test_verify_blocks_counts_through_the_product_structure(monkeypatch):
     monkeypatch.setattr(gpdecomp.blocks, "edge_masks", counted)
     report = verify_blocks(construct_trivial_blocks(40))
     assert report.valid and report.pair_count == 608_400
-    assert 0 < built <= 2 * 39 * 780
+    assert 0 < built <= 780
+
+
+def test_verify_blocks_walks_each_first_factor_once(monkeypatch):
+    # The first factors holding each e1 are found in one pass over each
+    # distinct first factor's edges: at most C(40,2) = 780 steps on the
+    # trivial layer of n = 40, where a pass per block takes 39 * 780.  Its
+    # 39 stars share one group, so the coverage kernel runs once; the steps
+    # the kernel takes over the second factors are not counted.
+    steps, calls, inside = 0, 0, False
+
+    class Counted(list):
+        def __iter__(self):
+            nonlocal steps
+            for m in list.__iter__(self):
+                steps += not inside
+                yield m
+
+    real_masks = gpdecomp.blocks.edge_masks
+    real_kernel = gpdecomp.blocks.first_miscovered
+
+    def kernel(*args):
+        nonlocal calls, inside
+        calls += 1
+        inside = True
+        try:
+            return real_kernel(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(gpdecomp.blocks, "edge_masks", lambda g: Counted(real_masks(g)))
+    monkeypatch.setattr(gpdecomp.blocks, "first_miscovered", kernel)
+    assert verify_blocks(construct_trivial_blocks(40)).valid
+    assert 0 < steps <= comb(40, 2)
+    assert calls == 1
 
 
 @pytest.mark.parametrize("copies", [1, 0, 2, 3])
@@ -197,6 +232,19 @@ def test_block_decomposition_rejects_blocks_in_a_list():
     with pytest.raises(ValueError, match="^a list for the blocks, not a tuple$"):
         BlockDecomposition(3, list(blocks))
     assert BlockDecomposition(3, blocks).blocks == blocks
+
+
+@pytest.mark.parametrize("at", [0, 3], ids=["first", "after-good-blocks"])
+def test_block_decomposition_rejects_a_block_or_factor_of_the_wrong_type(at):
+    # A pair of factors is no Block, and a bare tuple of sides no factor;
+    # each is refused in words, not with an AttributeError.
+    good = construct_trivial_blocks(3).blocks
+    with pytest.raises(ValueError, match=f"^block {at} is a tuple, not a Block$"):
+        BlockDecomposition(3, good[:at] + ((STAR, STAR),) + good[at:])
+    bad = Block(STAR, ((0,), (1,)))
+    with pytest.raises(ValueError,
+                       match=f"^block {at} second factor is a tuple, not an RPartiteGraph$"):
+        BlockDecomposition(3, good[:at] + (bad,) + good[at:])
 
 
 def test_block_decomposition_reports_first_bad_factor():

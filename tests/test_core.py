@@ -198,6 +198,16 @@ def test_pieces_in_a_list_are_refused():
     assert Decomposition(d.ground, tuple(d.pieces)) == d
 
 
+@pytest.mark.parametrize("at", [0, 2], ids=["first", "after-good-pieces"])
+def test_a_piece_of_the_wrong_type_is_refused_by_index(at):
+    # A bare tuple of parts is no RPartiteGraph; it is refused in words, not
+    # with the AttributeError its missing ``parts`` would raise.
+    good = construct_baseline(5, 2).pieces
+    pieces = good[:at] + (((0,), (1,)),) + good[at:]
+    with pytest.raises(ValueError, match=f"^piece {at} is a tuple, not an RPartiteGraph$"):
+        Decomposition(GroundSet(5, 2), pieces)
+
+
 @pytest.mark.parametrize(
     "parts, reason",
     [
