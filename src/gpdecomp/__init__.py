@@ -2,7 +2,7 @@
 r-graphs: constructions, exhaustive verification, exact minima on tiny
 instances, and exact bound-formula evaluation."""
 
-from .blocks import Block, BlockDecomposition, construct_trivial_blocks, verify_blocks
+from .blocks import BlockDecomposition, construct_trivial_blocks, verify_blocks
 from .bounds import (
     BoundReport,
     alon_lower_coefficient,
@@ -33,7 +33,6 @@ from .fileio import (
 from .verifier import VerificationReport, coverage_histogram, verify_decomposition
 
 __all__ = [
-    "Block",
     "BlockDecomposition",
     "BoundReport",
     "Decomposition",

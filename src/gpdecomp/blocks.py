@@ -3,7 +3,8 @@ complete bipartite graphs.
 
 A block is an ordered product of two complete bipartite graphs, the first
 over class one and the second over class two (both classes of size n, with
-class-local labels 0..n-1).  A bipartite factor is a two-part
+class-local labels 0..n-1), held as the plain tuple ``(first, second)`` of
+its factors.  A bipartite factor is a two-part
 :class:`~gpdecomp.core.RPartiteGraph`, and :class:`BlockDecomposition`
 applies the one piece rule, :func:`~gpdecomp.core.piece_problem` with r = 2,
 to every distinct factor when it is built: each factor has two disjoint
@@ -34,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
 from math import comb
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -42,38 +43,28 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
-    """Product of the edge sets of two complete bipartite graphs, each a
-    two-part piece."""
-
-    first: RPartiteGraph
-    second: RPartiteGraph
-
-
-_SIDES = attrgetter("first", "second")
-_FIRST, _SECOND = attrgetter("first"), attrgetter("second")
-
-
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Claimed partition of E(K_n) x E(K_n); check it with verify_blocks.
 
-    Built only for an int n >= 1, from a tuple of Blocks whose factors are
-    RPartiteGraphs passing the piece rule for r = 2 over 0..n-1; anything
-    else raises ValueError naming the first bad block, as ``block i is a
-    tuple, not a Block``, or the first bad factor, as ``block i first factor
-    has <problem>`` (or ``second``, or ``is a tuple, not an RPartiteGraph``).
+    Built only for an int n >= 1, from a tuple of blocks, each a tuple of
+    two factors, RPartiteGraphs passing the piece rule for r = 2 over
+    0..n-1; anything else raises ValueError naming the first bad block, as
+    ``block i is a list, not a pair of factors`` or ``block i has 3 factors,
+    expected 2``, or the first bad factor, as ``block i first factor has
+    <problem>`` (or ``second``, or ``is a tuple, not an RPartiteGraph``).
 
-    The check walks each distinct factor object once, in block order, with
-    no per-block loop: one C-level pass lists the factors and a dict keyed by
-    ``id`` keeps the distinct ones.  The trivial blocks reuse n-1 stars, and
-    a parsed layer shares its equal halves.  Only a refusal looks for the
-    first block and side holding the bad object, which, the objects being
-    walked in order of first appearance, is the first bad factor slot."""
+    The check has no per-block loop.  One C-level test, the set of the
+    blocks' types and then of their lengths, finds every block a pair; one
+    C-level pass lists the factors, and a dict keyed by ``id`` keeps the
+    distinct ones, each walked once, in block order.  The trivial blocks reuse n-1 stars, and a parsed layer
+    shares its equal halves.  Only a refusal looks for the first bad block,
+    or for the first block and side holding the bad object, which, the
+    objects being walked in order of first appearance, is the first bad
+    factor slot."""
 
     n: int
-    blocks: Tuple[Block, ...]
+    blocks: Tuple[Tuple[RPartiteGraph, RPartiteGraph], ...]
 
     def __post_init__(self) -> None:
         if type(self.n) is not int:
@@ -82,12 +73,13 @@ class BlockDecomposition:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not isinstance(self.blocks, tuple):
             raise ValueError(f"a {type(self.blocks).__name__} for the blocks, not a tuple")
-        try:  # every factor slot: block 0's first and second, then block 1's, ...
-            slots = list(chain.from_iterable(map(_SIDES, self.blocks)))
-        except AttributeError:
+        if not ({*map(type, self.blocks)} <= {tuple} and {*map(len, self.blocks)} <= {2}):
             i, blk = next((i, b) for i, b in enumerate(self.blocks)
-                          if not (hasattr(b, "first") and hasattr(b, "second")))
-            raise ValueError(f"block {i} is a {type(blk).__name__}, not a Block") from None
+                          if type(b) is not tuple or len(b) != 2)
+            raise ValueError(f"block {i} has {len(blk)} factors, expected 2" if type(blk) is tuple
+                             else f"block {i} is a {type(blk).__name__}, not a pair of factors")
+        # every factor slot: block 0's first and second, then block 1's, ...
+        slots = list(chain.from_iterable(self.blocks))
         for g in dict(zip(map(id, slots), slots)).values():
             try:
                 problem = piece_problem(g.parts, self.n, 2)
@@ -119,10 +111,12 @@ def construct_trivial_blocks(n: int) -> BlockDecomposition:
     """The (n-1)^2 ordered products of the star partition of E(K_n) with
     itself: its n-1 bipartite graphs ({i}, {i+1..n-1}), each one object
     shared by the blocks that hold it."""
+    if type(n) is not int:
+        raise ValueError(f"need int n, got n={n}")
     if n < 2:
         raise ValueError("need n >= 2")
     stars = [RPartiteGraph(((i,), tuple(range(i + 1, n)))) for i in range(n - 1)]
-    return BlockDecomposition(n=n, blocks=tuple(Block(s1, s2) for s1, s2 in product(stars, stars)))
+    return BlockDecomposition(n=n, blocks=tuple(product(stars, stars)))
 
 
 def verify_blocks(bd: BlockDecomposition) -> BlockReport:
@@ -162,11 +156,11 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
             m = masks[id(g)] = edge_masks(g)
         return m
 
-    firsts = list(map(_FIRST, bd.blocks))
+    firsts = list(map(itemgetter(0), bd.blocks))
     ids = list(map(id, firsts))
     # Each distinct first factor to its blocks' second factors, in block order.
     seconds: Dict[int, List[RPartiteGraph]] = defaultdict(list)
-    for f, s in zip(ids, map(_SECOND, bd.blocks)):
+    for f, (_, s) in zip(ids, bd.blocks):
         seconds[f].append(s)
     holders: Dict[int, List[int]] = defaultdict(list)  # e1 -> the first factors holding it
     for f, g in dict(zip(ids, firsts)).items():

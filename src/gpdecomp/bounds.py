@@ -260,9 +260,11 @@ def predicted_family_tallies(
     The power is truncated at z**r and taken by squaring.  The count is
     independent of the construction's routes; the tests and the benchmark
     check it against the construction's own tallies."""
+    if type(d) is not int:
+        raise ValueError(f"need int d, got d={d}")
     if d < 1:
         raise ValueError("need d >= 1")
-    ClassLayout(k=k, n=n)  # raises unless k >= 1 and n >= 1
+    ClassLayout(k=k, n=n)  # raises unless k and n are ints >= 1
     r = 2 * d + 1
     if r > k * n:
         raise ValueError("r exceeds ground set size")

@@ -21,8 +21,9 @@ Defaults are the baseline and the trivial (n-1)^2 blocks.
 Every construction builds its pieces in canonical form directly, sorting
 nothing it was given: a provider's pieces and block factors are canonical on
 entry (the piece rule includes the order), shifting a canonical piece by a
-class offset, the one placement ``_placed``, keeps it canonical, a block
-placed on classes ci < cj is canonical as placed, and dropping a part keeps
+class offset, the one placement ``_placed``, keeps it canonical, a block,
+the pair of its two factors, placed on classes ci < cj (the first factor on
+ci, the second on cj) is canonical as placed, and dropping a part keeps
 the rest in order.  Only the merge of one combination's factors, which sit
 on disjoint class ranges, orders parts by minimum.  So the class-split and
 even-from-odd outputs, made only from checked pieces, are built with
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .blocks import Block, BlockDecomposition, construct_trivial_blocks, verify_blocks
+from .blocks import BlockDecomposition, construct_trivial_blocks, verify_blocks
 from .core import Decomposition, GroundSet, RPartiteGraph
 from .verifier import verify_decomposition
 
@@ -53,6 +54,8 @@ class ClassLayout:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int or type(self.n) is not int:
+            raise ValueError(f"need int k and n, got k={self.k}, n={self.n}")
         if self.k < 1 or self.n < 1:
             raise ValueError("need k >= 1 and n >= 1")
 
@@ -174,6 +177,8 @@ def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
     ascending order of the set, which is their sorted order; then every
     other profile's route in lexicographic size-vector order.
     """
+    if type(r) is not int:
+        raise ValueError(f"need int r, got r={r}")
     if r < 1:
         raise ValueError("need r >= 1")
     profiles = _profiles(layout, r)
@@ -231,7 +236,7 @@ def _route_pieces(
     ascending parts orders them by minimum: each piece is canonical as
     built."""
     n = layout.n
-    blocks: Tuple[Block, ...] = ()
+    blocks: Tuple[Tuple[RPartiteGraph, RPartiteGraph], ...] = ()
     if any(rt.pairs for rt in routes):
         bd = block_provider(n)
         _check_output(f"block_provider({n})", (bd.n,), (n,), lambda: verify_blocks(bd).message)
@@ -241,7 +246,7 @@ def _route_pieces(
         _check_output(f"sub_provider({n}, {s})", (dec.ground.n, dec.ground.r), (n, s),
                       lambda: verify_decomposition(dec).message)
     pair_factors = {
-        (ci, cj): [_placed(b.first.parts, ci * n) + _placed(b.second.parts, cj * n) for b in blocks]
+        (ci, cj): [_placed(f.parts, ci * n) + _placed(s.parts, cj * n) for f, s in blocks]
         for ci, cj in {p for rt in routes for p in rt.pairs}
     }
     single_factors = {
@@ -263,11 +268,13 @@ def construct_theorem1_detailed(
 ) -> Tuple[Decomposition, FamilyTally]:
     """Class-split construction for odd r = 2d+1 over k classes of size n,
     returning the decomposition together with per-family piece tallies."""
+    if type(r) is not int:
+        raise ValueError(f"need int r, got r={r}")
     if r % 2 == 0 or r < 3:
         raise ValueError("r must be odd and >= 3")
+    layout = ClassLayout(k=k, n=n)
     if n < 2:
         raise ValueError("need n >= 2")
-    layout = ClassLayout(k=k, n=n)
     routes = theorem1_routes(layout, r)
     counts = asdict(FamilyTally())
     pieces: List[RPartiteGraph] = []

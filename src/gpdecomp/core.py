@@ -15,8 +15,9 @@ where the data enters: the public :class:`Decomposition` constructor applies
 it to every piece (``piece i has ...``), whether built in memory or read by
 ``parse_decomposition``, which reads only the syntax, and
 :class:`~gpdecomp.blocks.BlockDecomposition` to every distinct block factor
-with r = 2.  The constructor tests each distinct part once, by a bitmask,
-and walks only a piece the masks cannot vouch for.  Pieces derived from
+with r = 2 (a block is the pair of its two factors, each a two-part piece).
+The constructor tests each distinct part once, by a bitmask, and walks only
+a piece the masks cannot vouch for.  Pieces derived from
 checked ones (the class-split and even-from-odd constructions) enter through
 one private constructor, ``Decomposition._from_checked``, which names its
 callers; no later check repeats the rule, and nothing downstream re-sorts a
@@ -56,7 +57,7 @@ class RPartiteGraph:
     Holds no check of its own.  The piece rule, canonical order included,
     comes with the :class:`Decomposition` or block layer it is put in; the
     constructions and the parsers build the canonical parts directly.  A
-    block factor is a two-part one.  Slotted: a piece has no instance dict,
+    block is a pair of two-part ones.  Slotted: a piece has no instance dict,
     so on CPython 3.11 it costs 40 bytes in place of 80, which counts where
     a class-split output and its parsed copy hold tens of thousands of
     pieces each.
@@ -69,7 +70,9 @@ class RPartiteGraph:
 class Decomposition:
     """A tuple of pieces over a common ground set.
 
-    Carries the piece rule: the pieces are a tuple, so they cannot change
+    Refuses a ground that is no :class:`GroundSet` (``a tuple for the
+    ground, not a GroundSet``) before it looks at the pieces.  Carries the
+    piece rule: the pieces are a tuple, so they cannot change
     after the check, and every piece passes :func:`piece_problem` for
     ``ground``, or ValueError names the first piece that does not, as
     ``piece i has <problem>`` (``piece i is a tuple, not an RPartiteGraph``
@@ -84,6 +87,8 @@ class Decomposition:
     pieces: Tuple[RPartiteGraph, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ground, GroundSet):
+            raise ValueError(f"a {type(self.ground).__name__} for the ground, not a GroundSet")
         if not isinstance(self.pieces, tuple):
             raise ValueError(f"a {type(self.pieces).__name__} for the pieces, not a tuple")
         n, r = self.ground.n, self.ground.r

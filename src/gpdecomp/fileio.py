@@ -28,8 +28,9 @@ Block files (magic ``GPB 1``)::
     a:0 b:1,2,3 ; a:0 b:1,2,3
     ...
 
-each half one bipartite factor, a two-part piece whose sides ``a`` and
-``b`` follow the piece rule with r = 2: disjoint, vertices of 0..n-1
+each line one block, the pair ``(first, second)`` of its halves, and each
+half one bipartite factor, a two-part piece whose sides ``a`` and ``b``
+follow the piece rule with r = 2: disjoint, vertices of 0..n-1
 ascending, side ``a`` holding the smaller minimum.  That is the rule
 :class:`BlockDecomposition` itself enforces; the block parser reports its
 refusal, ``block i first factor has ...`` (or ``second``), as a ParseError.
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .blocks import Block, BlockDecomposition
+from .blocks import BlockDecomposition
 from .core import Decomposition, GroundSet, RPartiteGraph
 
 
@@ -165,8 +166,8 @@ def parse_decomposition(text: str) -> Decomposition:
 def serialize_blocks(bd: BlockDecomposition) -> str:
     lines = ["GPB 1", f"n {bd.n} blocks {len(bd.blocks)}"]
     text = _Joined().__getitem__
-    lines += [f"a:{text(blk.first.parts[0])} b:{text(blk.first.parts[1])}"
-              f" ; a:{text(blk.second.parts[0])} b:{text(blk.second.parts[1])}" for blk in bd.blocks]
+    lines += [f"a:{text(f.parts[0])} b:{text(f.parts[1])} ; a:{text(s.parts[0])} b:{text(s.parts[1])}"
+              for f, s in bd.blocks]
     lines.append("")
     return "\n".join(lines)
 
@@ -198,19 +199,20 @@ def parse_blocks(text: str) -> BlockDecomposition:
     halves joined by `` ; `` or has a bad half (its first half first), named
     by its block number; else the first factor breaking the piece rule for
     r = 2, canonical order included, in :class:`BlockDecomposition`'s words,
-    which name its block and side.  Each half costs one table lookup, and
-    equal halves share one factor object, which that check walks once.
+    which name its block and side.  Each line becomes the pair of its
+    halves' factors, each half costing one table lookup, and equal halves
+    share one factor object, which that check walks once.
     """
     tokens = _Tokens()
     (n, _), lines = _read_header(text, "GPB 1", ("n", "blocks"), tokens)
     factor = _Factors(tokens).__getitem__
-    blocks: List[Block] = []
+    blocks: List[Tuple[RPartiteGraph, RPartiteGraph]] = []
     for i, line in enumerate(lines):
         halves = line.split(" ; ")
         if len(halves) != 2:
             raise ParseError(f"block {i} bad block line {line!r}")
         try:
-            blocks.append(Block(factor(halves[0]), factor(halves[1])))
+            blocks.append((factor(halves[0]), factor(halves[1])))
         except ParseError as exc:  # the table is per file and knows no line
             raise ParseError(f"block {i} {exc}") from exc
     try:

@@ -6,7 +6,6 @@ import gpdecomp
 # The package's public names.  Adding or dropping one is a decision that
 # shows in the diff of this list.
 PUBLIC = [
-    "Block",
     "BlockDecomposition",
     "BoundReport",
     "Decomposition",

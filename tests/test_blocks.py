@@ -6,7 +6,7 @@ import pytest
 
 import gpdecomp.blocks
 from gpdecomp import construct_trivial_blocks, verify_blocks
-from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.blocks import BlockDecomposition
 from gpdecomp.constructions import _placed
 from gpdecomp.core import RPartiteGraph
 from test_constructions import split_trivial_blocks
@@ -21,13 +21,14 @@ def bipartite_edges(g):
 def star_partition(n):
     """The star partition of E(K_n) the trivial layer is built from: its
     distinct first factors, in order."""
-    return list(dict.fromkeys(b.first for b in construct_trivial_blocks(n).blocks))
+    return list(dict.fromkeys(first for first, _ in construct_trivial_blocks(n).blocks))
 
 
 def placed_block(b, one, two):
     """A block's four sides, class one shifted up by ``one`` and class two
     by ``two``, as the class-split construction places it."""
-    return _placed(b.first.parts, one) + _placed(b.second.parts, two)
+    first, second = b
+    return _placed(first.parts, one) + _placed(second.parts, two)
 
 
 def test_star_bipartite_n4():
@@ -64,6 +65,7 @@ def test_star_bipartite_partitions_edges(n):
 def test_trivial_blocks_valid(n):
     bd = construct_trivial_blocks(n)
     assert len(bd.blocks) == (n - 1) ** 2
+    assert all(type(b) is tuple and len(b) == 2 for b in bd.blocks)
     report = verify_blocks(bd)
     assert report.valid
     assert report.pair_count == comb(n, 2) ** 2
@@ -74,9 +76,9 @@ def test_trivial_blocks_n3_pair_census():
     assert len(bd.blocks) == 4
     pairs = [
         (e1, e2)
-        for blk in bd.blocks
-        for e1 in bipartite_edges(blk.first)
-        for e2 in bipartite_edges(blk.second)
+        for first, second in bd.blocks
+        for e1 in bipartite_edges(first)
+        for e2 in bipartite_edges(second)
     ]
     assert len(pairs) == 9
     assert set(pairs) == set(product(combinations(range(3), 2), repeat=2))
@@ -169,9 +171,9 @@ def test_equal_factor_objects_verify_as_shared_ones(copies):
     # them, valid or with block 7 deleted, doubled or tripled.
     shared = list(construct_trivial_blocks(5).blocks)
     shared[7:8] = [shared[7]] * copies
-    fresh = [Block(RPartiteGraph(b.first.parts), RPartiteGraph(b.second.parts)) for b in shared]
-    assert fresh == shared and fresh[0].first is not shared[0].first
-    assert len({id(b.first) for b in fresh}) == len(fresh) > len({id(b.first) for b in shared})
+    fresh = [(RPartiteGraph(f.parts), RPartiteGraph(s.parts)) for f, s in shared]
+    assert fresh == shared and fresh[0][0] is not shared[0][0]
+    assert len({id(f) for f, _ in fresh}) == len(fresh) > len({id(f) for f, _ in shared})
     report = verify_blocks(BlockDecomposition(5, tuple(shared)))
     assert verify_blocks(BlockDecomposition(5, tuple(fresh))) == report
     assert report.valid == (copies == 1)
@@ -208,7 +210,7 @@ STAR = RPartiteGraph(((0,), (1,)))
 @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
 def test_block_decomposition_rejects_bad_factor(factor, reason, second):
     g = RPartiteGraph(factor)
-    bad = Block(STAR, g) if second else Block(g, STAR)
+    bad = (STAR, g) if second else (g, STAR)
     side = "second" if second else "first"
     with pytest.raises(ValueError, match=rf"^block 4 {side} factor has {re.escape(reason)}$"):
         BlockDecomposition(3, construct_trivial_blocks(3).blocks + (bad,))
@@ -236,19 +238,25 @@ def test_block_decomposition_rejects_blocks_in_a_list():
 
 @pytest.mark.parametrize("at", [0, 3], ids=["first", "after-good-blocks"])
 def test_block_decomposition_rejects_a_block_or_factor_of_the_wrong_type(at):
-    # A pair of factors is no Block, and a bare tuple of sides no factor;
-    # each is refused in words, not with an AttributeError.
+    # A block is a tuple of two factors: a pair of stars is one, equal to the
+    # trivial layer's block, while a list, or a tuple of one or three
+    # factors, is refused in words, as is a bare tuple of sides for a factor.
     good = construct_trivial_blocks(3).blocks
-    with pytest.raises(ValueError, match=f"^block {at} is a tuple, not a Block$"):
-        BlockDecomposition(3, good[:at] + ((STAR, STAR),) + good[at:])
-    bad = Block(STAR, ((0,), (1,)))
+    star = RPartiteGraph(((0,), (1, 2)))
+    layer = BlockDecomposition(3, good[:at] + ((star, star),) + good[at:])
+    assert layer.blocks[at] == good[0] == (star, star)
+    for bad, words in [([STAR, STAR], "is a list, not a pair of factors"),
+                       ((STAR,), "has 1 factors, expected 2"),
+                       ((STAR, STAR, STAR), "has 3 factors, expected 2")]:
+        with pytest.raises(ValueError, match=rf"^block {at} {re.escape(words)}$"):
+            BlockDecomposition(3, good[:at] + (bad,) + good[at:])
     with pytest.raises(ValueError,
                        match=f"^block {at} second factor is a tuple, not an RPartiteGraph$"):
-        BlockDecomposition(3, good[:at] + (bad,) + good[at:])
+        BlockDecomposition(3, good[:at] + ((STAR, ((0,), (1,))),) + good[at:])
 
 
 def test_block_decomposition_reports_first_bad_factor():
-    bad = (Block(STAR, RPartiteGraph(((0,), (5,)))), Block(RPartiteGraph(((1,), (1,))), STAR))
+    bad = ((STAR, RPartiteGraph(((0,), (5,)))), (RPartiteGraph(((1,), (1,))), STAR))
     with pytest.raises(ValueError, match="^block 0 second factor has out-of-range vertex 5$"):
         BlockDecomposition(3, bad)
 
@@ -270,10 +278,7 @@ def test_block_decomposition_checks_each_factor_object_once(monkeypatch):
 
 
 def test_placed_block_relabels():
-    blk = Block(
-        RPartiteGraph(((0,), (1, 2))),
-        RPartiteGraph(((0,), (1,))),
-    )
+    blk = (RPartiteGraph(((0,), (1, 2))), RPartiteGraph(((0,), (1,))))
     assert placed_block(blk, 0, 3) == ((0,), (1, 2), (3,), (4,))
 
 
@@ -283,7 +288,7 @@ def test_placed_block_count_preserved():
         prod = 1
         for p in parts:
             prod *= len(p)
-        (a1, b1), (a2, b2) = blk.first.parts, blk.second.parts
+        (a1, b1), (a2, b2) = blk[0].parts, blk[1].parts
         assert prod == len(a1) * len(b1) * len(a2) * len(b2)
 
 

@@ -16,7 +16,7 @@ from gpdecomp import (
     verify_blocks,
     verify_decomposition,
 )
-from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.blocks import BlockDecomposition
 from gpdecomp.constructions import ClassLayout, Route, _profiles, _route_pieces, theorem1_routes
 from gpdecomp.core import Decomposition, GroundSet, RPartiteGraph, edge_masks, edge_of_mask
 from route_reference import per_profile_routes, route_signature
@@ -229,6 +229,30 @@ def test_theorem1_routes_refusals():
             theorem1_routes(ClassLayout(k=2, n=3), r)
 
 
+@pytest.mark.parametrize("size", [3, 3.0, 0.0, True, False, "3"],
+                         ids=["int", "float", "float-zero", "bool", "bool-false", "str"])
+def test_a_size_that_is_not_an_int_is_refused_in_words(size):
+    # A float or bool would die inside range with a bare TypeError, a str
+    # inside <, or either pass a range check first; the type comes first.
+    # ClassLayout tests k and n for every class-split entry point.
+    calls = [
+        (construct_trivial_blocks, (size,), f"need int n, got n={size}"),
+        (construct_theorem1, (size, 3, 3), f"need int k and n, got k=3, n={size}"),
+        (construct_theorem1_detailed, (3, size, 3), f"need int k and n, got k={size}, n=3"),
+        (construct_theorem1, (3, 3, size), f"need int r, got r={size}"),
+        (theorem1_routes, (ClassLayout(k=3, n=3), size), f"need int r, got r={size}"),
+        (predicted_family_tallies, (size, 3, 1), f"need int k and n, got k=3, n={size}"),
+        (predicted_family_tallies, (3, 3, size), f"need int d, got d={size}"),
+    ]
+    for call, args, words in calls:
+        if type(size) is int:
+            call(*args)
+            continue
+        with pytest.raises(ValueError) as refused:
+            call(*args)
+        assert str(refused.value) == words, (call.__name__, args)
+
+
 def test_pieces_and_routes_hold_no_instance_dict():
     for obj in (RPartiteGraph(((0,), (1,))), Route("generic", (), ((0, 1),))):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
@@ -274,7 +298,7 @@ def test_theorem1_accepts_substituted_block_provider():
         RPartiteGraph(((0,), (1,))),
         RPartiteGraph(((2,), (3,))),
     ]
-    bd = BlockDecomposition(4, tuple(Block(a, b) for a, b in product(bip, bip)))
+    bd = BlockDecomposition(4, tuple(product(bip, bip)))
     assert verify_blocks(bd).valid
     swapped = construct_theorem1(4, 3, 5, block_provider=lambda n: bd)
     assert verify_decomposition(swapped).valid
@@ -287,11 +311,11 @@ def split_trivial_blocks(n):
     """A valid (n-1)^2 + 1 block decomposition: the first trivial block with
     the second side of its first bipartite graph cut in two."""
     bd = construct_trivial_blocks(n)
-    head = bd.blocks[0]
-    a, b = head.first.parts
+    first, second = bd.blocks[0]
+    a, b = first.parts
     halves = (
-        Block(RPartiteGraph((a, b[:1])), head.second),
-        Block(RPartiteGraph((a, b[1:])), head.second),
+        (RPartiteGraph((a, b[:1])), second),
+        (RPartiteGraph((a, b[1:])), second),
     )
     return BlockDecomposition(n, halves + bd.blocks[1:])
 
@@ -320,7 +344,7 @@ def _baseline_except(size, replace):
     return lambda m, s: replace(m) if s == size else construct_baseline(m, s)
 
 
-STRAY_BLOCK = Block(RPartiteGraph(((0,), (3,))), RPartiteGraph(((0,), (1,))))
+STRAY_BLOCK = (RPartiteGraph(((0,), (3,))), RPartiteGraph(((0,), (1,))))
 FIRST_TRIVIAL = construct_trivial_blocks(3).blocks[0]
 
 
@@ -398,7 +422,7 @@ def _scrambled_blocks(m):
     """The trivial blocks with each bipartite factor's sides swapped and reversed."""
     flip = lambda g: RPartiteGraph(tuple(side[::-1] for side in g.parts[::-1]))
     return BlockDecomposition(m, tuple(
-        Block(flip(b.first), flip(b.second)) for b in construct_trivial_blocks(m).blocks))
+        (flip(f), flip(s)) for f, s in construct_trivial_blocks(m).blocks))
 
 
 # Canonical order is part of the piece rule and the constructions sort

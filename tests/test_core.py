@@ -21,7 +21,7 @@ from gpdecomp import (
     serialize_decomposition,
 )
 import gpdecomp.core
-from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.blocks import BlockDecomposition
 from gpdecomp.constructions import _placed
 from gpdecomp.core import (
     RPartiteGraph,
@@ -138,8 +138,8 @@ def test_edge_masks_allocate_no_more_than_product_sum():
     # The masks of the 841 block pieces of n = 30 placed at (0, 30) are two
     # 30-bit digits each.  Summing them (or folding with +) keeps a spare
     # digit per mask, about 0.75 MB more here; the | fold must not.
-    pieces = [RPartiteGraph(_placed(b.first.parts, 0) + _placed(b.second.parts, 30))
-              for b in construct_trivial_blocks(30).blocks]
+    pieces = [RPartiteGraph(_placed(f.parts, 0) + _placed(s.parts, 30))
+              for f, s in construct_trivial_blocks(30).blocks]
 
     def traced_peak(kernel):
         tracemalloc.start()
@@ -196,6 +196,16 @@ def test_pieces_in_a_list_are_refused():
             Decomposition(d.ground, pieces)
         assert str(refused.value) == "a list for the pieces, not a tuple"
     assert Decomposition(d.ground, tuple(d.pieces)) == d
+
+
+@pytest.mark.parametrize("ground", [(5, 2), None], ids=["tuple", "none"])
+def test_a_ground_that_is_not_a_ground_set_is_refused(ground):
+    # It is refused in words, not with the AttributeError its missing ``n``
+    # would raise, and before the pieces are looked at.
+    for pieces in ((), []):
+        with pytest.raises(ValueError) as refused:
+            Decomposition(ground, pieces)
+        assert str(refused.value) == f"a {type(ground).__name__} for the ground, not a GroundSet"
 
 
 @pytest.mark.parametrize("at", [0, 2], ids=["first", "after-good-pieces"])
@@ -297,7 +307,7 @@ def test_parts_in_lists_are_refused_in_piece_problem_words(parts, problem):
         Decomposition(GroundSet(4, 2), (good, RPartiteGraph(parts)))
     assert str(refused.value) == f"piece 1 has {problem}"
     with pytest.raises(ValueError) as refused:
-        BlockDecomposition(4, (Block(good, RPartiteGraph(parts)),))
+        BlockDecomposition(4, ((good, RPartiteGraph(parts)),))
     assert str(refused.value) == f"block 0 second factor has {problem}"
 
 
@@ -512,7 +522,7 @@ def test_bad_piece_is_refused_through_every_path(parts, problem, factor, factor_
     # The same factor as the first factor of block 4 after the four trivial
     # blocks of n = 3: in memory, through the block provider, and in a GPB
     # file, where a factor of other than two sides has no spelling.
-    stray = Block(RPartiteGraph(factor), RPartiteGraph(((0,), (1,))))
+    stray = (RPartiteGraph(factor), RPartiteGraph(((0,), (1,))))
     blocks = construct_trivial_blocks(3).blocks + (stray,)
     message = f"block 4 first factor has {factor_problem}"
     paths += [

@@ -30,7 +30,7 @@ from gpdecomp import (
     verify_blocks,
     verify_decomposition,
 )
-from gpdecomp.blocks import Block, BlockDecomposition, BlockReport
+from gpdecomp.blocks import BlockDecomposition, BlockReport
 from gpdecomp.core import RPartiteGraph
 from test_blocks import star_partition
 from test_core import canonical
@@ -110,9 +110,9 @@ def reference_histogram(d: Decomposition) -> Dict[int, int]:
 def reference_verify_blocks(bd: BlockDecomposition) -> BlockReport:
     n = bd.n
     counts: Dict[tuple, int] = {}
-    for blk in bd.blocks:
-        for e1 in reference_edges(blk.first.parts):
-            for e2 in reference_edges(blk.second.parts):
+    for first, second in bd.blocks:
+        for e1 in reference_edges(first.parts):
+            for e2 in reference_edges(second.parts):
                 counts[(e1, e2)] = counts.get((e1, e2), 0) + 1
     total = comb(n, 2) ** 2
     for pair in product(combinations(range(n), 2), repeat=2):
@@ -215,7 +215,7 @@ def bipartite_graphs(draw, n: int) -> RPartiteGraph:
     return canonical((side_a, side_b))
 
 
-def relabelled_layer(n: int, perms) -> Tuple[Block, ...]:
+def relabelled_layer(n: int, perms) -> Tuple[Tuple[RPartiteGraph, RPartiteGraph], ...]:
     """The valid layer of blocks ``S_i x pi_i(S_j)`` over the stars S of
     K_n, with its own vertex relabelling ``pi_i`` for each first star: the
     blocks whose first factor holds an edge of S_i have second factors
@@ -223,7 +223,7 @@ def relabelled_layer(n: int, perms) -> Tuple[Block, ...]:
     relabelled factor is put back in canonical order."""
     stars = star_partition(n)
     return tuple(
-        Block(s, canonical([pi[v] for v in side] for side in t.parts))
+        (s, canonical([pi[v] for v in side] for side in t.parts))
         for s, pi in zip(stars, perms) for t in stars)
 
 
@@ -245,7 +245,7 @@ def block_sets(draw) -> BlockDecomposition:
                 del blocks[i]
             else:
                 blocks.append(blocks[i])
-    blocks += draw(st.lists(st.builds(Block, bipartite_graphs(n), bipartite_graphs(n)),
+    blocks += draw(st.lists(st.tuples(bipartite_graphs(n), bipartite_graphs(n)),
                             max_size=3))
     return BlockDecomposition(n, tuple(draw(st.permutations(blocks))))
 
@@ -296,7 +296,7 @@ def test_relabelled_layers_are_partitions_with_distinct_groups(n):
     # the reject in the last group the check reaches.
     perms = [[(v + i) % n for v in range(n)] for i in range(n - 1)]
     blocks = relabelled_layer(n, perms)
-    assert len({blk.second for blk in blocks}) > n - 1
+    assert len({second for _, second in blocks}) > n - 1
     bd = BlockDecomposition(n, blocks)
     assert verify_blocks(bd) == reference_verify_blocks(bd) == BlockReport(
         True, (n - 1) ** 2, comb(n, 2) ** 2)

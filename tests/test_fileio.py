@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpdecomp import (
-    Block,
     BlockDecomposition,
     Decomposition,
     GroundSet,
@@ -345,9 +344,14 @@ def drawn_decompositions(draw):
 
 @st.composite
 def drawn_block_layers(draw):
+    """A layer whose blocks are drawn in every shape: a pair of factors, a
+    list of two, or a tuple of one or three; only the pair is a block."""
     n = draw(st.integers(2, 6))
     factors = st.one_of(drawn_parts(n, 2), drawn_parts(n, 3)).map(RPartiteGraph)
-    blocks = draw(st.lists(st.builds(Block, factors, factors), max_size=6))
+    pairs = st.tuples(factors, factors)
+    shapes = st.one_of(pairs, pairs.map(list), st.tuples(factors),
+                       st.tuples(factors, factors, factors))
+    blocks = draw(st.lists(shapes, max_size=6))
     return drawn_size(draw, n), drawn_container(draw, blocks)
 
 
@@ -356,9 +360,10 @@ def drawn_block_layers(draw):
 def test_accepted_objects_round_trip_byte_for_byte(dec_args, block_args):
     # The piece rule in memory and the file formats are one rule: whatever a
     # constructor accepts, its file parses back to it and re-serializes to
-    # the same bytes.  Sizes are drawn as ints, floats or bools and pieces
-    # and blocks in tuples or lists, so a constructor must refuse what its
-    # file could not hold.
+    # the same bytes.  Sizes are drawn as ints, floats or bools, pieces and
+    # blocks in tuples or lists, and blocks in every shape, so a constructor
+    # must refuse what its file could not hold: a block that is not a pair
+    # of factors among them.
     for build, serialize, parse, args in (
             (lambda n, r, pieces: Decomposition(GroundSet(n, r), pieces),
              serialize_decomposition, parse_decomposition, dec_args),
@@ -367,6 +372,8 @@ def test_accepted_objects_round_trip_byte_for_byte(dec_args, block_args):
             obj = build(*args)
         except ValueError:
             continue
+        if build is BlockDecomposition:
+            assert all(type(b) is tuple and len(b) == 2 for b in obj.blocks)
         text = serialize(obj)
         back = parse(text)
         assert back == obj

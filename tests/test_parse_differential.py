@@ -32,7 +32,7 @@ from gpdecomp import (
     serialize_blocks,
     serialize_decomposition,
 )
-from gpdecomp.blocks import Block, BlockDecomposition
+from gpdecomp.blocks import BlockDecomposition
 from gpdecomp.cli import main
 from gpdecomp.core import RPartiteGraph, piece_problem
 from test_core import canonical
@@ -118,8 +118,8 @@ def reference_parse_blocks(text: str) -> BlockDecomposition:
         if len(halves) != 2:
             raise ParseError(f"block {i} bad block line {line!r}")
         try:
-            blocks.append(Block(reference_bipartite(halves[0], tokens),
-                                reference_bipartite(halves[1], tokens)))
+            blocks.append((reference_bipartite(halves[0], tokens),
+                           reference_bipartite(halves[1], tokens)))
         except ParseError as exc:
             raise ParseError(f"block {i} {exc}") from exc
     try:
@@ -293,8 +293,8 @@ def _relabelled(bd: BlockDecomposition, shift: int) -> BlockDecomposition:
     and put back in canonical order, so its first and second halves differ."""
     n = bd.n
     return BlockDecomposition(n, tuple(
-        Block(b.first, canonical([(v + shift) % n for v in side] for side in b.second.parts))
-        for b in bd.blocks))
+        (f, canonical([(v + shift) % n for v in side] for side in s.parts))
+        for f, s in bd.blocks))
 
 
 VALID_GPB_TEXTS = [serialize_blocks(bd) for bd in (
@@ -378,6 +378,6 @@ def test_block_parser_matches_reference_on_valid_texts(text):
 
 def test_equal_halves_of_a_parsed_layer_are_one_object():
     bd = parse_blocks(serialize_blocks(construct_trivial_blocks(6)))
-    factors = [g for blk in bd.blocks for g in (blk.first, blk.second)]
+    factors = [g for blk in bd.blocks for g in blk]
     assert len(set(factors)) == 5
     assert len(set(map(id, factors))) == 5
