@@ -18,10 +18,11 @@ class pair, and the four parts so placed are canonical as they stand.
 blocks: the layer is a partition exactly when, for every edge e1 of K_n, the
 second factors of the blocks whose first factor holds e1 partition E(K_n).
 It checks each distinct such group of second factors once, in the order of
-e1, so its witness is still the lexicographically first bad pair.  It costs
-one pass over the blocks, the edges of each distinct first factor once, and
-one C(n,2) check per distinct group: at worst (every group distinct) the
-C(n,2)^2 pairs themselves.
+e1, through the coverage kernel :func:`~gpdecomp.core.first_miscovered`,
+so its witness is still the lexicographically first bad pair.  It costs one
+pass over the blocks, the edges of each distinct first factor once, and one
+kernel call per distinct group: at worst (every group distinct) on the order
+of the C(n,2)^2 pairs themselves.
 
 Any function ``n -> BlockDecomposition`` can serve as a block provider for
 the main construction, which rejects with ``ValueError`` an output that is
@@ -139,23 +140,17 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
     other than once, is the lexicographically first bad pair, as a scan of
     all pairs would find.
 
-    Each distinct factor's edges are built at most once, so the cost is one
-    pass over the blocks, the distinct first factors' edges, and one C(n,2)
-    check per distinct group; at worst, every group distinct, that is the
-    C(n,2)^2 pair census itself.
+    Only the distinct first factors' edges are listed, each once; a group's
+    second factors go to the kernel, which counts their edges per stub
+    without listing them, so the cost is one pass over the blocks, the
+    distinct first factors' edges, and one kernel call per distinct group
+    (one stub entry per star of the trivial layer); at worst, every group
+    distinct, that is on the order of the C(n,2)^2 pair census.
     """
     n = bd.n
     edges = comb(n, 2)
     # Factors are keyed by object identity; the layer holds them, so their
     # ids are stable for the call.
-    masks: Dict[int, List[int]] = {}
-
-    def edges_of(g: RPartiteGraph) -> List[int]:
-        m = masks.get(id(g))
-        if m is None:
-            m = masks[id(g)] = edge_masks(g)
-        return m
-
     firsts = list(map(itemgetter(0), bd.blocks))
     ids = list(map(id, firsts))
     # Each distinct first factor to its blocks' second factors, in block order.
@@ -164,7 +159,7 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
         seconds[f].append(s)
     holders: Dict[int, List[int]] = defaultdict(list)  # e1 -> the first factors holding it
     for f, g in dict(zip(ids, firsts)).items():
-        for e1 in edges_of(g):
+        for e1 in edge_masks(g):
             holders[e1].append(f)
     # first_miscovered's verdicts, by the first factors holding e1 and by
     # the ids of the group's second factors
@@ -176,8 +171,7 @@ def verify_blocks(bd: BlockDecomposition) -> BlockReport:
             group = list(chain.from_iterable(map(seconds.__getitem__, key)))
             content = tuple(map(id, group))
             if content not in by_group:
-                by_group[content] = first_miscovered(
-                    list(map(edges_of, group)), subset_masks(n, 2), edges)
+                by_group[content] = first_miscovered(group, n, 2)
             by_holders[key] = by_group[content]
         bad = by_holders[key]
         if bad is not None:

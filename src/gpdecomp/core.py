@@ -22,14 +22,24 @@ checked ones (the class-split and even-from-odd constructions) enter through
 one private constructor, ``Decomposition._from_checked``, which names its
 callers; no later check repeats the rule, and nothing downstream re-sorts a
 piece.
+
+:func:`first_miscovered` is the one coverage kernel, under both verifiers.
+It lists no edge: each edge is keyed by its stub, the edge less its lowest
+or highest vertex, whose value holds one bit per end vertex, so a piece
+adds its edges one run of end vertices at a time and the memory follows
+the stubs, C(n-1, r-1) at most, not the C(n, r) edges.  :func:`edge_masks`
+still lists a piece's edges, for the first factors of a block layer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations, filterfalse
+from math import comb
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, ...]
 
@@ -145,6 +155,8 @@ _MASK_BITS = 1024
 _BIT = (1).__lshift__
 _WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
 _INT_ONLY = {int}
+_FIRST = itemgetter(0)
+_LAST = itemgetter(-1)
 
 
 class _PartMasks(dict):
@@ -218,10 +230,17 @@ def edge_masks(piece: RPartiteGraph) -> List[int]:
     """All edges of a piece as vertex bitmasks, bit v set for vertex v, in a
     new list.
 
-    This is the one coverage kernel: the verifier, the histogram and the
-    block checker all count edges through it.  Vertices must
-    be nonnegative.  The list is in ``itertools.product`` order over the
-    parts; with r disjoint parts each mask has exactly r bits set.
+    Vertices must be nonnegative.  The list is in ``itertools.product``
+    order over the parts; with r disjoint parts each mask has exactly r bits
+    set.  The coverage kernel, :func:`first_miscovered`, lists no edges; it
+    builds the same products over r-1 parts (:func:`_product_masks`).
+    """
+    return _product_masks(piece.parts)
+
+
+def _product_masks(parts: Sequence[Tuple[int, ...]]) -> List[int]:
+    """The masks of the sets taking one vertex from each of ``parts``, in
+    ``itertools.product`` order; ``[0]`` for no parts.
 
     Every one-vertex part is ORed into one base mask, and each larger part
     is folded in, in part order, by ORing each of its vertex bits onto every
@@ -233,7 +252,7 @@ def edge_masks(piece: RPartiteGraph) -> List[int]:
     """
     base = 0
     folds = []
-    for part in piece.parts:
+    for part in parts:
         if len(part) == 1:
             base |= 1 << part[0]
         else:
@@ -246,8 +265,7 @@ def edge_masks(piece: RPartiteGraph) -> List[int]:
 
 def edge_of_mask(mask: int) -> Edge:
     """The vertices of a bitmask, ascending."""
-    # One step per set bit, not per bit below the highest: this is the key
-    # of the over-cover witness in first_miscovered.
+    # One step per set bit, not per bit below the highest.
     vertices = []
     while mask:
         low = mask & -mask
@@ -261,56 +279,133 @@ def subset_masks(n: int, r: int) -> Iterator[int]:
     return map(sum, combinations([1 << v for v in range(n)], r))
 
 
-def first_miscovered(groups: Sequence[Sequence[int]], universe: Iterable[int],
-                     total: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
-    """The one coverage verdict, decided on sets of edge masks; no Counter
-    of all masks is built.
+def _runs(parts: Tuple[Tuple[int, ...], ...],
+          low: bool) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+    """A piece's runs at its lowest (or highest) end, as pairs of the run
+    and the other parts left when it is taken (a list the next step
+    changes, so read it before asking for the next run).
 
-    ``groups`` holds the edge masks of each piece, distinct within a group
-    and all inside ``universe``: ``total`` masks in the lexicographic order
-    of their vertex tuples (:func:`edge_of_mask`), as :func:`subset_masks`
-    lists them.  Returns None when every universe mask is covered exactly
-    once.  Otherwise returns the first universe mask that is not, its
-    multiplicity, and the histogram: multiplicity -> number of universe
-    masks covered that many times.
+    The holding part is the part with the extreme vertex; its vertices
+    beyond every other part's extreme are a run, and its rest goes back
+    among the parts.  Each edge of the piece is the run's vertex at its end
+    and a set of one vertex from each other part, for exactly one run."""
+    # The parts still to walk, ordered so that the holding part is the first
+    # (lowest end) or the last (highest end).
+    ps = list(parts) if low else sorted(parts, key=_LAST)
+    while True:
+        if low:
+            head = ps.pop(0)
+            cut = bisect_left(head, ps[0][0]) if ps else len(head)
+            run, rest = head[:cut], head[cut:]
+        else:
+            head = ps.pop()
+            cut = bisect_right(head, ps[-1][-1]) if ps else 0
+            run, rest = head[cut:], head[:cut]
+        yield run, ps
+        if not rest:
+            return
+        if low:
+            insort(ps, rest)  # parts compare by their distinct minima
+        else:
+            insort(ps, rest, key=_LAST)
 
-    An accept is one C-level pass with no loop over the groups: the census
-    and the number of distinct masks both equal ``total``.  A reject makes
-    one pass over the groups that puts their masks in a set (after the
-    accept test's set only when the census equals ``total``), where a group
-    that adds fewer masks than it has repeats masks of earlier groups.
-    Every over-covered mask lies in such a group, so counting only their
-    masks, in the groups that hold any of them, gives the multiplicities.
-    The universe is read only when some mask is missing, and only up to the
-    first missing mask or the smallest over-covered one, whichever comes
-    first."""
-    census = sum(map(len, groups))
-    if census == total and len(set(chain.from_iterable(groups))) == total:
+
+def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
+                     r: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
+    """The one coverage verdict: None when ``pieces``, each passing the piece
+    rule for (n, r), cover every r-subset of 0..n-1 exactly once; otherwise
+    the mask of the first r-subset in lexicographic order (of its vertex
+    tuple, :func:`edge_of_mask`) covered other than once, its multiplicity,
+    and the histogram: multiplicity -> number of r-subsets covered that many
+    times, in the order a count of every edge, piece by piece in
+    :func:`edge_masks` order, would meet them, then 1, then 0.
+
+    No edge is listed.  Coverage is counted per stub: an edge less its
+    lowest (or highest) vertex, an (r-1)-set mask, maps to an int with one
+    bit per end vertex covered with it.  A piece is walked in runs
+    (:func:`_runs`); a run's edges are its bits on each stub of the other
+    parts, so it costs one lookup and one store per stub, and a bit already
+    set marks an over-covered edge, whose multiplicity is counted there and
+    then.  The end is chosen per call: the one whose holding parts are
+    larger in total, so that more edges share an entry, taking a piece's
+    last part (the one with the largest minimum) for the part holding its
+    highest vertex, which it is in nearly every piece the constructions
+    build; r = 1 has the one empty stub either way.
+
+    An accept is no overlap and a census of C(n, r).  A reject takes the
+    lexicographically first of: the over-covered edges; each stub's first
+    missing edge, from the bits its end expects (below its lowest vertex, or
+    above its highest) and lacks; and the first edge of the first stub in
+    lexicographic order that has none, found by listing stubs up to it."""
+    partss = [p.parts for p in pieces]
+    low = r > 1 and sum(map(len, map(_FIRST, partss))) >= sum(map(len, map(_LAST, partss)))
+    cov: Dict[int, int] = {}  # stub -> the bits of its covered end vertices
+    get = cov.get
+    over: Dict[int, int] = {}  # over-covered edge -> its multiplicity
+    census = 0
+    for parts in partss:
+        # Most pieces are one run: a holding part wholly beyond the others.
+        if low:
+            run, others = parts[0], parts[1:]
+            whole = run[-1] < others[0][0]
+        else:
+            run, others = parts[-1], parts[:-1]
+            whole = not others or run[0] > max(map(_LAST, others))
+        for run, others in ((run, others),) if whole else _runs(parts, low):
+            stubs = _product_masks(others)
+            bits = 0
+            for v in run:
+                bits |= 1 << v
+            census += len(stubs) * len(run)
+            for s in stubs:
+                c = get(s, 0)
+                if not c:
+                    cov[s] = bits  # the run's one int, shared by its new stubs
+                    continue
+                both = c & bits
+                while both:
+                    e = s | both & -both
+                    over[e] = over.get(e, 1) + 1
+                    both &= both - 1
+                cov[s] = c | bits
+    total = comb(n, r)
+    if census == total and not over:
         return None
-    # One pass builds the set of masks group by group: a group that adds fewer
-    # masks than it has repeats masks of the groups before it.
-    seen: set = set()
-    repeating = []  # indices of the groups that repeat earlier masks
-    for i, g in enumerate(groups):
-        before = len(seen)
-        seen.update(g)
-        if len(seen) - before < len(g):
-            repeating.append(i)
-    over: Dict[int, int] = {}  # over-covered mask -> its multiplicity
-    if repeating:
-        # Every over-covered mask is in a repeating group, and every group
-        # covering it comes no later than the last of those.
-        suspects = set(chain.from_iterable(map(groups.__getitem__, repeating)))
-        touching = filterfalse(suspects.isdisjoint, groups[:repeating[-1] + 1])
-        counts = Counter(filter(suspects.__contains__, chain.from_iterable(touching)))
-        over = {m: c for m, c in counts.items() if c > 1}
-    witness = min(over, key=edge_of_mask, default=None)
-    covered = len(seen)
+    covered = sum(map(int.bit_count, cov.values()))
     missing = total - covered
+    firsts = list(over)
     if missing:
-        seen.discard(witness)  # the walk stops there if no mask is missing before it
-        witness = next(filterfalse(seen.__contains__, universe))
-    hist = dict(Counter(over.values()))
+        # A stub's end expects the vertices below its lowest, or above its
+        # highest; the first it lacks gives its first missing edge.
+        top = 1 << n
+        for s, c in cov.items():
+            gap = ((s & -s) - 1 if low else top - (1 << s.bit_length())) ^ c
+            if gap:
+                firsts.append(s | gap & -gap)
+        if len(cov) < comb(n - 1, r - 1):
+            # The stubs whose end expects some vertex, in lexicographic
+            # order: lowest end, the (r-1)-subsets of 1..n-1; highest end,
+            # those of 0..n-2.
+            vertex_bits = [1 << v for v in range(n)]
+            stubs = combinations(vertex_bits[1:] if low else vertex_bits[:-1], r - 1)
+            s = next(filterfalse(cov.__contains__, map(sum, stubs)))
+            firsts.append(s | 1 if low else s | 1 << s.bit_length())
+    # Of two r-sets the lexicographically first holds the lowest vertex in
+    # which they differ.
+    witness = firsts[0]
+    for e in firsts:
+        d = witness ^ e
+        if d & -d & e:
+            witness = e
+    hist = dict(Counter(over.values())) if over else {}
+    if len(hist) > 1:
+        # Multiplicities in the order of their edges' first covers.
+        order: Dict[int, None] = {}
+        for p in pieces:
+            order.update(dict.fromkeys(filter(None, map(over.get, edge_masks(p)))))
+            if len(order) == len(hist):
+                break
+        hist = {m: hist[m] for m in order}
     if covered > len(over):
         hist[1] = covered - len(over)
     if missing:

@@ -1,15 +1,16 @@
 """Exhaustive verification that a decomposition partitions all r-subsets.
 
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
-carries the piece rule, so each edge mask from :func:`gpdecomp.core.edge_masks`
-is an r-subset of 0..n-1.  The coverage verdict
-:func:`gpdecomp.core.first_miscovered` decides on the pieces' masks: a
-decomposition whose census and distinct masks both equal C(n, r) is accepted
-from one set of them; any other is rejected with the first r-subset not
-covered exactly once and the coverage histogram, found from a set built
-piece by piece, a count of only the over-covered masks, and, when some
-r-subset is missing, a walk of the r-subsets in lexicographic order up to
-the witness.
+carries the piece rule, so each piece's edges are r-subsets of 0..n-1.  The
+coverage verdict :func:`gpdecomp.core.first_miscovered` counts them without
+listing one: each edge is keyed by its stub, the edge less its lowest or
+highest vertex, whose value holds one bit per end vertex, and a piece adds
+its edges a run of end vertices at a time.  A decomposition whose census is
+C(n, r) with no bit set twice is accepted; any other is rejected with the
+first r-subset not covered exactly once and the coverage histogram, from the
+over-covered edges counted as the walk meets them, each stub's missing end
+vertices and, only when some stub has none, the first such stub in
+lexicographic order; the r-subsets themselves are never walked.
 
 A rejected decomposition's edges are counted once: a reject keeps its
 report and its histogram, a few small objects, on the instance, and
@@ -26,14 +27,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .core import (
-    Decomposition, Edge, edge_masks, edge_of_mask, first_miscovered, subset_masks,
-)
+from .core import Decomposition, Edge, edge_of_mask, first_miscovered
 
 # ``gpdecomp verify`` refuses, unless --allow-large, a file whose header
 # asks for more: the verifier's memory is set by the header's n and r, not
-# by the file's size (a 30-byte file naming n = 20000 peaked at 26 MiB,
-# growing as n^2).  Baseline (40,7), 18.6M edges, is within the caps.
+# by the file's size.  It follows the stubs, up to C(n-1, r-1) of them, not
+# the edges: baseline (40,7), 18.6M edges and 3.3M stubs, is within the
+# caps and peaks at about 390 MiB (ru_maxrss; 1.6 s to accept, Python
+# 3.11 on a 2-core x86-64 host), where a list of every edge took 1.5 GiB.
+# A reject that looks for an absent stub lists the n vertex bits, growing
+# as n^2: a 37-byte file naming n = 20000 with one edge peaked at 26 MiB.
 SOFT_CAP_N = 1024
 SOFT_CAP_EDGES = 20_000_000
 
@@ -62,8 +65,7 @@ def _coverage(d: Decomposition) -> Tuple[VerificationReport, Dict[int, int]]:
         return kept
     n, r = d.ground.n, d.ground.r
     total = comb(n, r)
-    groups = list(map(edge_masks, d.pieces))
-    found = first_miscovered(groups, subset_masks(n, r), total)
+    found = first_miscovered(d.pieces, n, r)
     if found is None:
         return VerificationReport(True, len(d.pieces), total, total), {1: total}
     e = edge_of_mask(found[0])
@@ -75,7 +77,7 @@ def _coverage(d: Decomposition) -> Tuple[VerificationReport, Dict[int, int]]:
         False,
         len(d.pieces),
         total,
-        sum(map(len, groups)),  # one mask per edge of each piece
+        sum(m * k for m, k in found[2].items()),  # each edge once per cover
         message=f"edge {e} covered {len(hits)} times",
         witness=e,
         witness_multiplicity=len(hits),

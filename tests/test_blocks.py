@@ -111,10 +111,11 @@ def test_verify_blocks_reports_the_first_pair_of_duplicated_blocks():
 
 
 def test_verify_blocks_counts_through_the_product_structure(monkeypatch):
-    # Each distinct factor's edges are built at most once: the 39 stars of
-    # n = 40, first and second factors alike, hold C(40,2) = 780 edges
-    # between them, where placing every block as a four-part piece builds
-    # all C(40,2)^2 = 608,400 pairs.
+    # Only the first factors' edges are listed, each distinct factor's once:
+    # the 39 stars of n = 40 hold C(40,2) = 780 edges between them, where
+    # placing every block as a four-part piece builds all C(40,2)^2 =
+    # 608,400 pairs.  The second factors go to the coverage kernel, which
+    # lists no edge.
     built = 0
     real = gpdecomp.blocks.edge_masks
 
@@ -134,28 +135,23 @@ def test_verify_blocks_walks_each_first_factor_once(monkeypatch):
     # The first factors holding each e1 are found in one pass over each
     # distinct first factor's edges: at most C(40,2) = 780 steps on the
     # trivial layer of n = 40, where a pass per block takes 39 * 780.  Its
-    # 39 stars share one group, so the coverage kernel runs once; the steps
-    # the kernel takes over the second factors are not counted.
-    steps, calls, inside = 0, 0, False
+    # 39 stars share one group, so the coverage kernel runs once.
+    steps, calls = 0, 0
 
     class Counted(list):
         def __iter__(self):
             nonlocal steps
             for m in list.__iter__(self):
-                steps += not inside
+                steps += 1
                 yield m
 
     real_masks = gpdecomp.blocks.edge_masks
     real_kernel = gpdecomp.blocks.first_miscovered
 
     def kernel(*args):
-        nonlocal calls, inside
+        nonlocal calls
         calls += 1
-        inside = True
-        try:
-            return real_kernel(*args)
-        finally:
-            inside = False
+        return real_kernel(*args)
 
     monkeypatch.setattr(gpdecomp.blocks, "edge_masks", lambda g: Counted(real_masks(g)))
     monkeypatch.setattr(gpdecomp.blocks, "first_miscovered", kernel)

@@ -10,6 +10,7 @@ and the library must give identical reports on every list it accepts and on
 random block sets, trivial or relabelled so that their groups differ.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -324,3 +325,89 @@ def test_reference_accepts_every_construction():
         assert verify_decomposition(d) == reference_verify(d)
         assert verify_decomposition(d).valid
         assert coverage_histogram(d) == reference_histogram(d) == {1: comb(d.ground.n, d.ground.r)}
+
+
+# -- the stub kernel: each end, each source of a witness ---------------------
+#
+# The kernel keys each edge by the edge less its lowest or highest vertex,
+# the end chosen per call by which of each piece's first and last parts are
+# larger in total.  These cases pin inputs on each side of that choice, and
+# witnesses from each source: an over-covered edge, a stub that lacks some
+# of the vertices its end expects, and a stub absent altogether.
+
+def _holding(pieces):
+    """The total sizes of the pieces' first and last parts."""
+    return sum(len(p.parts[0]) for p in pieces), sum(len(p.parts[-1]) for p in pieces)
+
+
+def _swap(pieces, i, parts):
+    return pieces[:i] + (RPartiteGraph(parts),) + pieces[i + 1:]
+
+
+_PAIRS_LOW = construct_baseline(6, 2).pieces  # ([0, a), {a}) for a = 1..5
+_PAIRS_HIGH = tuple(star_partition(6))  # ({i}, {i+1, ..., 5}) for i = 0..4
+_ONES = tuple(RPartiteGraph(((v,),)) for v in range(5))
+
+KERNEL_CASES = {
+    # lowest end: the stub {3} absent, or lacking vertex 0
+    "lowest-absent": (GroundSet(6, 2), _PAIRS_LOW[:2] + _PAIRS_LOW[3:], "low", ((0, 3), 0)),
+    "lowest-partial": (GroundSet(6, 2), _swap(_PAIRS_LOW, 2, ((1, 2), (3,))), "low", ((0, 3), 0)),
+    "lowest-over": (GroundSet(6, 2), _PAIRS_LOW + _PAIRS_LOW[3:4], "low", ((0, 4), 2)),
+    # highest end: the stub {2} absent, or lacking vertex 3
+    "highest-absent": (GroundSet(6, 2), _PAIRS_HIGH[:2] + _PAIRS_HIGH[3:], "high", ((2, 3), 0)),
+    "highest-partial": (GroundSet(6, 2), _swap(_PAIRS_HIGH, 1, ((1,), (2, 4, 5))), "high",
+                        ((1, 3), 0)),
+    "highest-over": (GroundSet(6, 2), _PAIRS_HIGH + _PAIRS_HIGH[4:], "high", ((4, 5), 2)),
+    # r = 1: one empty stub, absent when there are no pieces
+    "r1-valid": (GroundSet(5, 1), _ONES, None, None),
+    "r1-none": (GroundSet(5, 1), (), None, ((0,), 0)),
+    "r1-missing": (GroundSet(5, 1), _ONES[:2] + _ONES[3:], None, ((2,), 0)),
+    "r1-over": (GroundSet(5, 1), _ONES + _ONES[3:4] * 2, None, ((3,), 3)),
+    # multiplicities 2 and 3 together, an over-cover before a missing edge
+    "triple-and-double": (GroundSet(7, 4), construct_baseline(7, 4).pieces[3:4] * 2
+                          + construct_baseline(7, 4).pieces[1:] + construct_baseline(7, 4).pieces[5:6],
+                          None, ((0, 1, 2, 3), 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_kernel_cases_match_reference(name):
+    ground, pieces, end, witness = KERNEL_CASES[name]
+    low, high = _holding(pieces)
+    assert end is None or (low > high) == (end == "low")
+    d = Decomposition(ground, pieces)
+    report = verify_decomposition(d)
+    assert report == reference_verify(d)
+    assert coverage_histogram(d) == reference_histogram(d)
+    assert (report.witness, report.witness_multiplicity) == (witness or (None, None))
+
+
+def _ladder_mutants(d: Decomposition, seed: int):
+    """Three mutants of a large decomposition: a piece deleted; one piece
+    duplicated and another triplicated; a vertex moved between two parts
+    of a piece."""
+    rng = random.Random(seed)
+    pieces = list(d.pieces)
+    i, j = rng.sample(range(len(pieces)), 2)
+    yield pieces[:i] + pieces[i + 1:]
+    yield pieces + [pieces[i]] + [pieces[j]] * 2
+    k = rng.choice([k for k, p in enumerate(pieces) if any(len(part) > 1 for part in p.parts)])
+    p = pieces[k]
+    a = rng.choice([a for a, part in enumerate(p.parts) if len(part) > 1])
+    b = rng.choice([b for b in range(len(p.parts)) if b != a])
+    yield pieces[:k] + [_move(p, p.parts[a][-1], b)] + pieces[k + 1:]
+
+
+@pytest.mark.parametrize("build, args, end", [
+    (construct_theorem1, (7, 3, 7), "high"),
+    (construct_baseline, (20, 8), "low"),
+    (construct_baseline, (28, 5), None),  # a tie, which goes to the lowest end
+], ids=["theorem1-7-3-7", "baseline-20-8", "baseline-28-5"])
+def test_ladder_scale_mutants_match_reference(build, args, end):
+    d = build(*args)
+    low, high = _holding(d.pieces)
+    assert (low > high) == (end == "low") and (low < high) == (end == "high")
+    for pieces in _ladder_mutants(d, seed=sum(args)):
+        bad = Decomposition(d.ground, tuple(pieces))
+        assert verify_decomposition(bad) == reference_verify(bad)
+        assert coverage_histogram(bad) == reference_histogram(bad)

@@ -121,7 +121,7 @@ def test_report_agrees_with_histogram():
         assert report.valid == (hist == {1: comb(dec.ground.n, dec.ground.r)})
 
 
-def _no_edge_masks(piece):
+def _no_kernel(*args):
     raise AssertionError("edges counted again")
 
 
@@ -134,7 +134,7 @@ def test_a_reject_and_the_histogram_count_the_edges_once(monkeypatch):
     assert not report.valid
     dropped_hist = coverage_histogram(dropped)
     expected = verify_decomposition(Decomposition(dec.ground, dropped.pieces))
-    monkeypatch.setattr("gpdecomp.verifier.edge_masks", _no_edge_masks)
+    monkeypatch.setattr("gpdecomp.verifier.first_miscovered", _no_kernel)
     # Each reads the report and histogram the other kept; a repeat call
     # does too.
     assert coverage_histogram(doubled) == {1: 35 - e, 2: e}
