@@ -24,11 +24,15 @@ callers; no later check repeats the rule, and nothing downstream re-sorts a
 piece.
 
 :func:`first_miscovered` is the one coverage kernel, under both verifiers.
-It lists no edge: each edge is keyed by its stub, the edge less its lowest
-or highest vertex, whose value holds one bit per end vertex, so a piece
-adds its edges one run of end vertices at a time and the memory follows
-the stubs, C(n-1, r-1) at most, not the C(n, r) edges.  :func:`edge_masks`
-still lists a piece's edges, for the first factors of a block layer.
+It lists no edge.  When both ends of the pieces hold runs of several
+vertices, as at odd r in the class-split construction, each edge is keyed
+by its middle, the edge less its lowest and its highest vertex, whose value
+holds one bit per (lowest, highest) pair; otherwise by its stub, the edge
+less its lowest or highest vertex, whose value holds one bit per end
+vertex.  A piece adds its edges one run, or pair of runs, at a time, and
+the memory follows the keys, C(n-2, r-2) middles or C(n-1, r-1) stubs at
+most, not the C(n, r) edges.  :func:`edge_masks` still lists a piece's
+edges, for the first factors of a block layer.
 """
 
 from __future__ import annotations
@@ -157,6 +161,11 @@ _WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
 _INT_ONLY = {int}
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
+# The largest n whose edges the kernel keys by middle.  A middle's value has
+# bit lo*n + hi, so up to n^2 bits: 128 KiB here.  Past it the stubs' n bits
+# are kept, so that a few pieces naming a large n stay cheap: one piece at
+# n = 20000 took 331 MiB and 20 s by middle, 26 MiB and 0.05 s by stub.
+_MIDDLE_MAX_N = 1024
 
 
 class _PartMasks(dict):
@@ -320,51 +329,91 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     times, in the order a count of every edge, piece by piece in
     :func:`edge_masks` order, would meet them, then 1, then 0.
 
-    No edge is listed.  Coverage is counted per stub: an edge less its
-    lowest (or highest) vertex, an (r-1)-set mask, maps to an int with one
-    bit per end vertex covered with it.  A piece is walked in runs
-    (:func:`_runs`); a run's edges are its bits on each stub of the other
-    parts, so it costs one lookup and one store per stub, and a bit already
-    set marks an over-covered edge, whose multiplicity is counted there and
-    then.  The end is chosen per call: the one whose holding parts are
-    larger in total, so that more edges share an entry, taking a piece's
-    last part (the one with the largest minimum) for the part holding its
-    highest vertex, which it is in nearly every piece the constructions
-    build; r = 1 has the one empty stub either way.
+    No edge is listed.  Coverage is counted per key, the mask of an edge
+    less one or both of its end vertices, mapped to an int with one bit for
+    each end covered with it.  The keying is chosen per call, from the
+    pieces' first and last parts:
+
+    * by middle, the (r-2)-set left when an edge loses its lowest and its
+      highest vertex, with bit ``lo*n + hi`` for each covered pair of them,
+      when r >= 3, n <= 1024 and the first parts and the last parts each
+      average two vertices or more, as at odd r in the class-split
+      construction; a piece is walked in pairs of a low run and a high run
+      (:func:`_runs` at the lowest end, then at the highest);
+    * otherwise by stub, the (r-1)-set left when an edge loses its lowest
+      (or highest) vertex, with one bit per end vertex: the end whose
+      holding parts are larger in total, taking a piece's last part (the
+      one with the largest minimum) for the part holding its highest
+      vertex, which it is in nearly every piece the constructions build;
+      r = 1 has the one empty stub either way.
+
+    A run's (or pair's) edges are its bits on each key of the other parts,
+    so it costs one lookup and one store per key, and a bit already set
+    marks an over-covered edge, whose multiplicity is counted there and
+    then.
 
     An accept is no overlap and a census of C(n, r).  A reject takes the
-    lexicographically first of: the over-covered edges; each stub's first
-    missing edge, from the bits its end expects (below its lowest vertex, or
-    above its highest) and lacks; and the first edge of the first stub in
-    lexicographic order that has none, found by listing stubs up to it."""
+    lexicographically first of: the over-covered edges; each key's first
+    missing edge, the lowest bit of those it expects (the vertices below a
+    stub's lowest or above its highest vertex; the pairs below a middle's
+    lowest and above its highest) that it lacks, since for one key bit
+    order is the lexicographic order of the edges; and the first edge of
+    the first key in lexicographic order that has none, found by listing
+    keys up to it."""
     partss = [p.parts for p in pieces]
-    low = r > 1 and sum(map(len, map(_FIRST, partss))) >= sum(map(len, map(_LAST, partss)))
-    cov: Dict[int, int] = {}  # stub -> the bits of its covered end vertices
+    heads = sum(map(len, map(_FIRST, partss)))
+    tails = sum(map(len, map(_LAST, partss)))
+    middle = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
+    low = r > 1 and heads >= tails
+    if middle:
+        def edge(k: int, b: int) -> int:
+            lo, hi = divmod(b.bit_length() - 1, n)  # b is bit lo*n + hi
+            return k | 1 << lo | 1 << hi
+    else:
+        edge = int.__or__
+    cov: Dict[int, int] = {}  # key -> the bits of the ends covered with it
     get = cov.get
     over: Dict[int, int] = {}  # over-covered edge -> its multiplicity
     census = 0
     for parts in partss:
-        # Most pieces are one run: a holding part wholly beyond the others.
-        if low:
-            run, others = parts[0], parts[1:]
+        # A piece is walked in segments: a run, the low run it pairs with
+        # by middle (none by stub), and the other parts.  Most pieces are
+        # one segment: each end part they are keyed by lies wholly beyond
+        # the others.
+        if middle:
+            lows, run, others = parts[0], parts[-1], parts[1:-1]
+            whole = lows[-1] < others[0][0] and run[0] > max(map(_LAST, others))
+        elif low:
+            lows, run, others = (), parts[0], parts[1:]
             whole = run[-1] < others[0][0]
         else:
-            run, others = parts[-1], parts[:-1]
+            lows, run, others = (), parts[-1], parts[:-1]
             whole = not others or run[0] > max(map(_LAST, others))
-        for run, others in ((run, others),) if whole else _runs(parts, low):
-            stubs = _product_masks(others)
+        if whole:
+            segments = ((lows, run, others),)
+        elif middle:
+            segments = ((lows, run, mids) for lows, rest in _runs(parts, True)
+                        for run, mids in _runs(tuple(rest), False))
+        else:
+            segments = (((), run, rest) for run, rest in _runs(parts, low))
+        for lows, run, others in segments:
             bits = 0
             for v in run:
                 bits |= 1 << v
-            census += len(stubs) * len(run)
-            for s in stubs:
+            if lows:  # bit lo*n + hi for each pair
+                high, bits = bits, 0
+                for v in lows:
+                    bits |= high << v * n
+            keys = _product_masks(others)
+            census += len(keys) * bits.bit_count()  # a bit per end, or pair of ends
+            for s in keys:
                 c = get(s, 0)
                 if not c:
-                    cov[s] = bits  # the run's one int, shared by its new stubs
+                    cov[s] = bits  # the segment's one int, shared by its new keys
                     continue
                 both = c & bits
                 while both:
-                    e = s | both & -both
+                    e = edge(s, both & -both)
                     over[e] = over.get(e, 1) + 1
                     both &= both - 1
                 cov[s] = c | bits
@@ -375,21 +424,39 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     missing = total - covered
     firsts = list(over)
     if missing:
-        # A stub's end expects the vertices below its lowest, or above its
-        # highest; the first it lacks gives its first missing edge.
         top = 1 << n
+        if middle:
+            rows: Dict[int, int] = {}  # a -> the bits lo*n for each lo below a
+
+            def expected(k: int, c: int) -> int:
+                # The pairs below min k and above max k, or c itself when it
+                # holds all of them.  Only the rows of lo up to the one past
+                # c's highest are built: c lacks that row wholly, so the
+                # first gap is the same, and the rectangle follows c's size,
+                # not n's.
+                a, b = (k & -k).bit_length() - 1, k.bit_length()
+                if c.bit_count() == a * (n - b):
+                    return c
+                a = min(a, (c.bit_length() - 1) // n + 2)
+                if a not in rows:
+                    rows[a] = ((1 << a * n) - 1) // (top - 1)
+                return rows[a] * (top - (1 << b))
+            span, width = range(1, n - 1), r - 2
+        elif low:
+            expected = lambda s, c: (s & -s) - 1
+            span, width = range(1, n), r - 1
+        else:
+            expected = lambda s, c: top - (1 << s.bit_length())
+            span, width = range(n - 1), r - 1
+        if len(cov) < comb(len(span), width):
+            # The keys that expect some edge are the width-subsets of span;
+            # the first absent one in lexicographic order lacks them all.
+            keys = map(sum, combinations([1 << v for v in span], width))
+            cov[next(filterfalse(cov.__contains__, keys))] = 0
         for s, c in cov.items():
-            gap = ((s & -s) - 1 if low else top - (1 << s.bit_length())) ^ c
+            gap = expected(s, c) ^ c
             if gap:
-                firsts.append(s | gap & -gap)
-        if len(cov) < comb(n - 1, r - 1):
-            # The stubs whose end expects some vertex, in lexicographic
-            # order: lowest end, the (r-1)-subsets of 1..n-1; highest end,
-            # those of 0..n-2.
-            vertex_bits = [1 << v for v in range(n)]
-            stubs = combinations(vertex_bits[1:] if low else vertex_bits[:-1], r - 1)
-            s = next(filterfalse(cov.__contains__, map(sum, stubs)))
-            firsts.append(s | 1 if low else s | 1 << s.bit_length())
+                firsts.append(edge(s, gap & -gap))
     # Of two r-sets the lexicographically first holds the lowest vertex in
     # which they differ.
     witness = firsts[0]

@@ -3,14 +3,17 @@
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
 carries the piece rule, so each piece's edges are r-subsets of 0..n-1.  The
 coverage verdict :func:`gpdecomp.core.first_miscovered` counts them without
-listing one: each edge is keyed by its stub, the edge less its lowest or
-highest vertex, whose value holds one bit per end vertex, and a piece adds
-its edges a run of end vertices at a time.  A decomposition whose census is
-C(n, r) with no bit set twice is accepted; any other is rejected with the
-first r-subset not covered exactly once and the coverage histogram, from the
-over-covered edges counted as the walk meets them, each stub's missing end
-vertices and, only when some stub has none, the first such stub in
-lexicographic order; the r-subsets themselves are never walked.
+listing one: each edge is keyed by its middle, the edge less its lowest and
+its highest vertex, when both ends of the pieces hold runs of several
+vertices, and otherwise by its stub, the edge less its lowest or highest
+vertex; a key's value holds one bit per end (or pair of ends) covered, and
+a piece adds its edges a run of end vertices, or a pair of runs, at a time.
+A decomposition whose census is C(n, r) with no bit set twice is accepted;
+any other is rejected with the first r-subset not covered exactly once and
+the coverage histogram, from the over-covered edges counted as the walk
+meets them, each key's missing ends and, only when some key has none, the
+first such key in lexicographic order; the r-subsets themselves are never
+walked.
 
 A rejected decomposition's edges are counted once: a reject keeps its
 report and its histogram, a few small objects, on the instance, and
@@ -31,11 +34,13 @@ from .core import Decomposition, Edge, edge_of_mask, first_miscovered
 
 # ``gpdecomp verify`` refuses, unless --allow-large, a file whose header
 # asks for more: the verifier's memory is set by the header's n and r, not
-# by the file's size.  It follows the stubs, up to C(n-1, r-1) of them, not
-# the edges: baseline (40,7), 18.6M edges and 3.3M stubs, is within the
-# caps and peaks at about 390 MiB (ru_maxrss; 1.6 s to accept, Python
-# 3.11 on a 2-core x86-64 host), where a list of every edge took 1.5 GiB.
-# A reject that looks for an absent stub lists the n vertex bits, growing
+# by the file's size.  It follows the keys, not the edges: baseline (40,7),
+# 18.6M edges, is within the caps and is keyed by its 0.5M middles; an
+# accept and a reject with the last piece deleted peak at about 77 MiB
+# (ru_maxrss; 0.3 s and 0.7 s, Python 3.11 on a 2-core x86-64 host), where
+# its 3.3M stubs took about 390 MiB and a list of every edge 1.5 GiB.  A
+# middle's value has up to n^2 bits, so past n = 1024 the stubs are kept.
+# A reject that looks for an absent key lists the n vertex bits, growing
 # as n^2: a 37-byte file naming n = 20000 with one edge peaked at 26 MiB.
 SOFT_CAP_N = 1024
 SOFT_CAP_EDGES = 20_000_000

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpdecomp.core
 from gpdecomp import (
     Decomposition,
     GroundSet,
@@ -327,26 +328,58 @@ def test_reference_accepts_every_construction():
         assert coverage_histogram(d) == reference_histogram(d) == {1: comb(d.ground.n, d.ground.r)}
 
 
-# -- the stub kernel: each end, each source of a witness ---------------------
+# -- the kernel: each keying, each source of a witness -----------------------
 #
-# The kernel keys each edge by the edge less its lowest or highest vertex,
-# the end chosen per call by which of each piece's first and last parts are
-# larger in total.  These cases pin inputs on each side of that choice, and
-# witnesses from each source: an over-covered edge, a stub that lacks some
-# of the vertices its end expects, and a stub absent altogether.
+# The kernel keys each edge by its middle, the edge less its lowest and its
+# highest vertex, when r >= 3 and the pieces' first and last parts each
+# average two vertices or more; otherwise by its stub, the edge less its
+# lowest or highest vertex, the end chosen by which of each piece's first
+# and last parts are larger in total.  These cases pin inputs under each
+# keying, and witnesses from each source: an over-covered edge, a key that
+# lacks some of the edges it expects, and a key absent altogether.
 
 def _holding(pieces):
     """The total sizes of the pieces' first and last parts."""
     return sum(len(p.parts[0]) for p in pieces), sum(len(p.parts[-1]) for p in pieces)
 
 
+def _keying(pieces, r):
+    """The keying the kernel selects for ``pieces``: middle, or the stub's
+    end, low or high (None for r = 1, which has the one empty stub)."""
+    low, high = _holding(pieces)
+    if r > 2 and min(low, high) >= 2 * len(pieces):
+        return "middle"
+    return None if r == 1 else "low" if low >= high else "high"
+
+
 def _swap(pieces, i, parts):
     return pieces[:i] + (RPartiteGraph(parts),) + pieces[i + 1:]
+
+
+def _split(pieces, i, *partss):
+    return pieces[:i] + tuple(map(RPartiteGraph, partss)) + pieces[i + 1:]
+
+
+def middle_partition(n, r):
+    """The pieces ([0, min K), {k} for k in K, (max K, n)) over the
+    (r-2)-subsets K of 1..n-2: each edge lies in the one piece of its
+    middle, and every piece is one pair of a low run and a high run."""
+    return tuple(RPartiteGraph((tuple(range(k[0])),) + tuple((v,) for v in k)
+                               + (tuple(range(k[-1] + 1, n)),))
+                 for k in combinations(range(1, n - 1), r - 2))
 
 
 _PAIRS_LOW = construct_baseline(6, 2).pieces  # ([0, a), {a}) for a = 1..5
 _PAIRS_HIGH = tuple(star_partition(6))  # ({i}, {i+1, ..., 5}) for i = 0..4
 _ONES = tuple(RPartiteGraph(((v,),)) for v in range(5))
+_M7 = middle_partition(7, 3)  # ([0, m), {m}, (m, 7)) for m = 1..5
+_M8 = middle_partition(8, 4)
+# A partition of K_7^(3) with pieces that are not whole: the first piece's
+# first part is not wholly below its others, the fifth's last part not
+# wholly above them.
+_UNWHOLE = tuple(map(RPartiteGraph, [
+    ((0, 2), (1,), (3, 4, 5, 6)), ((0,), (1,), (2,)), ((0,), (2,), (3, 4, 5, 6)), _M7[2].parts,
+    ((0, 1, 2, 3), (4, 6), (5,)), ((0, 1, 2, 3), (4,), (6,)), ((4,), (5,), (6,))]))
 
 KERNEL_CASES = {
     # lowest end: the stub {3} absent, or lacking vertex 0
@@ -366,20 +399,83 @@ KERNEL_CASES = {
     # multiplicities 2 and 3 together, an over-cover before a missing edge
     "triple-and-double": (GroundSet(7, 4), construct_baseline(7, 4).pieces[3:4] * 2
                           + construct_baseline(7, 4).pieces[1:] + construct_baseline(7, 4).pieces[5:6],
-                          None, ((0, 1, 2, 3), 0)),
+                          "low", ((0, 1, 2, 3), 0)),
+    # middles, r = 3 (a middle is one vertex): the middle {3} absent, and
+    # those at min k = 1 and at max k = n-2, absent or lacking one pair
+    "middle-valid": (GroundSet(7, 3), _M7, "middle", None),
+    "middle-absent": (GroundSet(7, 3), _M7[:2] + _M7[3:], "middle", ((0, 3, 4), 0)),
+    "middle-absent-lowest": (GroundSet(7, 3), _M7[1:], "middle", ((0, 1, 2), 0)),
+    "middle-partial": (GroundSet(7, 3), _split(_M7, 2, ((0, 1), (3,), (4, 5, 6)),
+                                               ((2,), (3,), (4, 5))), "middle", ((2, 3, 6), 0)),
+    "middle-partial-highest": (GroundSet(7, 3), _swap(_M7, 4, ((0, 1, 2, 4), (5,), (6,))),
+                               "middle", ((3, 5, 6), 0)),
+    # an over-covered pair before the pair its middle lacks
+    "middle-over": (GroundSet(7, 3), _swap(_M7, 0, ((0,), (1,), (2, 3, 4, 5)))
+                    + (RPartiteGraph(((0,), (1,), (5,))),), "middle", ((0, 1, 5), 2)),
+    # pieces not whole at the lowest or the highest end: valid, one pair
+    # short, and over-covered by a piece whole at neither end
+    "middle-unwhole-valid": (GroundSet(7, 3), _UNWHOLE, "middle", None),
+    "middle-unwhole-partial": (GroundSet(7, 3), _swap(_UNWHOLE, 4, ((0, 1, 2), (4, 6), (5,))),
+                               "middle", ((3, 4, 5), 0)),
+    "middle-unwhole-over": (GroundSet(7, 3), _UNWHOLE + (RPartiteGraph(((0, 2), (1, 6), (3,))),),
+                            "middle", ((0, 1, 3), 2)),
+    # middles of two vertices, r = 4: the middle {2, 4} absent, and the
+    # middle {2, 5} lacking the pair (1, 7)
+    "middle-r4-absent": (GroundSet(8, 4), _M8[:6] + _M8[7:], "middle", ((0, 2, 4, 5), 0)),
+    "middle-r4-partial": (GroundSet(8, 4), _split(_M8, 7, ((0,), (2,), (5,), (6, 7)),
+                                                  ((1,), (2,), (5,), (6,))),
+                          "middle", ((1, 2, 5, 7), 0)),
 }
 
 
 @pytest.mark.parametrize("name", list(KERNEL_CASES))
 def test_kernel_cases_match_reference(name):
-    ground, pieces, end, witness = KERNEL_CASES[name]
-    low, high = _holding(pieces)
-    assert end is None or (low > high) == (end == "low")
+    ground, pieces, keying, witness = KERNEL_CASES[name]
+    assert _keying(pieces, ground.r) == keying
     d = Decomposition(ground, pieces)
     report = verify_decomposition(d)
     assert report == reference_verify(d)
     assert coverage_histogram(d) == reference_histogram(d)
     assert (report.witness, report.witness_multiplicity) == (witness or (None, None))
+
+
+def _kernel_keys(monkeypatch, d: Decomposition) -> Tuple[int, VerificationReport]:
+    """The number of keys the kernel lists on ``d`` (the total length of
+    the products of other parts it builds), and the report."""
+    real = gpdecomp.core._product_masks
+    total = 0
+
+    def counted(parts):
+        nonlocal total
+        masks = real(parts)
+        total += len(masks)
+        return masks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gpdecomp.core, "_product_masks", counted)
+        report = verify_decomposition(d)
+    return total, report
+
+
+def test_the_keying_is_chosen_by_the_end_parts(monkeypatch):
+    # At odd r, theorem1 pieces hold runs at both ends and are keyed by
+    # middle (a one-end stub needs 60,153 entries at the lowest end); at even
+    # r the baseline's last parts are single vertices, and the stubs stay.
+    keys, report = _kernel_keys(monkeypatch, construct_theorem1(10, 3, 5))
+    assert report.valid and keys <= 14_202
+    keys, report = _kernel_keys(monkeypatch, construct_baseline(20, 8))
+    assert report.valid and keys == 50_388
+
+
+@pytest.mark.parametrize("n, keys", [(1024, 1), (1025, 2)])
+def test_past_n_1024_the_stubs_are_kept(monkeypatch, n, keys):
+    # One piece with runs of two at both ends has one middle, and two stubs
+    # at its lowest end; past n = 1024 a middle's value, up to n^2 bits, is
+    # not built.
+    piece = RPartiteGraph(((n - 10, n - 9), (n - 5,), (n - 2, n - 1)))
+    found, report = _kernel_keys(monkeypatch, Decomposition(GroundSet(n, 3), (piece,)))
+    assert found == keys
+    assert (report.witness, report.witness_multiplicity, report.census) == ((0, 1, 2), 0, 4)
 
 
 def _ladder_mutants(d: Decomposition, seed: int):
@@ -398,15 +494,16 @@ def _ladder_mutants(d: Decomposition, seed: int):
     yield pieces[:k] + [_move(p, p.parts[a][-1], b)] + pieces[k + 1:]
 
 
-@pytest.mark.parametrize("build, args, end", [
-    (construct_theorem1, (7, 3, 7), "high"),
+@pytest.mark.parametrize("build, args, keying", [
+    (construct_theorem1, (7, 3, 7), "middle"),
+    (construct_theorem1, (10, 3, 5), "middle"),
+    (construct_theorem1, (4, 4, 7), "high"),
     (construct_baseline, (20, 8), "low"),
-    (construct_baseline, (28, 5), None),  # a tie, which goes to the lowest end
-], ids=["theorem1-7-3-7", "baseline-20-8", "baseline-28-5"])
-def test_ladder_scale_mutants_match_reference(build, args, end):
+    (construct_baseline, (28, 5), "middle"),
+], ids=["theorem1-7-3-7", "theorem1-10-3-5", "theorem1-4-4-7", "baseline-20-8", "baseline-28-5"])
+def test_ladder_scale_mutants_match_reference(build, args, keying):
     d = build(*args)
-    low, high = _holding(d.pieces)
-    assert (low > high) == (end == "low") and (low < high) == (end == "high")
+    assert _keying(d.pieces, d.ground.r) == keying
     for pieces in _ladder_mutants(d, seed=sum(args)):
         bad = Decomposition(d.ground, tuple(pieces))
         assert verify_decomposition(bad) == reference_verify(bad)
