@@ -24,15 +24,17 @@ callers; no later check repeats the rule, and nothing downstream re-sorts a
 piece.
 
 :func:`first_miscovered` is the one coverage kernel, under both verifiers.
-It lists no edge.  When both ends of the pieces hold runs of several
-vertices, as at odd r in the class-split construction, each edge is keyed
-by its middle, the edge less its lowest and its highest vertex, whose value
-holds one bit per (lowest, highest) pair; otherwise by its stub, the edge
-less its lowest or highest vertex, whose value holds one bit per end
-vertex.  A piece adds its edges one run, or pair of runs, at a time, and
-the memory follows the keys, C(n-2, r-2) middles or C(n-1, r-1) stubs at
-most, not the C(n, r) edges.  :func:`edge_masks` still lists a piece's
-edges, for the first factors of a block layer.
+It lists no edge.  It keys each edge by one rule: the edge less its lowest
+end vertex lo, its highest end vertex hi, or both, whose value holds bit
+``lo*w + hi`` for each covered pair of ends, with w = n when the highest
+end is keyed and 1 otherwise, an end that is not keyed counting as vertex
+0.  Both ends (the middle) are keyed when both ends of the pieces hold runs
+of several vertices, as at odd r in the class-split construction; otherwise
+one (the stub).  A piece adds its edges one segment, a run at each keyed
+end, at a time, and the memory follows the keys, C(n-2, r-2) middles or
+C(n-1, r-1) stubs at most, not the C(n, r) edges.  A reject's histogram is
+in ascending multiplicity.  :func:`edge_masks` still lists a piece's edges,
+for the first factors of a block layer.
 """
 
 from __future__ import annotations
@@ -288,16 +290,20 @@ def subset_masks(n: int, r: int) -> Iterator[int]:
     return map(sum, combinations([1 << v for v in range(n)], r))
 
 
-def _runs(parts: Tuple[Tuple[int, ...], ...],
-          low: bool) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+def _runs(parts: Sequence[Tuple[int, ...]], low: bool,
+          keyed: int) -> Iterator[Tuple[Tuple[int, ...], Sequence[Tuple[int, ...]]]]:
     """A piece's runs at its lowest (or highest) end, as pairs of the run
     and the other parts left when it is taken (a list the next step
-    changes, so read it before asking for the next run).
+    changes, so read it before asking for the next run).  An end that is
+    not keyed is the one run ``(0,)``, with every part left.
 
     The holding part is the part with the extreme vertex; its vertices
     beyond every other part's extreme are a run, and its rest goes back
     among the parts.  Each edge of the piece is the run's vertex at its end
     and a set of one vertex from each other part, for exactly one run."""
+    if not keyed:
+        yield (0,), parts
+        return
     # The parts still to walk, ordered so that the holding part is the first
     # (lowest end) or the last (highest end).
     ps = list(parts) if low else sorted(parts, key=_LAST)
@@ -326,155 +332,127 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     the mask of the first r-subset in lexicographic order (of its vertex
     tuple, :func:`edge_of_mask`) covered other than once, its multiplicity,
     and the histogram: multiplicity -> number of r-subsets covered that many
-    times, in the order a count of every edge, piece by piece in
-    :func:`edge_masks` order, would meet them, then 1, then 0.
+    times, in ascending multiplicity.
 
     No edge is listed.  Coverage is counted per key, the mask of an edge
-    less one or both of its end vertices, mapped to an int with one bit for
-    each end covered with it.  The keying is chosen per call, from the
-    pieces' first and last parts:
+    less its lowest end vertex lo, its highest end vertex hi, or both,
+    mapped to an int with bit ``lo*w + hi`` for each pair of ends covered
+    with it, where w is n when the highest end is keyed and 1 otherwise, and
+    an end that is not keyed counts as vertex 0.  The ends are chosen per
+    call, from the pieces' first and last parts:
 
-    * by middle, the (r-2)-set left when an edge loses its lowest and its
-      highest vertex, with bit ``lo*n + hi`` for each covered pair of them,
-      when r >= 3, n <= 1024 and the first parts and the last parts each
-      average two vertices or more, as at odd r in the class-split
-      construction; a piece is walked in pairs of a low run and a high run
-      (:func:`_runs` at the lowest end, then at the highest);
-    * otherwise by stub, the (r-1)-set left when an edge loses its lowest
-      (or highest) vertex, with one bit per end vertex: the end whose
-      holding parts are larger in total, taking a piece's last part (the
-      one with the largest minimum) for the part holding its highest
-      vertex, which it is in nearly every piece the constructions build;
-      r = 1 has the one empty stub either way.
+    * both, the (r-2)-set middle, when r >= 3, n <= 1024 and the first
+      parts and the last parts each average two vertices or more, as at odd
+      r in the class-split construction;
+    * otherwise one, the (r-1)-set stub: the end whose holding parts are
+      larger in total, taking a piece's last part (the one with the largest
+      minimum) for the part holding its highest vertex, which it is in
+      nearly every piece the constructions build; r = 1 has the one empty
+      stub, keyed at its highest end.
 
-    A run's (or pair's) edges are its bits on each key of the other parts,
-    so it costs one lookup and one store per key, and a bit already set
-    marks an over-covered edge, whose multiplicity is counted there and
-    then.
+    A piece is walked in segments, a run at each keyed end
+    (:func:`_runs`) and the other parts; most pieces are one segment.  A
+    segment's edges are its bits on each key of the other parts, so it
+    costs one lookup and one store per key, and a bit already set marks an
+    over-covered edge, whose multiplicity is counted there and then.
 
     An accept is no overlap and a census of C(n, r).  A reject takes the
     lexicographically first of: the over-covered edges; each key's first
-    missing edge, the lowest bit of those it expects (the vertices below a
-    stub's lowest or above its highest vertex; the pairs below a middle's
-    lowest and above its highest) that it lacks, since for one key bit
-    order is the lexicographic order of the edges; and the first edge of
+    missing edge, the lowest bit of the rectangle it expects (lo below its
+    lowest vertex, hi above its highest) that it lacks, since for one key
+    bit order is the lexicographic order of the edges; and the first edge of
     the first key in lexicographic order that has none, found by listing
     keys up to it."""
     partss = [p.parts for p in pieces]
     heads = sum(map(len, map(_FIRST, partss)))
     tails = sum(map(len, map(_LAST, partss)))
-    middle = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
-    low = r > 1 and heads >= tails
-    if middle:
-        def edge(k: int, b: int) -> int:
-            lo, hi = divmod(b.bit_length() - 1, n)  # b is bit lo*n + hi
-            return k | 1 << lo | 1 << hi
-    else:
-        edge = int.__or__
+    both = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
+    low = int(both or r > 1 and heads >= tails)  # 1 when the lowest end is keyed
+    high = int(both or not low)
+    w = n if high else 1
     cov: Dict[int, int] = {}  # key -> the bits of the ends covered with it
     get = cov.get
-    over: Dict[int, int] = {}  # over-covered edge -> its multiplicity
+    # An over-covered edge, as s | p << n for its key s and bit p, -> its
+    # multiplicity; each is decoded once, as a witness candidate.
+    over: Dict[int, int] = {}
     census = 0
+    cut = r - high
     for parts in partss:
-        # A piece is walked in segments: a run, the low run it pairs with
-        # by middle (none by stub), and the other parts.  Most pieces are
-        # one segment: each end part they are keyed by lies wholly beyond
-        # the others.
-        if middle:
-            lows, run, others = parts[0], parts[-1], parts[1:-1]
-            whole = lows[-1] < others[0][0] and run[0] > max(map(_LAST, others))
-        elif low:
-            lows, run, others = (), parts[0], parts[1:]
-            whole = run[-1] < others[0][0]
+        # A piece is walked in segments: a run at each keyed end and the
+        # other parts.  Most pieces are one segment: each keyed end part
+        # lies wholly beyond the others.
+        others = parts[low:cut]
+        lows = parts[0] if low else (0,)  # an end not keyed is vertex 0
+        highs = parts[-1] if high else (0,)
+        if ((not low or lows[-1] < others[0][0])
+                and (not high or not others or highs[0] > max(map(_LAST, others)))):
+            segments = ((lows, highs, others),)
         else:
-            lows, run, others = (), parts[-1], parts[:-1]
-            whole = not others or run[0] > max(map(_LAST, others))
-        if whole:
-            segments = ((lows, run, others),)
-        elif middle:
-            segments = ((lows, run, mids) for lows, rest in _runs(parts, True)
-                        for run, mids in _runs(tuple(rest), False))
-        else:
-            segments = (((), run, rest) for run, rest in _runs(parts, low))
-        for lows, run, others in segments:
+            segments = ((lows, highs, mids) for lows, rest in _runs(parts, True, low)
+                        for highs, mids in _runs(rest, False, high))
+        for lows, highs, others in segments:
+            ends = 0
+            for v in highs:
+                ends |= 1 << v
             bits = 0
-            for v in run:
-                bits |= 1 << v
-            if lows:  # bit lo*n + hi for each pair
-                high, bits = bits, 0
-                for v in lows:
-                    bits |= high << v * n
+            for v in lows:
+                bits |= ends << v * w
             keys = _product_masks(others)
-            census += len(keys) * bits.bit_count()  # a bit per end, or pair of ends
+            census += len(keys) * bits.bit_count()
             for s in keys:
-                c = get(s, 0)
-                if not c:
+                c = get(s)
+                if c is None:
                     cov[s] = bits  # the segment's one int, shared by its new keys
                     continue
-                both = c & bits
-                while both:
-                    e = edge(s, both & -both)
+                twice = c & bits
+                while twice:
+                    e = s | ((twice & -twice).bit_length() - 1) << n
                     over[e] = over.get(e, 1) + 1
-                    both &= both - 1
+                    twice &= twice - 1
                 cov[s] = c | bits
     total = comb(n, r)
     if census == total and not over:
         return None
-    covered = sum(map(int.bit_count, cov.values()))
+    # An edge covered m times adds m to the census, so the edges covered
+    # at all number the census less m - 1 for each over-covered one.
+    covered = census - sum(over.values()) + len(over)
     missing = total - covered
     firsts = list(over)
     if missing:
-        top = 1 << n
-        if middle:
-            rows: Dict[int, int] = {}  # a -> the bits lo*n for each lo below a
-
-            def expected(k: int, c: int) -> int:
-                # The pairs below min k and above max k, or c itself when it
-                # holds all of them.  Only the rows of lo up to the one past
-                # c's highest are built: c lacks that row wholly, so the
-                # first gap is the same, and the rectangle follows c's size,
-                # not n's.
-                a, b = (k & -k).bit_length() - 1, k.bit_length()
-                if c.bit_count() == a * (n - b):
-                    return c
-                a = min(a, (c.bit_length() - 1) // n + 2)
-                if a not in rows:
-                    rows[a] = ((1 << a * n) - 1) // (top - 1)
-                return rows[a] * (top - (1 << b))
-            span, width = range(1, n - 1), r - 2
-        elif low:
-            expected = lambda s, c: (s & -s) - 1
-            span, width = range(1, n), r - 1
-        else:
-            expected = lambda s, c: top - (1 << s.bit_length())
-            span, width = range(n - 1), r - 1
+        # The keys that expect some edge are the subsets of low..n-1-high;
+        # the first absent one in lexicographic order lacks them all.
+        span, width = range(low, n - high), r - low - high
         if len(cov) < comb(len(span), width):
-            # The keys that expect some edge are the width-subsets of span;
-            # the first absent one in lexicographic order lacks them all.
             keys = map(sum, combinations([1 << v for v in span], width))
             cov[next(filterfalse(cov.__contains__, keys))] = 0
+        rows: Dict[int, int] = {}  # a -> the bits lo*w for each lo below a
         for s, c in cov.items():
-            gap = expected(s, c) ^ c
-            if gap:
-                firsts.append(edge(s, gap & -gap))
-    # Of two r-sets the lexicographically first holds the lowest vertex in
-    # which they differ.
-    witness = firsts[0]
-    for e in firsts:
+            # Key s expects the rectangle lo < a, b <= hi < w.  A key holding
+            # all of it is complete; otherwise only the rows of lo up to the
+            # one past c's highest are built: c lacks that row wholly, so the
+            # first gap is the same, and the rectangle follows c's size.
+            a = (s & -s).bit_length() - 1 if low else 1
+            b = s.bit_length() if high else 0
+            if c.bit_count() != a * (w - b):
+                a = min(a, (c.bit_length() - 1) // w + 2)
+                if a not in rows:
+                    rows[a] = ((1 << a * w) - 1) // ((1 << w) - 1)
+                gap = rows[a] * ((1 << w) - (1 << b)) ^ c
+                firsts.append(s | ((gap & -gap).bit_length() - 1) << n)
+    # Each candidate decoded to its edge, s | low << lo | high << hi.  Of two
+    # r-sets the lexicographically first holds the lowest vertex in which
+    # they differ (and any edge comes before none, 0).
+    mask = (1 << n) - 1
+    witness = 0
+    for x in firsts:
+        lo, hi = divmod(x >> n, w)
+        e = x & mask | low << lo | high << hi
         d = witness ^ e
         if d & -d & e:
-            witness = e
-    hist = dict(Counter(over.values())) if over else {}
-    if len(hist) > 1:
-        # Multiplicities in the order of their edges' first covers.
-        order: Dict[int, None] = {}
-        for p in pieces:
-            order.update(dict.fromkeys(filter(None, map(over.get, edge_masks(p)))))
-            if len(order) == len(hist):
-                break
-        hist = {m: hist[m] for m in order}
+            witness, code = e, x
+    hist = {0: missing} if missing else {}
     if covered > len(over):
         hist[1] = covered - len(over)
-    if missing:
-        hist[0] = missing
-    return witness, over.get(witness, 0), hist
+    if over:
+        hist.update(sorted(Counter(over.values()).items()))
+    return witness, over.get(code, 0), hist

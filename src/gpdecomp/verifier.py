@@ -3,17 +3,17 @@
 This is the oracle the whole toolkit leans on.  A :class:`Decomposition`
 carries the piece rule, so each piece's edges are r-subsets of 0..n-1.  The
 coverage verdict :func:`gpdecomp.core.first_miscovered` counts them without
-listing one: each edge is keyed by its middle, the edge less its lowest and
-its highest vertex, when both ends of the pieces hold runs of several
-vertices, and otherwise by its stub, the edge less its lowest or highest
-vertex; a key's value holds one bit per end (or pair of ends) covered, and
-a piece adds its edges a run of end vertices, or a pair of runs, at a time.
-A decomposition whose census is C(n, r) with no bit set twice is accepted;
-any other is rejected with the first r-subset not covered exactly once and
-the coverage histogram, from the over-covered edges counted as the walk
-meets them, each key's missing ends and, only when some key has none, the
-first such key in lexicographic order; the r-subsets themselves are never
-walked.
+listing one: each edge is keyed by one rule, the edge less its lowest end
+vertex, its highest, or both (the middle, when both ends of the pieces hold
+runs of several vertices); a key's value holds one bit per end, or pair of
+ends, covered, and a piece adds its edges a run at each keyed end at a
+time.  A decomposition whose census is C(n, r) with no bit set twice is
+accepted; any other is rejected with the first r-subset not covered exactly
+once, found among the over-covered edges counted as the walk meets them,
+each key's missing ends and, only when some key has none, the first such
+key in lexicographic order, and with the coverage histogram, in ascending
+multiplicity, from the census and the over-covered edges; the r-subsets
+themselves are never walked.
 
 A rejected decomposition's edges are counted once: a reject keeps its
 report and its histogram, a few small objects, on the instance, and

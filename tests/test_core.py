@@ -406,15 +406,16 @@ def test_first_miscovered():
     assert miscovered([], 4, 2) == (0b11, 0, {0: 6})
 
 
-def test_first_miscovered_orders_the_histogram_by_first_coverage():
-    # {2,3} is covered first and three times, {0,1} later and twice: the
-    # histogram lists 3 before 2, as a count of every edge in piece order
-    # meets them, although the kernel finds the repeat of {0,1} first.
+def test_first_miscovered_lists_the_histogram_in_ascending_multiplicity():
+    # {2,3} is covered three times, {0,1} twice, and the four others not at
+    # all: the histogram lists 0, 2, 3 whichever repeat comes first.
     found = miscovered([[0b1100], [0b11], [0b11], [0b1100], [0b1100]], 4, 2)
-    assert found == (0b11, 2, {3: 1, 2: 1, 0: 4})
-    assert list(found[2]) == [3, 2, 0]
+    assert found == (0b11, 2, {0: 4, 2: 1, 3: 1})
+    assert list(found[2]) == [0, 2, 3]
     found = miscovered([[0b11], [0b1100], [0b1100], [0b11], [0b1100]], 4, 2)
-    assert list(found[2]) == [2, 3, 0]
+    assert list(found[2]) == [0, 2, 3]
+    found = miscovered([subset_masks(4, 2), [0b1100] * 2, [0b11]], 4, 2)
+    assert list(found[2]) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("groups, witness", [

@@ -381,6 +381,29 @@ _UNWHOLE = tuple(map(RPartiteGraph, [
     ((0, 2), (1,), (3, 4, 5, 6)), ((0,), (1,), (2,)), ((0,), (2,), (3, 4, 5, 6)), _M7[2].parts,
     ((0, 1, 2, 3), (4, 6), (5,)), ((0, 1, 2, 3), (4,), (6,)), ((4,), (5,), (6,))]))
 
+
+def _completed(n, r, pieces):
+    """``pieces`` and a one-edge piece for each r-subset of 0..n-1 they
+    leave uncovered, in lexicographic order."""
+    covered = {e for p in pieces for e in reference_edges(p)}
+    return tuple(map(RPartiteGraph, pieces)) + tuple(
+        RPartiteGraph(tuple((v,) for v in e))
+        for e in combinations(range(n), r) if e not in covered)
+
+
+def _less(pieces, edge):
+    """``pieces`` without the one-edge piece of ``edge``."""
+    return tuple(p for p in pieces if p.parts != tuple((v,) for v in edge))
+
+
+# Partitions of K_6^(3) keyed by one end, with a piece not whole at it: the
+# first part of ({0,2},{1},{3}) is not wholly below the others, and the
+# last part of ({0},{1,4},{2,3}) not wholly above them.  Each short variant
+# lacks an edge after the one a kernel taking the piece as whole would
+# miss, (1,2,3) and (0,2,4).
+_LOW_UNWHOLE = _completed(6, 3, [((0, 2), (1,), (3,))])
+_HIGH_UNWHOLE = _completed(6, 3, [((0,), (1, 4), (2, 3))])
+
 KERNEL_CASES = {
     # lowest end: the stub {3} absent, or lacking vertex 0
     "lowest-absent": (GroundSet(6, 2), _PAIRS_LOW[:2] + _PAIRS_LOW[3:], "low", ((0, 3), 0)),
@@ -396,6 +419,13 @@ KERNEL_CASES = {
     "r1-none": (GroundSet(5, 1), (), None, ((0,), 0)),
     "r1-missing": (GroundSet(5, 1), _ONES[:2] + _ONES[3:], None, ((2,), 0)),
     "r1-over": (GroundSet(5, 1), _ONES + _ONES[3:4] * 2, None, ((3,), 3)),
+    # pieces not whole at the keyed end, valid and one edge short
+    "lowest-unwhole-valid": (GroundSet(6, 3), _LOW_UNWHOLE, "low", None),
+    "lowest-unwhole-partial": (GroundSet(6, 3), _less(_LOW_UNWHOLE, (1, 2, 4)), "low",
+                               ((1, 2, 4), 0)),
+    "highest-unwhole-valid": (GroundSet(6, 3), _HIGH_UNWHOLE, "high", None),
+    "highest-unwhole-partial": (GroundSet(6, 3), _less(_HIGH_UNWHOLE, (0, 2, 5)), "high",
+                                ((0, 2, 5), 0)),
     # multiplicities 2 and 3 together, an over-cover before a missing edge
     "triple-and-double": (GroundSet(7, 4), construct_baseline(7, 4).pieces[3:4] * 2
                           + construct_baseline(7, 4).pieces[1:] + construct_baseline(7, 4).pieces[5:6],
@@ -437,6 +467,17 @@ def test_kernel_cases_match_reference(name):
     assert report == reference_verify(d)
     assert coverage_histogram(d) == reference_histogram(d)
     assert (report.witness, report.witness_multiplicity) == (witness or (None, None))
+
+
+def test_a_reject_with_several_over_multiplicities_lists_no_edge(monkeypatch):
+    # A reject's histogram is in ascending multiplicity, so it needs no
+    # piece's edges, however many multiplicities it holds.
+    ground, pieces, _, _ = KERNEL_CASES["triple-and-double"]
+    listed = []
+    monkeypatch.setattr(gpdecomp.core, "edge_masks", listed.append)
+    hist = coverage_histogram(Decomposition(ground, pieces))
+    assert list(hist) == [0, 1, 2, 3]
+    assert listed == []
 
 
 def _kernel_keys(monkeypatch, d: Decomposition) -> Tuple[int, VerificationReport]:
