@@ -32,9 +32,16 @@ end is keyed and 1 otherwise, an end that is not keyed counting as vertex
 of several vertices, as at odd r in the class-split construction; otherwise
 one (the stub).  A piece adds its edges one segment, a run at each keyed
 end, at a time, and the memory follows the keys, C(n-2, r-2) middles or
-C(n-1, r-1) stubs at most, not the C(n, r) edges.  A reject's histogram is
-in ascending multiplicity.  :func:`edge_masks` still lists a piece's edges,
-for the first factors of a block layer.
+C(n-1, r-1) stubs at most, not the C(n, r) edges.  When every piece ends in
+one vertex t above all its others, as at even r in the baseline and
+even-from-odd constructions, the pieces ending in {t}, less that part, are
+checked for each t as a partition of the (r-1)-subsets of 0..t-1 by the
+same kernel, where they hold runs at both ends and are keyed by middle;
+this per-top rule is taken where such keying can pay (r >= 4, first parts
+of two vertices or more on average) from ``_PER_TOP_MIN_EDGES`` edges up,
+the measured size at which its n calls cost less than they save.  A
+reject's histogram is in ascending multiplicity.  :func:`edge_masks` still
+lists a piece's edges, for the first factors of a block layer.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
+from itertools import combinations, filterfalse, repeat
 from math import comb
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -163,11 +170,25 @@ _WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
 _INT_ONLY = {int}
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
+# r -> itemgetter(r - 1), the getter of a piece's r-th part: made once per r
+# rather than once per kernel call, where it was most of the per-top rule's
+# cost to an exact-search-sized call.
+_RTH: Dict[int, itemgetter] = {}
 # The largest n whose edges the kernel keys by middle.  A middle's value has
 # bit lo*n + hi, so up to n^2 bits: 128 KiB here.  Past it the stubs' n bits
 # are kept, so that a few pieces naming a large n stay cheap: one piece at
 # n = 20000 took 331 MiB and 20 s by middle, 26 MiB and 0.05 s by stub.
 _MIDDLE_MAX_N = 1024
+# The fewest edges, C(n, r), at which pieces that all end in a top singleton
+# are checked per top vertex (first_miscovered): below it the n calls cost
+# more than their keys save.  Per-top time over whole-input time on even-r
+# baselines (minima of repeated calls, Python 3.11 on a 2-core x86-64 host):
+# 1.40 at (8,4), 70 edges; 1.08 at (12,6), 924; 1.01 at (16,4), 1,820;
+# 0.96 at (14,6) and 1.05 at (14,8), 3,003; 0.98 at (15,8), 6,435; 1.04 at
+# (16,10), 8,008; 0.92 at (17,10), 19,448; 0.63-0.79 on the verify-ladder's
+# (20,8), (24,6) and (19,10).  Below it fall the exact-search witnesses and
+# the construction providers' checks.
+_PER_TOP_MIN_EDGES = 3000
 
 
 class _PartMasks(dict):
@@ -332,7 +353,9 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     the mask of the first r-subset in lexicographic order (of its vertex
     tuple, :func:`edge_of_mask`) covered other than once, its multiplicity,
     and the histogram: multiplicity -> number of r-subsets covered that many
-    times, in ascending multiplicity.
+    times, in ascending multiplicity.  Only the first r parts of a piece are
+    read, so a piece of more parts stands for the one of its first r, whose
+    vertices must then be below n.
 
     No edge is listed.  Coverage is counted per key, the mask of an edge
     less its lowest end vertex lo, its highest end vertex hi, or both,
@@ -362,10 +385,37 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     lowest vertex, hi above its highest) that it lacks, since for one key
     bit order is the lexicographic order of the edges; and the first edge of
     the first key in lexicographic order that has none, found by listing
-    keys up to it."""
+    keys up to it.
+
+    When every piece's last part is one vertex t above all its other
+    vertices, as in the even-r baseline and even-from-odd constructions, a
+    piece covers only edges whose highest vertex is t, so the input is exact
+    iff, for each t, the pieces ending in {t}, read without that part,
+    partition the (r-1)-subsets of 0..t-1.  Such an input is checked per
+    top vertex (:func:`_per_top`), each t by this function at (t, r-1),
+    where its pieces hold runs at both ends and are keyed by middle, when
+    that can pay: r >= 4 and the first parts average two vertices or more,
+    the middle rule's own terms (otherwise the per-t inputs are keyed by
+    stub, as many keys as the whole input's, and the calls only add time:
+    1.28 times the whole-input time on baseline (17,12), whose first parts
+    average 1.71), and C(n, r) is at least ``_PER_TOP_MIN_EDGES`` (3,000;
+    below it the n calls cost more than they save).  The answer is the one
+    the whole input's keys give."""
     partss = [p.parts for p in pieces]
     heads = sum(map(len, map(_FIRST, partss)))
-    tails = sum(map(len, map(_LAST, partss)))
+    rth = _RTH.get(r) or _RTH.setdefault(r, itemgetter(r - 1))
+    tails = sum(map(len, map(rth, partss)))
+    total = comb(n, r)
+    if (r > 3 and total >= _PER_TOP_MIN_EDGES and tails == len(partss)
+            and heads >= 2 * tails):
+        tops: List[List[RPartiteGraph]] = [[] for _ in range(n)]  # t -> the pieces ending in {t}
+        for p, parts in zip(pieces, partss):
+            t = parts[r - 1][0]
+            if max(map(_LAST, parts[:r])) != t:
+                break
+            tops[t].append(p)
+        else:
+            return _per_top(tops, n, r)
     both = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
     low = int(both or r > 1 and heads >= tails)  # 1 when the lowest end is keyed
     high = int(both or not low)
@@ -383,12 +433,12 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
         # lies wholly beyond the others.
         others = parts[low:cut]
         lows = parts[0] if low else (0,)  # an end not keyed is vertex 0
-        highs = parts[-1] if high else (0,)
+        highs = parts[cut] if high else (0,)
         if ((not low or lows[-1] < others[0][0])
                 and (not high or not others or highs[0] > max(map(_LAST, others)))):
             segments = ((lows, highs, others),)
         else:
-            segments = ((lows, highs, mids) for lows, rest in _runs(parts, True, low)
+            segments = ((lows, highs, mids) for lows, rest in _runs(parts[:r], True, low)
                         for highs, mids in _runs(rest, False, high))
         for lows, highs, others in segments:
             ends = 0
@@ -410,7 +460,6 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
                     over[e] = over.get(e, 1) + 1
                     twice &= twice - 1
                 cov[s] = c | bits
-    total = comb(n, r)
     if census == total and not over:
         return None
     # An edge covered m times adds m to the census, so the edges covered
@@ -456,3 +505,37 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     if over:
         hist.update(sorted(Counter(over.values()).items()))
     return witness, over.get(code, 0), hist
+
+
+def _per_top(tops: List[List[RPartiteGraph]], n: int,
+             r: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
+    """:func:`first_miscovered` of pieces listed by top vertex t: each t
+    checked at (t, r-1), on the first r-1 parts of its pieces.  A t with no
+    piece offers the edge (0, ..., r-2, t), its C(t, r-1) edges at
+    multiplicity 0.  The witness is the lexicographically first of the
+    per-t witnesses, with its multiplicity, and the histogram the per-t
+    sum."""
+    q = r - 1
+    # A t with no piece misses its C(t, q) edges; the first empty t's
+    # first, (0, ..., q-1, t), comes before every other empty t's.
+    empty = [t for t in range(q, n) if not tops[t]]
+    hist: Counter = Counter()
+    witness = mult = 0
+    if empty:
+        hist[0] = sum(map(comb, empty, repeat(q)))
+        witness = (1 << q) - 1 | 1 << empty[0]
+    for t, group in enumerate(tops):
+        if not group:
+            continue
+        found = first_miscovered(group, t, q)
+        if found is None:
+            hist[1] += comb(t, q)
+            continue
+        e = found[0] | 1 << t
+        d = witness ^ e
+        if d & -d & e:  # e is lexicographically first so far
+            witness, mult = e, found[1]
+        hist.update(found[2])
+    if not witness:
+        return None
+    return witness, mult, dict(sorted(hist.items()))

@@ -7,7 +7,13 @@ listing one: each edge is keyed by one rule, the edge less its lowest end
 vertex, its highest, or both (the middle, when both ends of the pieces hold
 runs of several vertices); a key's value holds one bit per end, or pair of
 ends, covered, and a piece adds its edges a run at each keyed end at a
-time.  A decomposition whose census is C(n, r) with no bit set twice is
+time.  Pieces that all end in one vertex t above their others, as at even
+r in the baseline and even-from-odd constructions, are checked per t from
+r = 4 and a few thousand edges up, when their first parts average two
+vertices or more: the pieces ending in {t}, less that part, as a partition
+of the (r-1)-subsets of 0..t-1, each t by the same kernel, keyed by
+middle, so only a failing t's keys are scanned for its witness.  A
+decomposition whose census is C(n, r) with no bit set twice is
 accepted; any other is rejected with the first r-subset not covered exactly
 once, found among the over-covered edges counted as the walk meets them,
 each key's missing ends and, only when some key has none, the first such
@@ -40,6 +46,11 @@ from .core import Decomposition, Edge, edge_of_mask, first_miscovered
 # (ru_maxrss; 0.3 s and 0.7 s, Python 3.11 on a 2-core x86-64 host), where
 # its 3.3M stubs took about 390 MiB and a list of every edge 1.5 GiB.  A
 # middle's value has up to n^2 bits, so past n = 1024 the stubs are kept.
+# At even r the baseline's pieces end in one top vertex t and are checked
+# one t at a time: baseline (34,8), 18.2M edges, lists 0.9M middles over all
+# t and peaks at about 51 MiB in an accept and a reject with the last piece
+# deleted (0.35 s and 0.4 s CPU for the kernel), where its 4.3M whole-input
+# stubs took about 400 MiB (2 s and 4 s).
 # A reject that looks for an absent key lists the n vertex bits, growing
 # as n^2: a 37-byte file naming n = 20000 with one edge peaked at 26 MiB.
 SOFT_CAP_N = 1024

@@ -343,9 +343,22 @@ def _holding(pieces):
     return sum(len(p.parts[0]) for p in pieces), sum(len(p.parts[-1]) for p in pieces)
 
 
-def _keying(pieces, r):
-    """The keying the kernel selects for ``pieces``: middle, or the stub's
-    end, low or high (None for r = 1, which has the one empty stub)."""
+def _per_top(pieces, n, r):
+    """Whether the kernel checks ``pieces`` per top vertex: r >= 4, at least
+    the size constant's C(n, r), first parts of two vertices or more on
+    average, and every piece's last part one vertex above all its others."""
+    return (r > 3 and comb(n, r) >= gpdecomp.core._PER_TOP_MIN_EDGES
+            and _holding(pieces)[0] >= 2 * len(pieces)
+            and all(len(p.parts[-1]) == 1 and max(map(max, p.parts)) == p.parts[-1][0]
+                    for p in pieces))
+
+
+def _keying(pieces, n, r):
+    """The keying the kernel selects for ``pieces``: "top" when it checks
+    them per top vertex, else middle, or the stub's end, low or high (None
+    for r = 1, which has the one empty stub)."""
+    if _per_top(pieces, n, r):
+        return "top"
     low, high = _holding(pieces)
     if r > 2 and min(low, high) >= 2 * len(pieces):
         return "middle"
@@ -461,7 +474,7 @@ KERNEL_CASES = {
 @pytest.mark.parametrize("name", list(KERNEL_CASES))
 def test_kernel_cases_match_reference(name):
     ground, pieces, keying, witness = KERNEL_CASES[name]
-    assert _keying(pieces, ground.r) == keying
+    assert _keying(pieces, ground.n, ground.r) == keying
     d = Decomposition(ground, pieces)
     report = verify_decomposition(d)
     assert report == reference_verify(d)
@@ -500,12 +513,21 @@ def _kernel_keys(monkeypatch, d: Decomposition) -> Tuple[int, VerificationReport
 
 def test_the_keying_is_chosen_by_the_end_parts(monkeypatch):
     # At odd r, theorem1 pieces hold runs at both ends and are keyed by
-    # middle (a one-end stub needs 60,153 entries at the lowest end); at even
-    # r the baseline's last parts are single vertices, and the stubs stay.
+    # middle (a one-end stub needs 60,153 entries at the lowest end).  At
+    # even r the baseline's last parts are single vertices: (20,8) is checked
+    # per top vertex t, its pieces less {t} keyed by middle (the whole
+    # input's stubs are 50,388 entries), and (12,6), below the size
+    # constant, keeps its stubs.
     keys, report = _kernel_keys(monkeypatch, construct_theorem1(10, 3, 5))
     assert report.valid and keys <= 14_202
-    keys, report = _kernel_keys(monkeypatch, construct_baseline(20, 8))
-    assert report.valid and keys == 50_388
+    d = construct_baseline(20, 8)
+    assert _keying(d.pieces, 20, 8) == "top"
+    keys, report = _kernel_keys(monkeypatch, d)
+    assert report.valid and keys == 18_600
+    d = construct_baseline(12, 6)
+    assert _keying(d.pieces, 12, 6) == "low"
+    keys, report = _kernel_keys(monkeypatch, d)
+    assert report.valid and keys == 462
 
 
 @pytest.mark.parametrize("n, keys", [(1024, 1), (1025, 2)])
@@ -539,13 +561,155 @@ def _ladder_mutants(d: Decomposition, seed: int):
     (construct_theorem1, (7, 3, 7), "middle"),
     (construct_theorem1, (10, 3, 5), "middle"),
     (construct_theorem1, (4, 4, 7), "high"),
-    (construct_baseline, (20, 8), "low"),
+    (construct_baseline, (20, 8), "top"),
+    (construct_baseline, (24, 6), "top"),
     (construct_baseline, (28, 5), "middle"),
-], ids=["theorem1-7-3-7", "theorem1-10-3-5", "theorem1-4-4-7", "baseline-20-8", "baseline-28-5"])
+    (construct_even_from_odd, (22, 6), "top"),
+], ids=["theorem1-7-3-7", "theorem1-10-3-5", "theorem1-4-4-7", "baseline-20-8", "baseline-24-6",
+        "baseline-28-5", "even-from-odd-22-6"])
 def test_ladder_scale_mutants_match_reference(build, args, keying):
     d = build(*args)
-    assert _keying(d.pieces, d.ground.r) == keying
+    assert _keying(d.pieces, d.ground.n, d.ground.r) == keying
     for pieces in _ladder_mutants(d, seed=sum(args)):
         bad = Decomposition(d.ground, tuple(pieces))
         assert verify_decomposition(bad) == reference_verify(bad)
         assert coverage_histogram(bad) == reference_histogram(bad)
+
+
+# -- pieces that end in a top singleton ---------------------------------------
+#
+# Every piece of an even-r baseline or even-from-odd output ends in one
+# vertex t above all its others.  At r >= 4 and C(n, r) at or above the size
+# constant the kernel checks such an input per t, the pieces ending in {t},
+# less that part, as a partition of K_t^(r-1).  These inputs are drawn on
+# both sides of the constant, valid and with mutants; a move into the top
+# part leaves a piece without a top singleton, and the input on the
+# whole-input path.
+
+def _cone_part(t, q, perm, dropped):
+    """A partition of K_t^(q) with {t} appended to every piece: the baseline
+    of (t, q) relabelled by ``perm``, less the pieces indexed in ``dropped``,
+    ``_completed`` by one-edge pieces."""
+    sub = [canonical([perm[v] for v in part] for part in p.parts).parts
+           for p in construct_baseline(t, q).pieces]
+    kept = [p for i, p in enumerate(sub) if i not in dropped]
+    return [RPartiteGraph(p.parts + ((t,),)) for p in _completed(t, q, kept)]
+
+
+# The largest n of a cone drawn at each r: at r >= 4, the first n at or above
+# the size constant, 3,000 edges.
+_CONE_MAX_N = {2: 9, 3: 10, 4: 18, 5: 15, 6: 14}
+# Construction grounds below the size constant, then at or above it; r = 2
+# stays on the whole-input path at any size.
+_TOP_GROUNDS = [(6, 2), (8, 4), (10, 6), (12, 6), (80, 2), (18, 4), (14, 6), (14, 8)]
+
+
+@st.composite
+def cones(draw) -> PieceList:
+    """Random cones: for each t, a _completed partition of K_t^(r-1) with
+    {t} appended to each piece."""
+    r = draw(st.sampled_from(sorted(_CONE_MAX_N)))
+    n = draw(st.one_of(st.integers(r, r + 3), st.just(_CONE_MAX_N[r])))
+    pieces = []
+    for t in range(r - 1, n):
+        perm = draw(st.permutations(range(t)))
+        dropped = draw(st.sets(st.integers(0, comb(t - (r - 1 + 1) // 2, (r - 1) // 2) - 1),
+                               max_size=1))
+        pieces += _cone_part(t, r - 1, perm, dropped)
+    return GroundSet(n, r), tuple(pieces)
+
+
+@st.composite
+def top_singleton_sets(draw) -> PieceList:
+    """An even-r baseline, an even-from-odd output or a cone, with up to two
+    edits: delete a piece, duplicate one, move a vertex between two parts
+    below the top, move one into the top part, or drop every piece of one
+    top vertex."""
+    family = draw(st.sampled_from(["baseline", "even-from-odd", "cone"]))
+    if family == "cone":
+        ground, pieces = draw(cones())
+    else:
+        n, r = draw(st.sampled_from(_TOP_GROUNDS))
+        build = construct_baseline if family == "baseline" else construct_even_from_odd
+        d = build(n, r)
+        ground, pieces = d.ground, d.pieces
+    pieces = list(pieces)
+    for kind in draw(st.lists(st.sampled_from(["delete", "duplicate", "move", "move-top",
+                                               "empty-top"]), max_size=2)):
+        if not pieces:
+            break
+        i = draw(st.integers(0, len(pieces) - 1))
+        p = pieces[i]
+        if kind == "delete":
+            del pieces[i]
+        elif kind == "duplicate":
+            pieces.insert(draw(st.integers(0, len(pieces))), p)
+        elif kind == "empty-top":
+            pieces = [q for q in pieces if q.parts[-1] != p.parts[-1]]
+        else:
+            a = draw(st.integers(0, len(p.parts) - 2))
+            targets = [len(p.parts) - 1] if kind == "move-top" else [
+                b for b in range(len(p.parts) - 1) if b != a]
+            if len(p.parts[a]) > 1 and targets:
+                pieces[i] = _move(p, draw(st.sampled_from(p.parts[a])), draw(st.sampled_from(targets)))
+    return ground, tuple(pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(top_singleton_sets())
+def test_top_singleton_inputs_match_reference(drawn):
+    d = Decomposition(*drawn)
+    assert verify_decomposition(d) == reference_verify(d)
+    hist = coverage_histogram(Decomposition(*drawn))
+    assert hist == reference_histogram(d)
+    assert list(hist) == sorted(hist)
+
+
+def _tops_dropped(pieces, *tops):
+    """``pieces`` without those that end in one of ``tops``."""
+    return tuple(p for p in pieces if p.parts[-1][0] not in tops or len(p.parts[-1]) > 1)
+
+
+def _baseline_4(n, a, t):
+    """The piece ([0, a), {a}, (a, t), {t}) of construct_baseline(n, 4),
+    whose smallest edge is (0, a, a + 1, t)."""
+    return RPartiteGraph((tuple(range(a)), (a,), tuple(range(a + 1, t)), (t,)))
+
+
+_B18 = construct_baseline(18, 4).pieces
+_B12 = construct_baseline(12, 6).pieces
+
+TOP_CASES = {
+    # no piece ends in {10}: its first edge (0, 1, 2, 10) is missing
+    "empty-top": (GroundSet(18, 4), _tops_dropped(_B18, 10), "top", ((0, 1, 2, 10), 0)),
+    # (0, 1, 2, 17), the first edge of the empty top 17, comes before
+    # (0, 3, 4, 10), which a deleted piece leaves missing, though its mask
+    # is the larger
+    "empty-top-first": (GroundSet(18, 4), _tops_dropped(
+        tuple(p for p in _B18 if p != _baseline_4(18, 3, 10)), 17), "top", ((0, 1, 2, 17), 0)),
+    # the same two edges over-covered, by duplicated pieces at tops 10 and 17
+    "over-at-two-tops": (GroundSet(18, 4), _B18 + (_baseline_4(18, 3, 10), _baseline_4(18, 1, 17)),
+                         "top", ((0, 1, 2, 17), 2)),
+    # first parts averaging 1.71 vertices, too few for per-t middles: the
+    # whole-input path, here with the first piece, the edge 0..11, deleted
+    "small-first-parts": (GroundSet(17, 12), construct_baseline(17, 12).pieces[1:], "low",
+                          (tuple(range(12)), 0)),
+    # below the size constant an empty top stays on the whole-input path
+    "empty-top-small": (GroundSet(12, 6), _tops_dropped(_B12, 9), "low", ((0, 1, 2, 3, 4, 9), 0)),
+    # vertex 9 moved into the top part of the piece ([0, 3), {3}, (3, 10),
+    # {10}), which then covers (0, 3, 4, 9) a second time: the input is no
+    # longer all top singletons
+    "move-into-top": (GroundSet(18, 4), tuple(_move(p, 9, 3) if p == _baseline_4(18, 3, 10) else p
+                                              for p in _B18), "low", ((0, 3, 4, 9), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(TOP_CASES))
+def test_top_singleton_cases_match_reference(name):
+    ground, pieces, keying, witness = TOP_CASES[name]
+    assert _keying(pieces, ground.n, ground.r) == keying
+    d = Decomposition(ground, pieces)
+    report = verify_decomposition(d)
+    assert report == reference_verify(d)
+    assert coverage_histogram(d) == reference_histogram(d)
+    assert (report.witness, report.witness_multiplicity) == witness
