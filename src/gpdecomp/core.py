@@ -39,7 +39,10 @@ checked for each t as a partition of the (r-1)-subsets of 0..t-1 by the
 same kernel, where they hold runs at both ends and are keyed by middle;
 this per-top rule is taken where such keying can pay (r >= 4, first parts
 of two vertices or more on average) from ``_PER_TOP_MIN_EDGES`` edges up,
-the measured size at which its n calls cost less than they save.  A
+the measured size at which its n calls cost less than they save.  Up to
+one piece in n that does not end so, such as one a move has left with two
+vertices in its top part, is split by the highest vertex of its edges, so
+that a mutant of such an input is checked as the input is.  A
 reject's histogram is in ascending multiplicity.  :func:`edge_masks` still
 lists a piece's edges, for the first factors of a block layer.
 """
@@ -51,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, filterfalse, repeat
 from math import comb
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, ...]
@@ -179,7 +182,7 @@ _RTH: Dict[int, itemgetter] = {}
 # are kept, so that a few pieces naming a large n stay cheap: one piece at
 # n = 20000 took 331 MiB and 20 s by middle, 26 MiB and 0.05 s by stub.
 _MIDDLE_MAX_N = 1024
-# The fewest edges, C(n, r), at which pieces that all end in a top singleton
+# The fewest edges, C(n, r), at which pieces that end in a top singleton
 # are checked per top vertex (first_miscovered): below it the n calls cost
 # more than their keys save.  Per-top time over whole-input time on even-r
 # baselines (minima of repeated calls, Python 3.11 on a 2-core x86-64 host):
@@ -399,22 +402,22 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     stub, as many keys as the whole input's, and the calls only add time:
     1.28 times the whole-input time on baseline (17,12), whose first parts
     average 1.71), and C(n, r) is at least ``_PER_TOP_MIN_EDGES`` (3,000;
-    below it the n calls cost more than they save).  The answer is the one
-    the whole input's keys give."""
+    below it the n calls cost more than they save).  Pieces that do not
+    end in a top singleton, at most one in n of them, are split by the
+    highest vertex of their edges (:func:`_by_top`); with more the input
+    takes the whole-input path.  The answer is the one the whole input's
+    keys give."""
     partss = [p.parts for p in pieces]
     heads = sum(map(len, map(_FIRST, partss)))
     rth = _RTH.get(r) or _RTH.setdefault(r, itemgetter(r - 1))
     tails = sum(map(len, map(rth, partss)))
     total = comb(n, r)
-    if (r > 3 and total >= _PER_TOP_MIN_EDGES and tails == len(partss)
-            and heads >= 2 * tails):
-        tops: List[List[RPartiteGraph]] = [[] for _ in range(n)]  # t -> the pieces ending in {t}
-        for p, parts in zip(pieces, partss):
-            t = parts[r - 1][0]
-            if max(map(_LAST, parts[:r])) != t:
-                break
-            tops[t].append(p)
-        else:
+    # The last parts of two or more vertices are counted first, at C speed,
+    # so that an input with many (odd r) is not walked piece by piece.
+    if (r > 3 and total >= _PER_TOP_MIN_EDGES and heads >= 2 * len(partss)
+            and len(partss) - countOf(map(len, map(rth, partss)), 1) <= len(partss) // n):
+        tops = _by_top(pieces, partss, n, r)
+        if tops is not None:
             return _per_top(tops, n, r)
     both = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
     low = int(both or r > 1 and heads >= tails)  # 1 when the lowest end is keyed
@@ -505,6 +508,41 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     if over:
         hist.update(sorted(Counter(over.values()).items()))
     return witness, over.get(code, 0), hist
+
+
+def _by_top(pieces: Sequence[RPartiteGraph], partss: List[Tuple[Tuple[int, ...], ...]],
+            n: int, r: int) -> Optional[List[List[RPartiteGraph]]]:
+    """The pieces listed by top vertex t, t -> the pieces ending in {t} (on
+    their first r parts), or None when more than one in n of them do not.
+
+    A piece whose r-th part is one vertex t above all its others goes to t
+    whole.  Any other piece, such as one a move has left with two vertices
+    in its top part, is split by the highest vertex w of its edges: for each
+    w, in part k, the piece of the other parts' vertices below w, with {w}
+    appended, when none is empty.  Its edges are those of the piece whose
+    highest vertex is w, so the split pieces cover each edge as often as the
+    piece does.  A piece splits into at most n, so the lists hold at most
+    twice the pieces."""
+    tops: List[List[RPartiteGraph]] = [[] for _ in range(n)]
+    spare = len(partss) // n
+    split = []  # the parts of the pieces to split
+    for p, parts in zip(pieces, partss):
+        top = parts[r - 1]
+        t = top[0]
+        if len(top) == 1 and max(map(_LAST, parts[:r])) == t:
+            tops[t].append(p)
+        elif len(split) < spare:
+            split.append(parts[:r])
+        else:
+            return None
+    for parts in split:
+        for k, part in enumerate(parts):
+            others = parts[:k] + parts[k + 1:]
+            for w in part:
+                below = tuple(q[:bisect_left(q, w)] for q in others)
+                if all(below):
+                    tops[w].append(RPartiteGraph(below + ((w,),)))
+    return tops
 
 
 def _per_top(tops: List[List[RPartiteGraph]], n: int,

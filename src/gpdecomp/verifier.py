@@ -12,8 +12,10 @@ r in the baseline and even-from-odd constructions, are checked per t from
 r = 4 and a few thousand edges up, when their first parts average two
 vertices or more: the pieces ending in {t}, less that part, as a partition
 of the (r-1)-subsets of 0..t-1, each t by the same kernel, keyed by
-middle, so only a failing t's keys are scanned for its witness.  A
-decomposition whose census is C(n, r) with no bit set twice is
+middle, so only a failing t's keys are scanned for its witness; up to one
+piece in n that does not end so, as in a move mutant, is split by the top
+vertex of its edges.  A decomposition whose census is C(n, r) with no bit
+set twice is
 accepted; any other is rejected with the first r-subset not covered exactly
 once, found among the over-covered edges counted as the walk meets them,
 each key's missing ends and, only when some key has none, the first such

@@ -346,11 +346,12 @@ def _holding(pieces):
 def _per_top(pieces, n, r):
     """Whether the kernel checks ``pieces`` per top vertex: r >= 4, at least
     the size constant's C(n, r), first parts of two vertices or more on
-    average, and every piece's last part one vertex above all its others."""
+    average, and at most one piece in n whose last part is not one vertex
+    above all its others (such a piece is split by its edges' top vertex)."""
+    split = sum(1 for p in pieces
+                if len(p.parts[-1]) > 1 or max(map(max, p.parts)) != p.parts[-1][0])
     return (r > 3 and comb(n, r) >= gpdecomp.core._PER_TOP_MIN_EDGES
-            and _holding(pieces)[0] >= 2 * len(pieces)
-            and all(len(p.parts[-1]) == 1 and max(map(max, p.parts)) == p.parts[-1][0]
-                    for p in pieces))
+            and _holding(pieces)[0] >= 2 * len(pieces) and split <= len(pieces) // n)
 
 
 def _keying(pieces, n, r):
@@ -583,8 +584,8 @@ def test_ladder_scale_mutants_match_reference(build, args, keying):
 # constant the kernel checks such an input per t, the pieces ending in {t},
 # less that part, as a partition of K_t^(r-1).  These inputs are drawn on
 # both sides of the constant, valid and with mutants; a move into the top
-# part leaves a piece without a top singleton, and the input on the
-# whole-input path.
+# part leaves a piece without a top singleton, which is split by the top
+# vertex of its edges while such pieces are at most one in n.
 
 def _cone_part(t, q, perm, dropped):
     """A partition of K_t^(q) with {t} appended to every piece: the baseline
@@ -676,6 +677,13 @@ def _baseline_4(n, a, t):
     return RPartiteGraph((tuple(range(a)), (a,), tuple(range(a + 1, t)), (t,)))
 
 
+def _moved_into_top(pieces, count):
+    """``pieces`` with the lowest vertex of the third part moved into the
+    top part in the first ``count`` pieces whose third part has two or more."""
+    movable = [p for p in pieces if len(p.parts[2]) > 1][:count]
+    return tuple(_move(p, p.parts[2][0], len(p.parts) - 1) if p in movable else p for p in pieces)
+
+
 _B18 = construct_baseline(18, 4).pieces
 _B12 = construct_baseline(12, 6).pieces
 
@@ -697,19 +705,36 @@ TOP_CASES = {
     # below the size constant an empty top stays on the whole-input path
     "empty-top-small": (GroundSet(12, 6), _tops_dropped(_B12, 9), "low", ((0, 1, 2, 3, 4, 9), 0)),
     # vertex 9 moved into the top part of the piece ([0, 3), {3}, (3, 10),
-    # {10}), which then covers (0, 3, 4, 9) a second time: the input is no
-    # longer all top singletons
+    # {10}), which then covers (0, 3, 4, 9) a second time: that one piece
+    # no longer ends in a top singleton and is split by its edges' top vertex
     "move-into-top": (GroundSet(18, 4), tuple(_move(p, 9, 3) if p == _baseline_4(18, 3, 10) else p
-                                              for p in _B18), "low", ((0, 3, 4, 9), 2)),
+                                              for p in _B18), "top", ((0, 3, 4, 9), 2)),
+    # vertex 2 moved into the top part of ((0, 1, 2), {3}, {4}, {5}) makes it
+    # ((0, 1), (2, 5), {3}, {4}): its last part is one vertex, not the top
+    "last-part-below-top": (GroundSet(18, 4), tuple(
+        _move(p, 2, 3) if p.parts == ((0, 1, 2), (3,), (4,), (5,)) else p for p in _B18),
+        "top", ((0, 2, 3, 4), 2)),
+    # six of the 120 pieces moved into their top parts are split, seven are
+    # more than one in 18 and leave the input on the whole-input path
+    "six-split": (GroundSet(18, 4), _moved_into_top(_B18, 6), "top", ((0, 1, 2, 3), 7)),
+    "seven-unsplit": (GroundSet(18, 4), _moved_into_top(_B18, 7), "low", ((0, 1, 2, 3), 8)),
+    # one piece of baseline (20,8) moved into its top part, split
+    "move-into-top-20-8": (GroundSet(20, 8), _moved_into_top(construct_baseline(20, 8).pieces, 1),
+                           "top", ((0, 1, 2, 3, 4, 5, 6, 7), 2)),
 }
 
 
 @pytest.mark.parametrize("name", list(TOP_CASES))
-def test_top_singleton_cases_match_reference(name):
+def test_top_singleton_cases_match_reference(monkeypatch, name):
     ground, pieces, keying, witness = TOP_CASES[name]
     assert _keying(pieces, ground.n, ground.r) == keying
     d = Decomposition(ground, pieces)
-    report = verify_decomposition(d)
+    calls = []
+    per_top = gpdecomp.core._per_top
+    with monkeypatch.context() as patch:
+        patch.setattr(gpdecomp.core, "_per_top", lambda *args: calls.append(1) or per_top(*args))
+        report = verify_decomposition(d)
+    assert bool(calls) == (keying == "top")
     assert report == reference_verify(d)
     assert coverage_histogram(d) == reference_histogram(d)
     assert (report.witness, report.witness_multiplicity) == witness
