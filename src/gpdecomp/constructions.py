@@ -101,14 +101,14 @@ def construct_baseline(n: int, r: int) -> Decomposition:
     return Decomposition(ground, tuple(pieces))
 
 
-def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
-    """Every profile of r over the layout, as ``(assignments, 0, lone)``.
+def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int]]:
+    """Every profile of r over the layout, as ``(assignments, lone)``.
 
     A profile gives the size of an edge's intersection with each class,
     every size at most n and the sizes summing to r.  The tuple holds its
     sorted (class, size) pairs, with the classes met in 0 vertices left
-    out, nothing left to place, and its lone size other than 2, which is 0
-    when every size is 2 and -1 when more than one size is not 2.
+    out, and its lone size other than 2, which is 0 when every size is 2 and
+    -1 when more than one size is not 2.
 
     Deterministic: lexicographic in the full size vector (s_0, ..., s_{k-1}).
     The vectors are expanded one class at a time: each prefix with ``left``
@@ -129,7 +129,7 @@ def _profiles(layout: ClassLayout, r: int) -> List[Tuple[Tuple[Tuple[int, int], 
         profiles = [(a + pair[s], left - s, lone if s == 0 or s == 2 else s if lone == 0 else -1)
                     for a, left, lone in profiles
                     for s in range(max(0, left - room), min(n, left) + 1)]
-    return profiles
+    return [(a, lone) for a, _, lone in profiles]  # the last class leaves 0 to place
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -191,7 +191,7 @@ def theorem1_routes(layout: ClassLayout, r: int) -> List[Route]:
     paired = [Route("paired_two_classes", *_pair_up(twos),
                     tuple(v for v in range(layout.total) if v // n not in twos)) for twos in sets]
     rest: List[Route] = []
-    for a, _, lone in profiles:
+    for a, lone in profiles:
         if lone == 3:
             pairs, leftover = _pair_up([c for c, s in a if s == 2])
             rest.append(Route("two_plus_three", pairs, leftover + tuple(cs for cs in a if cs[1] == 3)))

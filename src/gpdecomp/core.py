@@ -32,17 +32,10 @@ end is keyed and 1 otherwise, an end that is not keyed counting as vertex
 of several vertices, as at odd r in the class-split construction; otherwise
 one (the stub).  A piece adds its edges one segment, a run at each keyed
 end, at a time, and the memory follows the keys, C(n-2, r-2) middles or
-C(n-1, r-1) stubs at most, not the C(n, r) edges.  When every piece ends in
-one vertex t above all its others, as at even r in the baseline and
-even-from-odd constructions, the pieces ending in {t}, less that part, are
-checked for each t as a partition of the (r-1)-subsets of 0..t-1 by the
-same kernel, where they hold runs at both ends and are keyed by middle;
-this per-top rule is taken where such keying can pay (r >= 4, first parts
-of two vertices or more on average) from ``_PER_TOP_MIN_EDGES`` edges up,
-the measured size at which its n calls cost less than they save.  Up to
-one piece in n that does not end so, such as one a move has left with two
-vertices in its top part, is split by the highest vertex of its edges, so
-that a mutant of such an input is checked as the input is.  A
+C(n-1, r-1) stubs at most, not the C(n, r) edges.  Pieces that end in one
+vertex above all their others, as at even r in the baseline and
+even-from-odd constructions, are checked one top vertex at a time by the
+same kernel; :func:`first_miscovered` states that rule in full.  A
 reject's histogram is in ascending multiplicity.  :func:`edge_masks` still
 lists a piece's edges, for the first factors of a block layer.
 """
@@ -52,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, filterfalse, repeat
+from itertools import combinations, filterfalse
 from math import comb
 from operator import countOf, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -173,10 +166,6 @@ _WRAP = (_MASK_BITS - 1).__and__  # _WRAP(v) == v % _MASK_BITS for v >= 0
 _INT_ONLY = {int}
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
-# r -> itemgetter(r - 1), the getter of a piece's r-th part: made once per r
-# rather than once per kernel call, where it was most of the per-top rule's
-# cost to an exact-search-sized call.
-_RTH: Dict[int, itemgetter] = {}
 # The largest n whose edges the kernel keys by middle.  A middle's value has
 # bit lo*n + hi, so up to n^2 bits: 128 KiB here.  Past it the stubs' n bits
 # are kept, so that a few pieces naming a large n stay cheap: one piece at
@@ -395,29 +384,52 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     piece covers only edges whose highest vertex is t, so the input is exact
     iff, for each t, the pieces ending in {t}, read without that part,
     partition the (r-1)-subsets of 0..t-1.  Such an input is checked per
-    top vertex (:func:`_per_top`), each t by this function at (t, r-1),
-    where its pieces hold runs at both ends and are keyed by middle, when
-    that can pay: r >= 4 and the first parts average two vertices or more,
-    the middle rule's own terms (otherwise the per-t inputs are keyed by
-    stub, as many keys as the whole input's, and the calls only add time:
-    1.28 times the whole-input time on baseline (17,12), whose first parts
-    average 1.71), and C(n, r) is at least ``_PER_TOP_MIN_EDGES`` (3,000;
-    below it the n calls cost more than they save).  Pieces that do not
-    end in a top singleton, at most one in n of them, are split by the
-    highest vertex of their edges (:func:`_by_top`); with more the input
-    takes the whole-input path.  The answer is the one the whole input's
-    keys give."""
+    top vertex (:func:`_per_top`): every t in r-1..n-1 by this function at
+    (t, r-1), where its pieces hold runs at both ends and are keyed by
+    middle.  A t with no piece takes the whole-input path there, which
+    offers (0, ..., r-2) at multiplicity 0 and its C(t, r-1) edges
+    uncovered.  The rule is taken when that can pay: at least one piece,
+    r >= 4 and the first parts average two vertices or more, the middle
+    rule's own terms (otherwise the per-t inputs are keyed by stub, as many
+    keys as the whole input's, and the calls only add time: 1.28 times the
+    whole-input time on baseline (17,12), whose first parts average 1.71),
+    and C(n, r) is at least ``_PER_TOP_MIN_EDGES`` (3,000; below it the n
+    calls cost more than they save).  A piece that does not end in a top
+    singleton, such as one a move has left with two vertices in its top
+    part, is split at its highest end by :func:`_runs`: for each run and
+    each vertex w in it, the other parts left below the run, with {w}
+    appended, whose edges are those of the piece with highest vertex w.
+    Up to one piece in n is split, at most n pieces each, once every piece
+    is known to qualify; with more the input takes the whole-input path.
+    The witness is the lexicographically first of the per-t witnesses, with
+    its multiplicity, and the histogram the per-t sum: the answer the whole
+    input's keys give."""
     partss = [p.parts for p in pieces]
     heads = sum(map(len, map(_FIRST, partss)))
-    rth = _RTH.get(r) or _RTH.setdefault(r, itemgetter(r - 1))
+    rth = itemgetter(r - 1)
     tails = sum(map(len, map(rth, partss)))
     total = comb(n, r)
     # The last parts of two or more vertices are counted first, at C speed,
-    # so that an input with many (odd r) is not walked piece by piece.
-    if (r > 3 and total >= _PER_TOP_MIN_EDGES and heads >= 2 * len(partss)
+    # so that an input with many (odd r) is not walked piece by piece.  An
+    # input of no piece, such as the group of a t with none, is not split
+    # per top again: the whole-input path answers it at once.
+    if (r > 3 and total >= _PER_TOP_MIN_EDGES and heads >= 2 * len(partss) > 0
             and len(partss) - countOf(map(len, map(rth, partss)), 1) <= len(partss) // n):
-        tops = _by_top(pieces, partss, n, r)
-        if tops is not None:
+        tops: List[List[RPartiteGraph]] = [[] for _ in range(n)]
+        split = []  # the first r parts of each piece to split, once every piece qualifies
+        for p, parts in zip(pieces, partss):
+            top = parts[r - 1]
+            if len(top) == 1 and max(map(_LAST, parts[:r])) == top[0]:
+                tops[top[0]].append(p)
+            elif len(split) < len(partss) // n:
+                split.append(parts[:r])
+            else:
+                break
+        else:
+            for parts in split:
+                for run, others in _runs(parts, False, 1):
+                    for w in run:
+                        tops[w].append(RPartiteGraph((*sorted(others), (w,))))
             return _per_top(tops, n, r)
     both = r > 2 and n <= _MIDDLE_MAX_N and min(heads, tails) >= 2 * len(partss)
     low = int(both or r > 1 and heads >= tails)  # 1 when the lowest end is keyed
@@ -510,62 +522,18 @@ def first_miscovered(pieces: Sequence[RPartiteGraph], n: int,
     return witness, over.get(code, 0), hist
 
 
-def _by_top(pieces: Sequence[RPartiteGraph], partss: List[Tuple[Tuple[int, ...], ...]],
-            n: int, r: int) -> Optional[List[List[RPartiteGraph]]]:
-    """The pieces listed by top vertex t, t -> the pieces ending in {t} (on
-    their first r parts), or None when more than one in n of them do not.
-
-    A piece whose r-th part is one vertex t above all its others goes to t
-    whole.  Any other piece, such as one a move has left with two vertices
-    in its top part, is split by the highest vertex w of its edges: for each
-    w, in part k, the piece of the other parts' vertices below w, with {w}
-    appended, when none is empty.  Its edges are those of the piece whose
-    highest vertex is w, so the split pieces cover each edge as often as the
-    piece does.  A piece splits into at most n, so the lists hold at most
-    twice the pieces."""
-    tops: List[List[RPartiteGraph]] = [[] for _ in range(n)]
-    spare = len(partss) // n
-    split = []  # the parts of the pieces to split
-    for p, parts in zip(pieces, partss):
-        top = parts[r - 1]
-        t = top[0]
-        if len(top) == 1 and max(map(_LAST, parts[:r])) == t:
-            tops[t].append(p)
-        elif len(split) < spare:
-            split.append(parts[:r])
-        else:
-            return None
-    for parts in split:
-        for k, part in enumerate(parts):
-            others = parts[:k] + parts[k + 1:]
-            for w in part:
-                below = tuple(q[:bisect_left(q, w)] for q in others)
-                if all(below):
-                    tops[w].append(RPartiteGraph(below + ((w,),)))
-    return tops
-
-
 def _per_top(tops: List[List[RPartiteGraph]], n: int,
              r: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
-    """:func:`first_miscovered` of pieces listed by top vertex t: each t
-    checked at (t, r-1), on the first r-1 parts of its pieces.  A t with no
-    piece offers the edge (0, ..., r-2, t), its C(t, r-1) edges at
-    multiplicity 0.  The witness is the lexicographically first of the
-    per-t witnesses, with its multiplicity, and the histogram the per-t
-    sum."""
+    """:func:`first_miscovered` of pieces listed by top vertex t, t -> the
+    pieces ending in {t}: each t in r-1..n-1 checked by it at (t, r-1), on
+    the first r-1 parts of its pieces.  The witness is the
+    lexicographically first of the per-t witnesses, with its multiplicity,
+    and the histogram the per-t sum."""
     q = r - 1
-    # A t with no piece misses its C(t, q) edges; the first empty t's
-    # first, (0, ..., q-1, t), comes before every other empty t's.
-    empty = [t for t in range(q, n) if not tops[t]]
     hist: Counter = Counter()
     witness = mult = 0
-    if empty:
-        hist[0] = sum(map(comb, empty, repeat(q)))
-        witness = (1 << q) - 1 | 1 << empty[0]
-    for t, group in enumerate(tops):
-        if not group:
-            continue
-        found = first_miscovered(group, t, q)
+    for t in range(q, n):
+        found = first_miscovered(tops[t], t, q)
         if found is None:
             hist[1] += comb(t, q)
             continue

@@ -60,6 +60,8 @@ class SearchBudget:
     wall_clock_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if type(self.max_nodes) is not int:
+            raise ValueError(f"need int max_nodes, got max_nodes={self.max_nodes}")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         # Written as "not > 0" so that nan is refused too.

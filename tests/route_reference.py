@@ -43,7 +43,7 @@ def per_profile_routes(layout: ClassLayout, r: int) -> List[Route]:
     deduplicated and sorted first, then every other route in lexicographic
     size-vector order."""
     routes = [
-        rt for rt in (route_signature(layout, a) for a, _, _ in _profiles(layout, r))
+        rt for rt in (route_signature(layout, a) for a, _ in _profiles(layout, r))
         if rt is not None
     ]
     paired = sorted({rt for rt in routes if rt.family == "paired_two_classes"})

@@ -81,7 +81,7 @@ def test_stars():
 def profiles(layout, r):
     """The sorted (class, size) pairs of every profile, in ``_profiles``
     order."""
-    return [a for a, _, _ in _profiles(layout, r)]
+    return [a for a, _ in _profiles(layout, r)]
 
 
 def brute_force_signatures(k, n, r):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpdecomp.core
+import gpdecomp.verifier
 from gpdecomp import (
     Decomposition,
     GroundSet,
@@ -345,13 +346,14 @@ def _holding(pieces):
 
 def _per_top(pieces, n, r):
     """Whether the kernel checks ``pieces`` per top vertex: r >= 4, at least
-    the size constant's C(n, r), first parts of two vertices or more on
-    average, and at most one piece in n whose last part is not one vertex
-    above all its others (such a piece is split by its edges' top vertex)."""
+    the size constant's C(n, r), at least one piece, first parts of two
+    vertices or more on average, and at most one piece in n whose last part
+    is not one vertex above all its others (such a piece is split by its
+    edges' top vertex)."""
     split = sum(1 for p in pieces
                 if len(p.parts[-1]) > 1 or max(map(max, p.parts)) != p.parts[-1][0])
     return (r > 3 and comb(n, r) >= gpdecomp.core._PER_TOP_MIN_EDGES
-            and _holding(pieces)[0] >= 2 * len(pieces) and split <= len(pieces) // n)
+            and _holding(pieces)[0] >= 2 * len(pieces) > 0 and split <= len(pieces) // n)
 
 
 def _keying(pieces, n, r):
@@ -721,7 +723,28 @@ TOP_CASES = {
     # one piece of baseline (20,8) moved into its top part, split
     "move-into-top-20-8": (GroundSet(20, 8), _moved_into_top(construct_baseline(20, 8).pieces, 1),
                            "top", ((0, 1, 2, 3, 4, 5, 6, 7), 2)),
+    # baseline (20,8) without its 165 pieces ending in {15}: the empty top 15
+    # is checked by the kernel at (15, 7) on no piece, on the whole-input path
+    "empty-top-20-8": (GroundSet(20, 8), _tops_dropped(construct_baseline(20, 8).pieces, 15),
+                       "top", ((0, 1, 2, 3, 4, 5, 6, 15), 0)),
 }
+
+
+def _kernel_calls(monkeypatch, d):
+    """The verify report of ``d`` and the (n, r) of every kernel call it
+    made, the verifier's own call first, then any the kernel made itself."""
+    calls = []
+    kernel = gpdecomp.core.first_miscovered
+
+    def counted(pieces, n, r):
+        calls.append((n, r))
+        return kernel(pieces, n, r)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gpdecomp.core, "first_miscovered", counted)
+        patch.setattr(gpdecomp.verifier, "first_miscovered", counted)
+        report = verify_decomposition(d)
+    return report, calls
 
 
 @pytest.mark.parametrize("name", list(TOP_CASES))
@@ -729,12 +752,20 @@ def test_top_singleton_cases_match_reference(monkeypatch, name):
     ground, pieces, keying, witness = TOP_CASES[name]
     assert _keying(pieces, ground.n, ground.r) == keying
     d = Decomposition(ground, pieces)
-    calls = []
-    per_top = gpdecomp.core._per_top
-    with monkeypatch.context() as patch:
-        patch.setattr(gpdecomp.core, "_per_top", lambda *args: calls.append(1) or per_top(*args))
-        report = verify_decomposition(d)
-    assert bool(calls) == (keying == "top")
+    report, calls = _kernel_calls(monkeypatch, d)
+    # the per-top path is the one that calls the kernel at (t, r - 1)
+    assert any(r == ground.r - 1 for _, r in calls) == (keying == "top")
     assert report == reference_verify(d)
     assert coverage_histogram(d) == reference_histogram(d)
     assert (report.witness, report.witness_multiplicity) == witness
+
+
+def test_an_empty_top_is_not_split_again(monkeypatch):
+    """An empty top's group takes the whole-input path at (t, r - 1): 14
+    kernel calls, the verifier's and one per t in 7..19, where splitting it
+    per top again, at (15, 7), then at (14, 6), would take 32."""
+    ground, pieces, _, _ = TOP_CASES["empty-top-20-8"]
+    d = Decomposition(ground, pieces)
+    _, calls = _kernel_calls(monkeypatch, d)
+    assert calls == [(20, 8)] + [(t, 7) for t in range(7, 20)]
+    assert coverage_histogram(d) == {0: 6435, 1: 119535}

@@ -282,6 +282,11 @@ def test_budget_exhaustion():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
+    # a float or a bool is no node count: nodes > 1000.0 would be a float
+    # deciding the stop, and True a 1-node search
+    for bad in (1e3, True, 10.5):
+        with pytest.raises(ValueError, match=rf"^need int max_nodes, got max_nodes={bad}$"):
+            SearchBudget(max_nodes=bad)
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=10, wall_clock_s=-1)
     with pytest.raises(ValueError):
